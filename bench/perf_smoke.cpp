@@ -2,8 +2,13 @@
 // cache paths (rebuild / refresh / hit), runs subsolve per solver kind and
 // level with the metrics registry capturing the assemble/factor/solve
 // decomposition, and compares warm- vs cold-started Krylov iteration
-// counts.  Emits one machine-readable report (see src/obs/report.hpp) so
-// the hot-path numbers in README/DESIGN are regenerable artifacts.
+// counts.  Each level L of the subsolve table has the square G(2;L,L) and
+// the mirror pair G(2;L,0) / G(2;0,L); the banded solver factors along a
+// grid's short axis, so a mirror pair should cost the same per step (the
+// "mirror_pair" object compares the largest one; the two grids take
+// different step counts, so it compares seconds per accepted step).  Emits
+// one machine-readable report (see src/obs/report.hpp) so the hot-path
+// numbers in README/DESIGN are regenerable artifacts.
 //
 // Usage: perf_smoke [--out=PATH] [--max-level L | --level=L] [--reps N]
 //                   [--label=S] [--timestamp=S]
@@ -144,53 +149,78 @@ int main(int argc, char** argv) {
   const transport::StageSolverKind kinds[] = {transport::StageSolverKind::BandedLU,
                                               transport::StageSolverKind::BiCgStabIlu0,
                                               transport::StageSolverKind::BiCgStabJacobi};
+  // Seconds per accepted step of the banded-LU subsolves of G(2;max_level,0)
+  // and of its mirror G(2;0,max_level).
+  double mirror_wide = 0.0;
+  double mirror_tall = 0.0;
   report.derived().key("subsolve").begin_array();
   for (const auto kind : kinds) {
     for (int l = 1; l <= max_level; ++l) {
-      const grid::Grid2D g(2, l, l);
-      transport::SubsolveConfig config;
-      config.system.solver = kind;
-      config.system.kernel_policy = kernels;
-      config.system.inner_threads = inner_threads;
-      obs::registry().reset();
-      const auto r = transport::subsolve(g, config);
-      const auto snap = obs::registry().snapshot();
-      const double hit_rate = snap.counter_ratio(
-          "linalg.stage_cache.hits",
-          {"linalg.stage_cache.hits", "linalg.stage_cache.misses",
-           "linalg.stage_cache.refreshes"});
-      std::printf("subsolve G(2;%d,%d) %-15s %8.3f ms  steps %4llu  hit rate %.2f\n", l, l,
-                  to_string(kind), r.elapsed_seconds * 1e3,
-                  static_cast<unsigned long long>(r.stats.accepted), hit_rate);
-      report.derived().begin_object();
-      report.derived().kv("grid", "G(2;" + std::to_string(l) + "," + std::to_string(l) + ")");
-      report.derived().kv("solver", to_string(kind));
-      report.derived().kv("kernels", linalg::to_string(kernels));
-      report.derived().kv("inner_threads", static_cast<std::int64_t>(inner_threads));
-      report.derived().kv("elapsed_seconds", r.elapsed_seconds);
-      report.derived().kv("accepted_steps", r.stats.accepted);
-      report.derived().kv("stage_preparations", r.stats.stage_preparations);
-      report.derived().kv("assemble_seconds",
-                          snap.histograms.count("linalg.stage_assemble_seconds")
-                              ? snap.histograms.at("linalg.stage_assemble_seconds").sum
-                              : 0.0);
-      report.derived().kv("factor_seconds",
-                          snap.histograms.count("linalg.stage_factor_seconds")
-                              ? snap.histograms.at("linalg.stage_factor_seconds").sum
-                              : 0.0);
-      report.derived().kv("solve_seconds",
-                          snap.histograms.count("linalg.stage_solve_seconds")
-                              ? snap.histograms.at("linalg.stage_solve_seconds").sum
-                              : 0.0);
-      report.derived().kv("cache_hits", snap.counter_or("linalg.stage_cache.hits"));
-      report.derived().kv("cache_misses", snap.counter_or("linalg.stage_cache.misses"));
-      report.derived().kv("cache_refreshes", snap.counter_or("linalg.stage_cache.refreshes"));
-      report.derived().kv("cache_hit_rate", hit_rate);
-      report.derived().kv("bicgstab_iterations", snap.counter_or("linalg.bicgstab_iterations"));
-      report.derived().end_object();
+      for (const grid::Grid2D g : {grid::Grid2D(2, l, l), grid::Grid2D(2, l, 0),
+                                   grid::Grid2D(2, 0, l)}) {
+        transport::SubsolveConfig config;
+        config.system.solver = kind;
+        config.system.kernel_policy = kernels;
+        config.system.inner_threads = inner_threads;
+        obs::registry().reset();
+        const auto r = transport::subsolve(g, config);
+        const auto snap = obs::registry().snapshot();
+        const double hit_rate = snap.counter_ratio(
+            "linalg.stage_cache.hits",
+            {"linalg.stage_cache.hits", "linalg.stage_cache.misses",
+             "linalg.stage_cache.refreshes"});
+        std::printf("subsolve %-9s %-15s %8.3f ms  steps %4llu  hit rate %.2f\n",
+                    g.name().c_str(), to_string(kind), r.elapsed_seconds * 1e3,
+                    static_cast<unsigned long long>(r.stats.accepted), hit_rate);
+        if (kind == transport::StageSolverKind::BandedLU && l == max_level &&
+            r.stats.accepted > 0) {
+          const double per_step = r.elapsed_seconds / static_cast<double>(r.stats.accepted);
+          if (g.ly() == 0) mirror_wide = per_step;
+          if (g.lx() == 0) mirror_tall = per_step;
+        }
+        report.derived().begin_object();
+        report.derived().kv("grid", g.name());
+        report.derived().kv("solver", to_string(kind));
+        report.derived().kv("kernels", linalg::to_string(kernels));
+        report.derived().kv("inner_threads", static_cast<std::int64_t>(inner_threads));
+        report.derived().kv("elapsed_seconds", r.elapsed_seconds);
+        report.derived().kv("accepted_steps", r.stats.accepted);
+        report.derived().kv("stage_preparations", r.stats.stage_preparations);
+        report.derived().kv("assemble_seconds",
+                            snap.histograms.count("linalg.stage_assemble_seconds")
+                                ? snap.histograms.at("linalg.stage_assemble_seconds").sum
+                                : 0.0);
+        report.derived().kv("factor_seconds",
+                            snap.histograms.count("linalg.stage_factor_seconds")
+                                ? snap.histograms.at("linalg.stage_factor_seconds").sum
+                                : 0.0);
+        report.derived().kv("solve_seconds",
+                            snap.histograms.count("linalg.stage_solve_seconds")
+                                ? snap.histograms.at("linalg.stage_solve_seconds").sum
+                                : 0.0);
+        report.derived().kv("cache_hits", snap.counter_or("linalg.stage_cache.hits"));
+        report.derived().kv("cache_misses", snap.counter_or("linalg.stage_cache.misses"));
+        report.derived().kv("cache_refreshes", snap.counter_or("linalg.stage_cache.refreshes"));
+        report.derived().kv("cache_hit_rate", hit_rate);
+        report.derived().kv("bicgstab_iterations", snap.counter_or("linalg.bicgstab_iterations"));
+        report.derived().end_object();
+      }
     }
   }
   report.derived().end_array();
+  {
+    const double ratio = mirror_tall > 0.0 ? mirror_wide / mirror_tall : 0.0;
+    std::printf("mirror pair G(2;%d,0) / G(2;0,%d), banded-lu, per accepted step: %.2fx\n",
+                max_level, max_level, ratio);
+    report.derived().key("mirror_pair").begin_object();
+    report.derived().kv("solver", "banded-lu");
+    report.derived().kv("wide_grid", grid::Grid2D(2, max_level, 0).name());
+    report.derived().kv("tall_grid", grid::Grid2D(2, 0, max_level).name());
+    report.derived().kv("wide_seconds_per_step", mirror_wide);
+    report.derived().kv("tall_seconds_per_step", mirror_tall);
+    report.derived().kv("wide_over_tall", ratio);
+    report.derived().end_object();
+  }
 
   // --- kernel-policy sweep: scalar vs tiled, 1 vs N inner threads ---------------
   // Timed on the largest grid of the sweep (the one that serializes the

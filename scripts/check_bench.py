@@ -109,6 +109,35 @@ def check_net_report(path, where, report):
     return rc
 
 
+MIRROR_KEYS = ("wide_seconds_per_step", "tall_seconds_per_step", "wide_over_tall")
+
+
+def check_perf_smoke_report(path, where, report):
+    """A perf_smoke mirror_pair object holds the banded-LU subsolve seconds
+    per accepted step of G(2;L,0) and of its mirror G(2;0,L), and their
+    ratio: with the band along each grid's short axis the two cost the same.
+    Entries written before perf_smoke emitted it have none."""
+    derived = report.get("derived")
+    if not isinstance(derived, dict):
+        return fail(path, f"{where}.report.derived must be an object")
+    pair = derived.get("mirror_pair")
+    if pair is None:
+        return 0
+    if not isinstance(pair, dict):
+        return fail(path, f"{where}.report.derived.mirror_pair must be an object")
+    rc = 0
+    for key in ("wide_grid", "tall_grid"):
+        if not isinstance(pair.get(key), str) or not pair.get(key):
+            rc |= fail(path, f"{where}.report.derived.mirror_pair.{key} must be a "
+                             f"non-empty string")
+    for key in MIRROR_KEYS:
+        value = pair.get(key)
+        if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
+            rc |= fail(path, f"{where}.report.derived.mirror_pair.{key} must be a "
+                             f"positive number")
+    return rc
+
+
 def numeric_leaves(node, prefix=""):
     """Dotted-path -> value for numeric leaves of nested dicts.  Arrays are
     skipped: their elements are keyed by position, and two entries with
@@ -197,6 +226,8 @@ def check_file(path, compare=False):
             rc |= check_churn_report(path, where, report)
         elif report.get("tool") == "net_bench":
             rc |= check_net_report(path, where, report)
+        elif report.get("tool") == "perf_smoke":
+            rc |= check_perf_smoke_report(path, where, report)
     if rc == 0:
         labels = ", ".join(e["label"] for e in entries)
         print(f"{path}: ok ({len(entries)} entries: {labels})")

@@ -29,8 +29,7 @@ Field combine(const std::vector<CombinationTerm>& terms, const std::vector<Field
   Field result(fine, 0.0);
   for (std::size_t k = 0; k < terms.size(); ++k) {
     MG_REQUIRE(components[k].grid() == terms[k].grid);
-    Field p = prolongate(components[k], fine);
-    result.add_scaled(terms[k].coefficient, p);
+    prolongate_add(terms[k].coefficient, components[k], result);
   }
   return result;
 }

@@ -41,8 +41,8 @@ std::vector<CombinationTerm> combination_terms(int root, int level);
 Grid2D finest_grid(int root, int level);
 
 /// Prolongates every component field onto the finest grid and accumulates
-/// with the matching coefficients.  `components[k]` must live on
-/// `terms[k].grid`.
+/// with the matching coefficients, one fused pass per term (prolongate_add).
+/// `components[k]` must live on `terms[k].grid`.
 Field combine(const std::vector<CombinationTerm>& terms, const std::vector<Field>& components,
               const Grid2D& fine);
 

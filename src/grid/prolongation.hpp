@@ -14,4 +14,8 @@ namespace mg::grid {
 /// fine_grid.lx >= coarse.lx, fine_grid.ly >= coarse.ly.
 Field prolongate(const Field& coarse, const Grid2D& fine_grid);
 
+/// fine += alpha * prolongate(coarse, fine.grid()), in one pass and without
+/// the temporary fine field; bitwise equal to the two-step form.
+void prolongate_add(double alpha, const Field& coarse, Field& fine);
+
 }  // namespace mg::grid

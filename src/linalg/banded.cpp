@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "linalg/simd.hpp"
 #include "support/check.hpp"
@@ -14,30 +15,42 @@ BandedMatrix::BandedMatrix(std::size_t n, std::size_t half_bandwidth)
   MG_REQUIRE(n > 0);
 }
 
-BandedMatrix BandedMatrix::from_csr(const CsrMatrix& a, std::size_t half_bandwidth) {
+namespace {
+std::size_t renumber(const std::vector<std::size_t>& order, std::size_t i) {
+  return order.empty() ? i : order[i];
+}
+}  // namespace
+
+BandedMatrix BandedMatrix::from_csr(const CsrMatrix& a, std::size_t half_bandwidth,
+                                    const std::vector<std::size_t>& order) {
   MG_REQUIRE(a.rows() == a.cols());
+  MG_REQUIRE(order.empty() || order.size() == a.rows());
   BandedMatrix band(a.rows(), half_bandwidth);
   for (std::size_t i = 0; i < a.rows(); ++i) {
+    const std::size_t bi = renumber(order, i);
     for (std::size_t k = a.row_ptr()[i]; k < a.row_ptr()[i + 1]; ++k) {
-      const std::size_t j = a.col_idx()[k];
-      MG_REQUIRE_MSG(band.in_band(i, j), "CSR entry outside declared bandwidth");
-      band.set(i, j, a.values()[k]);
+      const std::size_t bj = renumber(order, a.col_idx()[k]);
+      MG_REQUIRE_MSG(band.in_band(bi, bj), "CSR entry outside declared bandwidth");
+      band.set(bi, bj, a.values()[k]);
     }
   }
   return band;
 }
 
-void BandedMatrix::assign_shifted_csr(const CsrMatrix& a, double scale_diag, double scale_a) {
+void BandedMatrix::assign_shifted_csr(const CsrMatrix& a, double scale_diag, double scale_a,
+                                      const std::vector<std::size_t>& order) {
   MG_REQUIRE(a.rows() == n_ && a.cols() == n_);
+  MG_REQUIRE(order.empty() || order.size() == n_);
   std::fill(data_.begin(), data_.end(), 0.0);
   factorized_ = false;
   for (std::size_t i = 0; i < n_; ++i) {
+    const std::size_t bi = renumber(order, i);
     for (std::size_t k = a.row_ptr()[i]; k < a.row_ptr()[i + 1]; ++k) {
-      const std::size_t j = a.col_idx()[k];
-      MG_REQUIRE_MSG(in_band(i, j), "CSR entry outside declared bandwidth");
-      data_[idx(i, j)] = scale_a * a.values()[k];
+      const std::size_t bj = renumber(order, a.col_idx()[k]);
+      MG_REQUIRE_MSG(in_band(bi, bj), "CSR entry outside declared bandwidth");
+      data_[idx(bi, bj)] = scale_a * a.values()[k];
     }
-    data_[idx(i, i)] += scale_diag;
+    data_[idx(bi, bi)] += scale_diag;
   }
 }
 
@@ -181,9 +194,14 @@ void BandedMatrix::factorize(const KernelContext& ctx) {
 }
 
 void BandedMatrix::solve(const Vec& b, Vec& x) const {
-  MG_REQUIRE(factorized_);
   MG_REQUIRE(b.size() == n_);
   x = b;
+  solve_in_place(x);
+}
+
+void BandedMatrix::solve_in_place(Vec& x) const {
+  MG_REQUIRE(factorized_);
+  MG_REQUIRE(x.size() == n_);
   // Forward substitution with unit lower factor.
   for (std::size_t i = 0; i < n_; ++i) {
     const std::size_t j_lo = i >= hb_ ? i - hb_ : 0;
@@ -198,6 +216,53 @@ void BandedMatrix::solve(const Vec& b, Vec& x) const {
     for (std::size_t j = ii + 1; j <= j_hi; ++j) s -= data_[idx(ii, j)] * x[j];
     x[ii] = s / data_[idx(ii, ii)];
   }
+}
+
+namespace {
+/// Band position of each x-fastest unknown when the band runs along the
+/// short axis; empty (identity) unless the grid is wider than tall.
+std::vector<std::size_t> short_axis_order(std::size_t nx, std::size_t ny) {
+  std::vector<std::size_t> order;
+  if (nx <= ny) return order;
+  order.resize(nx * ny);
+  for (std::size_t j = 0; j < ny; ++j) {
+    for (std::size_t i = 0; i < nx; ++i) order[j * nx + i] = i * ny + j;
+  }
+  return order;
+}
+}  // namespace
+
+GridBandedLU::GridBandedLU(std::size_t nx, std::size_t ny)
+    : GridBandedLU(short_axis_order(nx, ny), BandedMatrix(nx * ny, std::min(nx, ny))) {}
+
+GridBandedLU::GridBandedLU(std::vector<std::size_t> order, BandedMatrix band)
+    : order_(std::move(order)), band_(std::move(band)) {}
+
+GridBandedLU GridBandedLU::from_csr(const CsrMatrix& a, std::size_t nx, std::size_t ny) {
+  MG_REQUIRE(a.rows() == nx * ny);
+  std::vector<std::size_t> order = short_axis_order(nx, ny);
+  BandedMatrix band = BandedMatrix::from_csr(a, std::min(nx, ny), order);
+  return GridBandedLU(std::move(order), std::move(band));
+}
+
+void GridBandedLU::assign_shifted_csr(const CsrMatrix& a, double scale_diag, double scale_a) {
+  band_.assign_shifted_csr(a, scale_diag, scale_a, order_);
+}
+
+void GridBandedLU::factorize(const KernelContext& ctx) { band_.factorize(ctx); }
+
+void GridBandedLU::solve(const Vec& b, Vec& x) {
+  if (order_.empty()) {
+    band_.solve(b, x);
+    return;
+  }
+  const std::size_t n = band_.size();
+  MG_REQUIRE(b.size() == n);
+  work_.resize(n);
+  for (std::size_t r = 0; r < n; ++r) work_[order_[r]] = b[r];
+  band_.solve_in_place(work_);
+  x.resize(n);
+  for (std::size_t r = 0; r < n; ++r) x[r] = work_[order_[r]];
 }
 
 }  // namespace mg::linalg

@@ -3,7 +3,7 @@
 // Every compute kernel (CSR SpMV, fused triads, banded LU, preconditioner
 // applies) runs under a KernelContext that selects one of two policies:
 //
-//  * Scalar — the seed code paths, byte-for-byte.  This is the reference
+//  * Scalar — plain one-element-at-a-time loops.  This is the reference
 //    every other configuration is asserted bitwise-identical against.
 //  * Tiled — hand-tiled kernels: multi-row interleaved SpMV and triangular
 //    sweeps (independent accumulator chains in flight instead of one),
@@ -29,7 +29,7 @@ namespace mg::linalg {
 class ParallelContext;
 
 enum class KernelPolicy : std::uint8_t {
-  Scalar = 0,  ///< seed code paths, byte-for-byte
+  Scalar = 0,  ///< plain scalar loops; the bitwise reference
   Tiled = 1,   ///< interleaved/SIMD kernels; bitwise-identical results
 };
 

@@ -44,6 +44,8 @@ class JobClient {
 
   JobTicket submit(const JobSpec& spec);
   JobStatusInfo status(std::uint64_t job_id);
+  /// A finished job's field and report come back on the first fetch only
+  /// (SolveEngine::result); later fetches carry an "already delivered" error.
   JobResultData result(std::uint64_t job_id);
   JobStatusInfo cancel(std::uint64_t job_id);
 

@@ -95,6 +95,7 @@ struct SolveEngine::Job {
   std::string error;
   std::optional<grid::Field> combined;
   std::string report_json;
+  bool delivered = false;  ///< result() handed out and freed the payload
   steady::time_point submitted_at{};
   steady::time_point started_at{};
   bool started = false;
@@ -581,7 +582,7 @@ std::vector<JobStatusInfo> SolveEngine::active_statuses() const {
   return out;
 }
 
-JobResultData SolveEngine::result(std::uint64_t id) const {
+JobResultData SolveEngine::result(std::uint64_t id) {
   JobResultData data;
   data.job_id = id;
   std::shared_ptr<Job> job;
@@ -599,10 +600,20 @@ JobResultData SolveEngine::result(std::uint64_t id) const {
   data.error = job->error;
   if (!is_terminal(job->state)) return data;
   data.ready = true;
-  data.report_json = job->report_json;
-  if (job->state == JobState::Done && job->combined.has_value()) {
-    data.combined_nodes = job->combined->data();
+  if (job->delivered) {
+    data.error = "result of job " + std::to_string(id) + " already delivered";
+    return data;
   }
+  // No lane touches a terminal job's payload again, so it goes out by move
+  // and the record keeps only what status() reads.
+  data.report_json = std::move(job->report_json);
+  if (job->state == JobState::Done && job->combined.has_value()) {
+    data.combined_nodes = std::move(job->combined->data());
+  }
+  job->delivered = true;
+  job->combined.reset();
+  std::vector<std::optional<grid::Field>>().swap(job->solutions);
+  std::vector<transport::GridRunRecord>().swap(job->records);
   return data;
 }
 

@@ -88,7 +88,12 @@ class SolveEngine {
   JobTicket submit(const JobSpec& spec);
 
   JobStatusInfo status(std::uint64_t id) const;
-  JobResultData result(std::uint64_t id) const;
+  /// A terminal job's payload (combined field, report) is delivered once:
+  /// the first fetch moves it out and frees it, and later fetches come back
+  /// ready with no nodes and an "already delivered" error.  status(),
+  /// cancel() and wait_terminal() keep reading the small status record.
+  /// Thread-safe.
+  JobResultData result(std::uint64_t id);
 
   /// Requests cancellation: pending tasks are dropped now, in-flight ones
   /// drain (remote trips abort at the lease).  Returns the post-request

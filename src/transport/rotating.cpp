@@ -65,14 +65,15 @@ std::unique_ptr<ros::StageSolver> RotatingConeSystem::prepare_stage(double /*t*/
   MG_REQUIRE(u.size() == dimension());
   class Solver final : public ros::StageSolver {
    public:
-    explicit Solver(linalg::BandedMatrix m) : matrix_(std::move(m)) { matrix_.factorize(); }
+    explicit Solver(linalg::GridBandedLU m) : matrix_(std::move(m)) { matrix_.factorize(); }
     void solve(const ros::Vec& rhs, ros::Vec& x) override { matrix_.solve(rhs, x); }
 
    private:
-    linalg::BandedMatrix matrix_;
+    linalg::GridBandedLU matrix_;
   };
   linalg::CsrMatrix stage = linalg::shifted_identity(jacobian_, 1.0, -gamma_h);
-  return std::make_unique<Solver>(linalg::BandedMatrix::from_csr(stage, grid_.interior_x()));
+  return std::make_unique<Solver>(
+      linalg::GridBandedLU::from_csr(stage, grid_.interior_x(), grid_.interior_y()));
 }
 
 grid::Field RotatingConeSystem::expand(const ros::Vec& u) const {

@@ -134,17 +134,19 @@ void TransportSystem::rhs(double t, const ros::Vec& u, ros::Vec& f) {
 
 namespace {
 
+/// Direct stage solver; the band runs along the grid's short axis
+/// (linalg::GridBandedLU), on the rebuild and the cached path alike.
 class BandedStageSolver final : public ros::StageSolver {
  public:
-  /// Seed path: takes a fully formed band and factorises it.
-  BandedStageSolver(linalg::BandedMatrix matrix, linalg::KernelContext kctx)
+  /// Rebuild path: takes a fully formed band and factorises it.
+  BandedStageSolver(linalg::GridBandedLU matrix, linalg::KernelContext kctx)
       : matrix_(std::move(matrix)), kctx_(kctx) {
     factorize();
   }
 
   /// Cached path: allocates the band storage once; refresh() fills it.
-  BandedStageSolver(std::size_t n, std::size_t half_bandwidth, linalg::KernelContext kctx)
-      : matrix_(n, half_bandwidth), kctx_(kctx) {}
+  BandedStageSolver(const grid::Grid2D& grid, linalg::KernelContext kctx)
+      : matrix_(grid.interior_x(), grid.interior_y()), kctx_(kctx) {}
 
   /// Rewrites the band as (I - gamma_h * J) and refactorises, all in the
   /// storage allocated at construction.
@@ -168,7 +170,7 @@ class BandedStageSolver final : public ros::StageSolver {
     stage_metrics().factor_seconds.observe(clock.elapsed_seconds());
   }
 
-  linalg::BandedMatrix matrix_;
+  linalg::GridBandedLU matrix_;
   linalg::KernelContext kctx_;
 };
 
@@ -249,8 +251,8 @@ linalg::PrecondKind precond_kind_for(StageSolverKind kind) {
 
 /// The seed's rebuild-every-step path (cache_stage == false): assemble a
 /// fresh stage matrix and a fresh solver, discarded after the step.  Kept
-/// verbatim as the reference the cache is asserted bit-identical against
-/// and as the baseline the prepare_stage benches compare with.
+/// as the reference the cache is asserted bit-identical against and as the
+/// baseline the prepare_stage benches compare with.
 std::unique_ptr<ros::StageSolver> TransportSystem::rebuild_stage(double gamma_h) {
   support::Stopwatch assemble_clock;
   linalg::CsrMatrix stage = linalg::shifted_identity(jacobian_, 1.0, -gamma_h);
@@ -258,7 +260,8 @@ std::unique_ptr<ros::StageSolver> TransportSystem::rebuild_stage(double gamma_h)
   switch (options_.solver) {
     case StageSolverKind::BandedLU:
       return std::make_unique<BandedStageSolver>(
-          linalg::BandedMatrix::from_csr(stage, grid_.interior_x()), kernel_context());
+          linalg::GridBandedLU::from_csr(stage, grid_.interior_x(), grid_.interior_y()),
+          kernel_context());
     case StageSolverKind::BiCgStabIlu0:
     case StageSolverKind::BiCgStabJacobi:
       return std::make_unique<KrylovStageSolver>(std::move(stage),
@@ -299,8 +302,7 @@ std::unique_ptr<ros::StageSolver> TransportSystem::prepare_stage(double /*t*/, c
   switch (options_.solver) {
     case StageSolverKind::BandedLU: {
       if (!cached_solver_) {
-        cached_solver_ = std::make_shared<BandedStageSolver>(dimension(), grid_.interior_x(),
-                                                             kernel_context());
+        cached_solver_ = std::make_shared<BandedStageSolver>(grid_, kernel_context());
       }
       static_cast<BandedStageSolver&>(*cached_solver_).refresh(jacobian_, gamma_h);
       break;

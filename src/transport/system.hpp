@@ -8,7 +8,9 @@
 // so by default prepare_stage only refreshes values in place when gamma*h
 // changes and reuses the factorisation outright when it does not — the "A
 // matrix must be built up in the program which takes a lot of time" cost the
-// paper describes survives as the cache_stage=false reference path.
+// paper describes survives as the cache_stage=false reference path.  The
+// banded stage solver factors along the grid's short axis
+// (linalg::GridBandedLU), so G(l,m) and its mirror G(m,l) cost the same.
 #pragma once
 
 #include <cstdint>
@@ -50,8 +52,8 @@ struct SystemOptions {
   /// the convergence tolerance; no effect on the direct (banded) solver.
   bool warm_start = true;
   /// Kernel policy for the linalg hot paths (DESIGN.md §14): Scalar runs the
-  /// seed code byte-for-byte, Tiled the SIMD/interleaved kernels.  Results
-  /// are bitwise identical either way — this is a pure performance knob.
+  /// plain scalar loops, Tiled the SIMD/interleaved kernels.  Results are
+  /// bitwise identical either way — this is a pure performance knob.
   linalg::KernelPolicy kernel_policy = linalg::KernelPolicy::Scalar;
   /// Within-grid parallelism: size of the inner worker team that one solve
   /// spans (row-partitioned SpMV, fused triads, wavefront preconditioner

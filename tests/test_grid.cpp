@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <random>
 
 #include "grid/combination.hpp"
 #include "grid/field.hpp"
@@ -270,6 +272,35 @@ TEST(Combination, CombineImprovesOnSingleCoarseGrid) {
   coarsest.sample(smooth);
   const double coarse_err = prolongate(coarsest, fine).max_error(smooth);
   EXPECT_LT(combined.max_error(smooth), coarse_err);
+}
+
+TEST(Combination, FusedCombineIsBitwiseEqualToProlongatePlusAddScaled) {
+  // combine() interpolates and accumulates in one pass; every node must get
+  // exactly the bits of the two-step prolongate + add_scaled form.
+  std::mt19937_64 rng(2024);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  for (int root = 1; root <= 3; ++root) {
+    for (int level = 0; level <= 7; ++level) {
+      SCOPED_TRACE("root " + std::to_string(root) + " level " + std::to_string(level));
+      const auto terms = combination_terms(root, level);
+      std::vector<Field> components;
+      for (const auto& t : terms) {
+        Field f(t.grid);
+        for (double& v : f.data()) v = dist(rng);
+        components.push_back(std::move(f));
+      }
+      const Grid2D fine = finest_grid(root, level);
+      Field reference(fine, 0.0);
+      for (std::size_t k = 0; k < terms.size(); ++k) {
+        reference.add_scaled(terms[k].coefficient, prolongate(components[k], fine));
+      }
+      const Field fused = combine(terms, components, fine);
+      ASSERT_EQ(fused.size(), reference.size());
+      EXPECT_EQ(std::memcmp(fused.data().data(), reference.data().data(),
+                            fused.size() * sizeof(double)),
+                0);
+    }
+  }
 }
 
 TEST(Combination, CombineValidatesComponentGrids) {

@@ -342,6 +342,14 @@ struct BicgstabParam {
   std::uint64_t seed;
 };
 
+// Names the test instance by preconditioner and size.  gtest's default
+// prints the raw bytes, padding included, so the name would change from run
+// to run.
+void PrintTo(const BicgstabParam& param, std::ostream* os) {
+  static const char* const kKindNames[] = {"identity", "jacobi", "ilu0"};
+  *os << kKindNames[static_cast<int>(param.kind)] << "_n" << param.n;
+}
+
 class BicgstabRandomSystems : public ::testing::TestWithParam<BicgstabParam> {};
 
 TEST_P(BicgstabRandomSystems, RecoversKnownSolution) {

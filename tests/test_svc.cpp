@@ -310,6 +310,39 @@ TEST(SvcEngine, CancellationDoesNotPerturbOtherTenants) {
   EXPECT_EQ(again.state, svc::JobState::Done);
 }
 
+TEST(SvcEngine, ResultIsDeliveredOnceAndTheStatusRecordStays) {
+  svc::EngineConfig config;
+  config.lanes = 2;
+  svc::SolveEngine engine(config);
+  svc::JobSpec spec;
+  spec.root = 2;
+  spec.level = 2;
+  const svc::JobTicket ticket = engine.submit(spec);
+  ASSERT_TRUE(ticket.accepted) << ticket.reason;
+  ASSERT_TRUE(engine.wait_terminal(ticket.job_id, 60s));
+
+  const svc::JobResultData first = engine.result(ticket.job_id);
+  ASSERT_EQ(first.state, svc::JobState::Done) << first.error;
+  EXPECT_EQ(first.combined_nodes, sequential_nodes(2, 2, 1e-3));
+  EXPECT_FALSE(first.report_json.empty());
+
+  // The payload is gone, the status record is not.
+  const svc::JobStatusInfo status = engine.status(ticket.job_id);
+  EXPECT_EQ(status.state, svc::JobState::Done);
+  EXPECT_EQ(status.terms_done, status.terms_total);
+  EXPECT_EQ(engine.cancel(ticket.job_id).state, svc::JobState::Done);
+  EXPECT_EQ(engine.counters().cancelled, 0u);
+  EXPECT_TRUE(engine.wait_terminal(ticket.job_id, 1s));
+
+  const svc::JobResultData second = engine.result(ticket.job_id);
+  EXPECT_TRUE(second.known);
+  EXPECT_TRUE(second.ready);
+  EXPECT_EQ(second.state, svc::JobState::Done);
+  EXPECT_TRUE(second.combined_nodes.empty());
+  EXPECT_TRUE(second.report_json.empty());
+  EXPECT_NE(second.error.find("already delivered"), std::string::npos) << second.error;
+}
+
 TEST(SvcEngine, RejectsInvalidSpecsAndUnknownIds) {
   svc::SolveEngine engine;
   svc::JobSpec bad;
@@ -545,11 +578,13 @@ TEST(SvcServer, InFlightJobKeepsAnIdleSessionAlive) {
 
   // Big enough to straddle several idle windows, small enough that the one
   // in-flight term a cancel cannot preempt resolves quickly even on a
-  // loaded machine.
+  // loaded machine.  The tight tolerance buys the length: on one lane of a
+  // 4 vCPU Xeon G(3;5) at 1e-6 runs ~7.5 s, more than ten times the silence
+  // below, while its costliest single term stays under 2 s.
   svc::JobSpec slow;
   slow.root = 3;
   slow.level = 5;
-  slow.le_tol = 1e-4;
+  slow.le_tol = 1e-6;
   const svc::JobTicket ticket = client.submit(slow);
   ASSERT_TRUE(ticket.accepted) << ticket.reason;
 
