@@ -12,12 +12,9 @@
 //
 // Usage: perf_smoke [--out=PATH] [--max-level L | --level=L] [--reps N]
 //                   [--label=S] [--timestamp=S]
-//                   [--kernels=scalar|tiled] [--inner-threads=N]
 //
-// --kernels/--inner-threads select the kernel policy for the per-level
-// subsolve sweep (DESIGN.md §14); the dedicated kernel-policy sweep section
-// additionally times scalar vs tiled (and 1 vs N inner threads) on the
-// largest grid so one entry captures the within-grid-parallelism win.
+// Any other argument is an error (exit 2), so a stale flag in a script
+// fails instead of quietly running the defaults.
 //
 // The default output path is BENCH_subsolve.json in the working directory;
 // the committed copy at the repo root is this tool's output on the dev
@@ -26,12 +23,10 @@
 // --label="$(git describe --always --dirty)" and a --timestamp so the entry
 // says which tree produced it.  Timings are wall-clock and machine-
 // dependent; the report is a smoke record, not a calibrated benchmark.
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "bench/bench_trajectory.hpp"
 #include "grid/grid2d.hpp"
@@ -44,6 +39,10 @@
 namespace {
 
 using namespace mg;
+
+constexpr const char* kUsage =
+    "usage: perf_smoke [--out=PATH] [--max-level L | --level=L] [--reps N]\n"
+    "                  [--label=S] [--timestamp=S]\n";
 
 double prepare_seconds(transport::TransportSystem& system, int reps, bool alternate) {
   const linalg::Vec u(system.dimension(), 0.5);
@@ -79,33 +78,30 @@ int main(int argc, char** argv) {
   std::string timestamp;
   int max_level = 3;
   int reps = 200;
-  linalg::KernelPolicy kernels = linalg::KernelPolicy::Scalar;
-  std::uint32_t inner_threads = 1;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--out=", 6) == 0) out_path = argv[i] + 6;
-    if (std::strncmp(argv[i], "--label=", 8) == 0) label = argv[i] + 8;
-    if (std::strncmp(argv[i], "--timestamp=", 12) == 0) timestamp = argv[i] + 12;
-    if (std::strncmp(argv[i], "--level=", 8) == 0) max_level = std::atoi(argv[i] + 8);
-    if (std::strncmp(argv[i], "--kernels=", 10) == 0 &&
-        !linalg::parse_kernel_policy(argv[i] + 10, kernels)) {
-      std::fprintf(stderr, "perf_smoke: bad --kernels '%s' (want scalar or tiled)\n",
-                   argv[i] + 10);
+    const char* arg = argv[i];
+    if (std::strncmp(arg, "--out=", 6) == 0) {
+      out_path = arg + 6;
+    } else if (std::strncmp(arg, "--label=", 8) == 0) {
+      label = arg + 8;
+    } else if (std::strncmp(arg, "--timestamp=", 12) == 0) {
+      timestamp = arg + 12;
+    } else if (std::strncmp(arg, "--level=", 8) == 0) {
+      max_level = std::atoi(arg + 8);
+    } else if (std::strcmp(arg, "--max-level") == 0 && i + 1 < argc) {
+      max_level = std::atoi(argv[++i]);
+    } else if (std::strcmp(arg, "--reps") == 0 && i + 1 < argc) {
+      reps = std::atoi(argv[++i]);
+    } else {
+      std::fprintf(stderr, "perf_smoke: unknown flag or missing value '%s'\n%s", arg, kUsage);
       return 2;
     }
-    if (std::strncmp(argv[i], "--inner-threads=", 16) == 0) {
-      inner_threads = static_cast<std::uint32_t>(std::atoi(argv[i] + 16));
-      if (inner_threads < 1) inner_threads = 1;
-    }
-    if (std::strcmp(argv[i], "--max-level") == 0 && i + 1 < argc) max_level = std::atoi(argv[++i]);
-    if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) reps = std::atoi(argv[++i]);
   }
   if (timestamp.empty()) timestamp = bench::default_timestamp();
 
   obs::RunReport report("perf_smoke");
   report.config().begin_object();
   report.config().kv("root", 2).kv("max_level", max_level).kv("reps", reps);
-  report.config().kv("kernels", linalg::to_string(kernels));
-  report.config().kv("inner_threads", static_cast<std::int64_t>(inner_threads));
   report.config().end_object();
   report.derived().begin_object();
 
@@ -160,8 +156,6 @@ int main(int argc, char** argv) {
                                    grid::Grid2D(2, 0, l)}) {
         transport::SubsolveConfig config;
         config.system.solver = kind;
-        config.system.kernel_policy = kernels;
-        config.system.inner_threads = inner_threads;
         obs::registry().reset();
         const auto r = transport::subsolve(g, config);
         const auto snap = obs::registry().snapshot();
@@ -181,8 +175,6 @@ int main(int argc, char** argv) {
         report.derived().begin_object();
         report.derived().kv("grid", g.name());
         report.derived().kv("solver", to_string(kind));
-        report.derived().kv("kernels", linalg::to_string(kernels));
-        report.derived().kv("inner_threads", static_cast<std::int64_t>(inner_threads));
         report.derived().kv("elapsed_seconds", r.elapsed_seconds);
         report.derived().kv("accepted_steps", r.stats.accepted);
         report.derived().kv("stage_preparations", r.stats.stage_preparations);
@@ -219,60 +211,6 @@ int main(int argc, char** argv) {
     report.derived().kv("wide_seconds_per_step", mirror_wide);
     report.derived().kv("tall_seconds_per_step", mirror_tall);
     report.derived().kv("wide_over_tall", ratio);
-    report.derived().end_object();
-  }
-
-  // --- kernel-policy sweep: scalar vs tiled, 1 vs N inner threads ---------------
-  // Timed on the largest grid of the sweep (the one that serializes the
-  // combination step), banded LU — the solver whose factorisation dominates.
-  {
-    const grid::Grid2D g(2, max_level, max_level);
-    struct Combo {
-      linalg::KernelPolicy policy;
-      std::uint32_t threads;
-    };
-    std::vector<Combo> combos = {{linalg::KernelPolicy::Scalar, 1},
-                                 {linalg::KernelPolicy::Tiled, 1}};
-    if (inner_threads > 1) {
-      combos.push_back({linalg::KernelPolicy::Scalar, inner_threads});
-      combos.push_back({linalg::KernelPolicy::Tiled, inner_threads});
-    }
-    double scalar_1 = 0.0;
-    double best_tiled = 0.0;
-    report.derived().key("kernel_sweep").begin_array();
-    for (const auto& combo : combos) {
-      transport::SubsolveConfig config;
-      config.system.solver = transport::StageSolverKind::BandedLU;
-      config.system.kernel_policy = combo.policy;
-      config.system.inner_threads = combo.threads;
-      obs::registry().reset();
-      const auto r = transport::subsolve(g, config);
-      std::printf("kernel sweep G(2;%d,%d) banded-lu %-6s x%-2u %8.3f ms\n", max_level,
-                  max_level, linalg::to_string(combo.policy), combo.threads,
-                  r.elapsed_seconds * 1e3);
-      if (combo.policy == linalg::KernelPolicy::Scalar && combo.threads == 1) {
-        scalar_1 = r.elapsed_seconds;
-      }
-      if (combo.policy == linalg::KernelPolicy::Tiled) {
-        best_tiled = best_tiled == 0.0 ? r.elapsed_seconds
-                                       : std::min(best_tiled, r.elapsed_seconds);
-      }
-      report.derived().begin_object();
-      report.derived().kv("grid", "G(2;" + std::to_string(max_level) + "," +
-                                      std::to_string(max_level) + ")");
-      report.derived().kv("solver", "banded-lu");
-      report.derived().kv("kernels", linalg::to_string(combo.policy));
-      report.derived().kv("inner_threads", static_cast<std::int64_t>(combo.threads));
-      report.derived().kv("elapsed_seconds", r.elapsed_seconds);
-      report.derived().end_object();
-    }
-    report.derived().end_array();
-    const double tiled_speedup = best_tiled > 0.0 ? scalar_1 / best_tiled : 0.0;
-    std::printf("kernel sweep: tiled speedup %.2fx over scalar\n", tiled_speedup);
-    report.derived().key("kernel_speedup").begin_object();
-    report.derived().kv("scalar_seconds", scalar_1);
-    report.derived().kv("tiled_seconds", best_tiled);
-    report.derived().kv("tiled_speedup", tiled_speedup);
     report.derived().end_object();
   }
 

@@ -83,20 +83,6 @@ int main(int argc, char** argv) {
       spec.tag = v;
     } else if (flag_value(argv[i], "--faults=", v)) {
       spec.fault_spec = v;
-    } else if (flag_value(argv[i], "--kernels=", v)) {
-      linalg::KernelPolicy p;
-      if (!linalg::parse_kernel_policy(v, p)) {
-        std::fprintf(stderr, "bad --kernels '%s' (want scalar or tiled)\n", v);
-        return 2;
-      }
-      spec.kernel_policy = static_cast<std::int32_t>(p);
-    } else if (flag_value(argv[i], "--inner-threads=", v)) {
-      const long n = std::atol(v);
-      if (n < 1 || n > 1024) {
-        std::fprintf(stderr, "bad --inner-threads '%s' (want 1..1024)\n", v);
-        return 2;
-      }
-      spec.inner_threads = static_cast<std::uint32_t>(n);
     } else if (flag_value(argv[i], "--pipeline=", v)) {
       const long n = std::atol(v);
       if (n < 1 || n > 64) {

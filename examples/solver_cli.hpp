@@ -16,8 +16,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
-
-#include "linalg/kernels.hpp"
+#include <string_view>
 
 namespace mg::examples {
 
@@ -39,11 +38,6 @@ struct SolverCli {
   int root = 2;
   int level = 3;
   double le_tol = 1e-3;
-
-  // Within-grid parallelism (DESIGN.md §14).  Both knobs are pure
-  // performance: results are bit-identical for any combination.
-  linalg::KernelPolicy kernel_policy = linalg::KernelPolicy::Scalar;
-  std::uint32_t inner_threads = 1;
 
   std::string report_path;
   std::string trace_path;  ///< Chrome trace_event JSON of the run's spans
@@ -71,10 +65,10 @@ struct SolverCli {
 
 namespace cli_detail {
 
-inline bool starts_with(const char* arg, const char* prefix, std::size_t n,
-                        const char*& value) {
-  if (std::char_traits<char>::compare(arg, prefix, n) != 0) return false;
-  value = arg + n;
+/// True when `arg` begins with `prefix`; `value` then points past it.
+inline bool starts_with(const char* arg, std::string_view prefix, const char*& value) {
+  if (!std::string_view(arg).starts_with(prefix)) return false;
+  value = arg + prefix.size();
   return true;
 }
 
@@ -100,8 +94,6 @@ inline SolverCli parse_solver_cli(int argc, const char* const* argv) {
   bool workers_given = false;
   bool listen_given = false;
   bool backend_given = false;
-  bool kernels_given = false;
-  bool inner_given = false;
   bool pipeline_given = false;
 
   const auto fail = [&cli](const std::string& message) -> SolverCli& {
@@ -114,42 +106,30 @@ inline SolverCli parse_solver_cli(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* v = nullptr;
-    if (starts_with(arg, "--report=", 9, v)) {
+    if (starts_with(arg, "--report=", v)) {
       cli.report_path = v;
-    } else if (starts_with(arg, "--trace=", 8, v)) {
+    } else if (starts_with(arg, "--trace=", v)) {
       cli.trace_path = v;
-    } else if (starts_with(arg, "--faults=", 9, v)) {
+    } else if (starts_with(arg, "--faults=", v)) {
       cli.fault_spec = v;
-    } else if (starts_with(arg, "--net-faults=", 13, v)) {
+    } else if (starts_with(arg, "--net-faults=", v)) {
       cli.net_fault_spec = v;
-    } else if (starts_with(arg, "--churn=", 8, v)) {
+    } else if (starts_with(arg, "--churn=", v)) {
       cli.churn_spec = v;
-    } else if (starts_with(arg, "--kernels=", 10, v)) {
-      kernels_given = true;
-      if (!linalg::parse_kernel_policy(v, cli.kernel_policy)) {
-        return fail(std::string("bad --kernels '") + v + "' (want scalar or tiled)");
-      }
-    } else if (starts_with(arg, "--inner-threads=", 16, v)) {
-      inner_given = true;
-      long n = 0;
-      if (!parse_long(v, n) || n < 1 || n > 1024) {
-        return fail(std::string("bad --inner-threads '") + v + "' (want 1..1024)");
-      }
-      cli.inner_threads = static_cast<std::uint32_t>(n);
-    } else if (starts_with(arg, "--backend=", 10, v)) {
+    } else if (starts_with(arg, "--backend=", v)) {
       cli.backend = v;
       backend_given = true;
       if (cli.backend != "threads" && cli.backend != "tcp") {
         return fail("unknown --backend '" + cli.backend + "' (want threads or tcp)");
       }
-    } else if (starts_with(arg, "--pipeline=", 11, v)) {
+    } else if (starts_with(arg, "--pipeline=", v)) {
       pipeline_given = true;
       long n = 0;
       if (!parse_long(v, n) || n < 1 || n > 64) {
         return fail(std::string("bad --pipeline '") + v + "' (want 1..64)");
       }
       cli.pipeline_depth = static_cast<std::uint32_t>(n);
-    } else if (starts_with(arg, "--workers=", 10, v)) {
+    } else if (starts_with(arg, "--workers=", v)) {
       workers_given = true;
       long n = 0;
       if (!parse_long(v, n) || n <= 0) {
@@ -158,12 +138,12 @@ inline SolverCli parse_solver_cli(int argc, const char* const* argv) {
                     "would hang at the worker barrier)");
       }
       cli.tcp_workers = static_cast<std::size_t>(n);
-    } else if (starts_with(arg, "--listen=", 9, v)) {
+    } else if (starts_with(arg, "--listen=", v)) {
       listen_given = true;
       if (!parse_host_port(v, cli.listen_host, cli.listen_port)) {
         return fail(std::string("bad --listen spec '") + v + "' (want HOST:PORT)");
       }
-    } else if (starts_with(arg, "--connect=", 10, v)) {
+    } else if (starts_with(arg, "--connect=", v)) {
       cli.worker_mode = true;
       if (!parse_host_port(v, cli.connect_host, cli.connect_port)) {
         return fail(std::string("bad --connect spec '") + v + "' (want HOST:PORT)");
@@ -212,11 +192,6 @@ inline SolverCli parse_solver_cli(int argc, const char* const* argv) {
       // Worker spans reach the master's trace through the telemetry channel;
       // a worker-local trace file would duplicate them on the wrong timeline.
       return fail("--connect is worker mode; --trace is master-side");
-    }
-    if (kernels_given || inner_given) {
-      // Kernel config travels with each work unit over the wire; a
-      // worker-local override would be silently dead.
-      return fail("--connect is worker mode; --kernels/--inner-threads are master-side");
     }
     if (pipeline_given) {
       // The pipeline window lives on the master's endpoint; workers just

@@ -103,7 +103,6 @@ int main(int argc, char** argv) {
                  "usage: sparse_grid_solver [root] [level] [le_tol] [--report=PATH]\n"
                  "         [--trace=PATH] [--faults=SPEC] [--churn=SPEC]\n"
                  "         [--backend=threads|tcp]\n"
-                 "         [--kernels=scalar|tiled] [--inner-threads=N]\n"
                  "         [--workers=N] [--listen=HOST:PORT] [--pipeline=N]\n"
                  "         [--net-faults=SPEC]\n"
                  "       sparse_grid_solver --connect=HOST:PORT   (worker mode)\n");
@@ -114,8 +113,6 @@ int main(int argc, char** argv) {
   config.root = cli.root;
   config.level = cli.level;
   config.le_tol = cli.le_tol;
-  config.kernel.system.kernel_policy = cli.kernel_policy;
-  config.kernel.system.inner_threads = cli.inner_threads;
   const std::string& report_path = cli.report_path;
   const std::string& fault_spec = cli.fault_spec;
   const std::string& net_fault_spec = cli.net_fault_spec;

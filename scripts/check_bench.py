@@ -141,7 +141,7 @@ def check_perf_smoke_report(path, where, report):
 def numeric_leaves(node, prefix=""):
     """Dotted-path -> value for numeric leaves of nested dicts.  Arrays are
     skipped: their elements are keyed by position, and two entries with
-    different configs (levels, kernel policies) would misalign."""
+    different configs (levels, grids) would misalign."""
     out = {}
     if isinstance(node, dict):
         for key, value in node.items():

@@ -69,10 +69,6 @@ SimRunResult simulate_run(int root, int level, double tol, const CostModel& cost
   }
 
   auto noise = [&]() { return 1.0 + config.noise_amplitude * rng.uniform01(); };
-  // Within-grid parallelism: worker compute shrinks by the Amdahl factor for
-  // the configured inner team.  The sequential baseline below deliberately
-  // does not — it models the paper's single-core /bin/time column.
-  const double inner = CostModel::inner_team_speedup(config.inner_threads);
 
   // ---- sequential model (the baseline the paper times with /bin/time) ----
   double st = cost.init_seconds(startup_mhz);
@@ -205,7 +201,7 @@ SimRunResult simulate_run(int root, int level, double tol, const CostModel& cost
 
       // On-host setup happens in parallel with the marshalling.
       const double setup_done = w.ready + oh.worker_setup_s;
-      const double compute_cost = cost.subsolve_seconds(g, tol, host_mhz) / inner * noise();
+      const double compute_cost = cost.subsolve_seconds(g, tol, host_mhz) * noise();
       if (injecting && plan.host_crashes(inc)) {
         // The host dies partway through the compute.  The loss is silent —
         // no death_worker will ever arrive — so the master only learns of it
@@ -220,7 +216,7 @@ SimRunResult simulate_run(int root, int level, double tol, const CostModel& cost
         w.death = part.end;
         result.faults.host_crashes_injected += 1;
         fault_span("host_crash:" + g.name(), w.host, part.start, part.end);
-        const double expected = cost.subsolve_seconds(g, tol, host_mhz) / inner;
+        const double expected = cost.subsolve_seconds(g, tol, host_mhz);
         const double deadline_s =
             std::max(policy_deadline_s, retry.deadline_cost_factor * expected);
         out.detect = w.input_done + deadline_s;
@@ -275,7 +271,7 @@ SimRunResult simulate_run(int root, int level, double tol, const CostModel& cost
         result.faults.degraded = true;
         arrivals.push_back(detect + oh.event_latency_s);  // the WorkAbandoned unit
         deaths.push_back(detect);
-        fallback_s += cost.subsolve_seconds(terms[k].grid, tol, startup_mhz) / inner * noise();
+        fallback_s += cost.subsolve_seconds(terms[k].grid, tol, startup_mhz) * noise();
       }
     };
 
@@ -465,9 +461,8 @@ ChurnSimResult simulate_churn_run(int root, int level, double tol, const CostMod
     events.push(ev);
   }
 
-  const double inner = CostModel::inner_team_speedup(config.inner_threads);
   auto expected_compute = [&](std::size_t term, double mhz) {
-    return cost.subsolve_seconds(terms[term].grid, tol, mhz) / inner;
+    return cost.subsolve_seconds(terms[term].grid, tol, mhz);
   };
   auto soft_deadline = [&](std::size_t term, double mhz) {
     return std::max(policy_deadline_s, retry.deadline_cost_factor * expected_compute(term, mhz));

@@ -60,13 +60,6 @@ struct SimConfig {
   double background_slowdown = 2.0;
   int runs = 5;                   ///< the paper's five-run averaging
   std::uint64_t seed = 2004;
-  /// Within-grid parallelism (DESIGN.md §14): each worker's subsolve runs on
-  /// an inner team of this many members, dividing its compute cost by the
-  /// Amdahl speedup CostModel::inner_team_speedup(inner_threads).  Applies
-  /// to worker compute, deadline expectations and the degraded local
-  /// recompute alike; the sequential baseline stays single-core, matching
-  /// the paper's /bin/time column.  1 = off.
-  std::uint32_t inner_threads = 1;
   /// Optional span sink (not owned).  The simulator records its virtual-time
   /// schedule — spawn/marshal/compute/result intervals — as spans, in the
   /// same format the real threaded runtime emits against the wall clock.

@@ -29,13 +29,6 @@ double CostModel::sequential_seconds(int root, int level, double tol, double mhz
   return total;
 }
 
-double CostModel::inner_team_speedup(std::uint32_t inner_threads, double parallel_fraction) {
-  if (inner_threads <= 1) return 1.0;
-  const double f = std::min(std::max(parallel_fraction, 0.0), 1.0);
-  const double n = static_cast<double>(inner_threads);
-  return 1.0 / ((1.0 - f) + f / n);
-}
-
 double AthlonCostModel::tol_scale(double tol) const {
   // Continuous in tol so sweeps between 1e-3 and 1e-4 behave; anchored at
   // the paper's two tolerances: scale(1e-3) = 1, scale(1e-4) = tol_factor.

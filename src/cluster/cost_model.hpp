@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "grid/grid2d.hpp"
@@ -43,17 +42,6 @@ class CostModel {
 
   /// Sequential-program model time: init + all subsolves + prolongation.
   double sequential_seconds(int root, int level, double tol, double mhz) const;
-
-  /// Amdahl-law speedup of one subsolve running on an inner worker team of
-  /// `inner_threads` members (within-grid parallelism, DESIGN.md §14):
-  /// `parallel_fraction` of the work — SpMV row partitions, fused triads,
-  /// the banded-LU trailing update — scales with team size, the rest
-  /// (scalar-chain reductions, control flow) stays serial.  The default
-  /// fraction comes from profiling the level-6 banded-LU subsolve, where
-  /// the factorisation's trailing update is ~88% of elapsed.  Returns 1.0
-  /// for inner_threads <= 1.
-  static double inner_team_speedup(std::uint32_t inner_threads,
-                                   double parallel_fraction = 0.88);
 };
 
 /// Analytic model calibrated to the paper's Table 1 sequential column.

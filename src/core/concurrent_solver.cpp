@@ -170,12 +170,7 @@ ConcurrentResult solve_concurrent(const transport::ProgramConfig& program,
         try {
         support::Stopwatch total;
         support::Stopwatch phase;
-        // Dispatch-level kernel overrides (within-grid parallelism): stamp
-        // the effective policy/team size into every outgoing work unit and
-        // into the degraded-pool local recompute path alike.
-        transport::SubsolveConfig kernel = program.kernel_config();
-        if (options.inner_threads > 0) kernel.system.inner_threads = options.inner_threads;
-        if (options.kernel_policy) kernel.system.kernel_policy = *options.kernel_policy;
+        const transport::SubsolveConfig kernel = program.kernel_config();
         transport::GlobalData local_data(program.root, program.level);
         transport::GlobalData& data = shared ? shared->data : local_data;
         std::vector<transport::GridRunRecord> records(

@@ -103,16 +103,6 @@ struct ConcurrentOptions {
   /// as worker crashes, so `retry` supervises remote workers exactly like
   /// local ones.  Not owned; must outlive the run.
   net::RemoteEndpoint* remote = nullptr;
-  /// Within-grid parallelism override for dispatch: when > 0, every work
-  /// unit's kernel config is stamped with this inner team size before it
-  /// leaves the master, taking precedence over the program's
-  /// SystemOptions::inner_threads.  Lets a deployment scale one machine as
-  /// fewer outer workers x bigger inner teams without editing the program
-  /// config.  Bit-identical results at any value (DESIGN.md §14).
-  std::uint32_t inner_threads = 0;
-  /// Kernel-policy override for dispatch, same precedence rule as
-  /// `inner_threads` (unset = inherit the program's kernel config).
-  std::optional<linalg::KernelPolicy> kernel_policy;
   /// Transport pipeline window override: when > 0 and `remote` is set, the
   /// endpoint is told to keep up to this many seq-tagged work units in
   /// flight per channel (RemoteEndpoint::set_pipeline_depth).  0 leaves the

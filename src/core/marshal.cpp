@@ -26,8 +26,6 @@ void write_kernel(ByteWriter& w, const transport::SubsolveConfig& k) {
   w.write_u64(k.system.krylov.max_iter);
   w.write_i32(k.system.cache_stage ? 1 : 0);
   w.write_i32(k.system.warm_start ? 1 : 0);
-  w.write_i32(static_cast<std::int32_t>(k.system.kernel_policy));
-  w.write_i32(static_cast<std::int32_t>(k.system.inner_threads));
   w.write_f64(k.le_tol);
   w.write_f64(k.t0);
   w.write_f64(k.t1);
@@ -59,17 +57,6 @@ transport::SubsolveConfig read_kernel(ByteReader& r) {
   k.system.krylov.max_iter = r.read_u64();
   k.system.cache_stage = r.read_i32() != 0;
   k.system.warm_start = r.read_i32() != 0;
-  const std::int32_t policy = r.read_i32();
-  if (policy < 0 || policy > static_cast<std::int32_t>(linalg::KernelPolicy::Tiled)) {
-    throw support::DecodeError("read_kernel: kernel policy out of range");
-  }
-  k.system.kernel_policy = static_cast<linalg::KernelPolicy>(policy);
-  const std::int32_t inner = r.read_i32();
-  // A corrupt count must not spawn an absurd helper fleet on the worker.
-  if (inner < 1 || inner > 1024) {
-    throw support::DecodeError("read_kernel: inner_threads out of range");
-  }
-  k.system.inner_threads = static_cast<std::uint32_t>(inner);
   k.le_tol = r.read_f64();
   k.t0 = r.read_f64();
   k.t1 = r.read_f64();

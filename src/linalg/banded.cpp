@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "linalg/simd.hpp"
 #include "support/check.hpp"
 
 namespace mg::linalg {
@@ -91,102 +90,20 @@ void BandedMatrix::multiply(const Vec& x, Vec& y) const {
   }
 }
 
-void BandedMatrix::factorize() { factorize(KernelContext{}); }
-
-void BandedMatrix::factorize(const KernelContext& ctx) {
+void BandedMatrix::factorize() {
   MG_REQUIRE(!factorized_);
-  if (!ctx.tiled()) {
-    for (std::size_t k = 0; k < n_; ++k) {
-      const double pivot = data_[idx(k, k)];
-      if (std::abs(pivot) < 1e-300) {
-        throw std::runtime_error("BandedMatrix::factorize: zero pivot at row " + std::to_string(k));
-      }
-      const std::size_t i_hi = std::min(n_ - 1, k + hb_);
-      for (std::size_t i = k + 1; i <= i_hi; ++i) {
-        const double l = data_[idx(i, k)] / pivot;
-        data_[idx(i, k)] = l;
-        const std::size_t j_hi = std::min(n_ - 1, k + hb_);
-        for (std::size_t j = k + 1; j <= j_hi; ++j) {
-          data_[idx(i, j)] -= l * data_[idx(k, j)];
-        }
-      }
+  for (std::size_t k = 0; k < n_; ++k) {
+    const double pivot = data_[idx(k, k)];
+    if (std::abs(pivot) < 1e-300) {
+      throw std::runtime_error("BandedMatrix::factorize: zero pivot at row " + std::to_string(k));
     }
-    factorized_ = true;
-    return;
-  }
-  // Tiled: k-panel cache-blocked elimination.  The unblocked loop re-streams
-  // the whole ~hb x hb trailing window from memory once per pivot step, which
-  // leaves the kernel bandwidth-bound.  Here pivot steps are grouped into
-  // panels of kPanel; each target row is brought into cache once per panel
-  // and receives all of the panel's updates while hot.  Bitwise identity with
-  // the scalar path holds because every element d(i,j) still receives its
-  // updates  d(i,j) -= l(i,k) * u(k,j)  for k strictly ascending (the k loop
-  // is innermost-serial per row), each as a separate multiply and subtract —
-  // only the (i,k) iteration order changes, never any element's own
-  // operation sequence.  Row segments d[idx(i, k+1 .. k+m)] are contiguous
-  // in the band layout, so the SIMD mul-sub kernels apply directly.
-  double* __restrict d = data_.data();
-  constexpr std::size_t kPanel = 64;
-  for (std::size_t k0 = 0; k0 < n_; k0 += kPanel) {
-    const std::size_t k1 = std::min(n_, k0 + kPanel);
-    // Panel phase: finalize rows k0..k1-1 against the in-panel pivots below
-    // them (their updates from earlier panels were applied by those panels'
-    // trailing phases).  Pivot checks run in the same ascending-k order as
-    // the scalar loop and see identical values.
-    for (std::size_t i = k0; i < k1; ++i) {
-      const std::size_t klo = (i > hb_) ? std::max(k0, i - hb_) : k0;
-      for (std::size_t k = klo; k < i; ++k) {
-        const double l = d[idx(i, k)] / d[idx(k, k)];
-        d[idx(i, k)] = l;
-        const std::size_t m = std::min(n_ - 1, k + hb_) - k;
-        simd::mulsub_row(d + idx(i, k + 1), d + idx(k, k + 1), l, m);
-      }
-      if (std::abs(d[idx(i, i)]) < 1e-300) {
-        throw std::runtime_error("BandedMatrix::factorize: zero pivot at row " + std::to_string(i));
-      }
-    }
-    if (k1 == n_) break;
-    // Trailing phase: rows below the panel, four at a time so the pivot-row
-    // loads amortise across rows.  Row i participates in step k iff
-    // k >= i - hb, so a quad's shared k range starts at the *last* row's
-    // lower bound; the earlier rows' few extra leading steps run per-row
-    // first (still ascending k per row).
-    const std::size_t i_hi = std::min(n_ - 1, k1 - 1 + hb_);
-    std::size_t i = k1;
-    for (; i + 3 <= i_hi; i += 4) {
-      const std::size_t joint_lo = (i + 3 > hb_) ? std::max(k0, i + 3 - hb_) : k0;
-      for (std::size_t r = 0; r < 3; ++r) {
-        const std::size_t row = i + r;
-        const std::size_t klo = (row > hb_) ? std::max(k0, row - hb_) : k0;
-        for (std::size_t k = klo; k < joint_lo; ++k) {
-          const double l = d[idx(row, k)] / d[idx(k, k)];
-          d[idx(row, k)] = l;
-          const std::size_t m = std::min(n_ - 1, k + hb_) - k;
-          simd::mulsub_row(d + idx(row, k + 1), d + idx(k, k + 1), l, m);
-        }
-      }
-      for (std::size_t k = joint_lo; k < k1; ++k) {
-        const double pivot = d[idx(k, k)];
-        const double l0 = d[idx(i, k)] / pivot;
-        const double l1 = d[idx(i + 1, k)] / pivot;
-        const double l2 = d[idx(i + 2, k)] / pivot;
-        const double l3 = d[idx(i + 3, k)] / pivot;
-        d[idx(i, k)] = l0;
-        d[idx(i + 1, k)] = l1;
-        d[idx(i + 2, k)] = l2;
-        d[idx(i + 3, k)] = l3;
-        const std::size_t m = std::min(n_ - 1, k + hb_) - k;
-        simd::mulsub_rows4(d + idx(i, k + 1), d + idx(i + 1, k + 1), d + idx(i + 2, k + 1),
-                           d + idx(i + 3, k + 1), d + idx(k, k + 1), l0, l1, l2, l3, m);
-      }
-    }
-    for (; i <= i_hi; ++i) {
-      const std::size_t klo = (i > hb_) ? std::max(k0, i - hb_) : k0;
-      for (std::size_t k = klo; k < k1; ++k) {
-        const double l = d[idx(i, k)] / d[idx(k, k)];
-        d[idx(i, k)] = l;
-        const std::size_t m = std::min(n_ - 1, k + hb_) - k;
-        simd::mulsub_row(d + idx(i, k + 1), d + idx(k, k + 1), l, m);
+    const std::size_t i_hi = std::min(n_ - 1, k + hb_);
+    for (std::size_t i = k + 1; i <= i_hi; ++i) {
+      const double l = data_[idx(i, k)] / pivot;
+      data_[idx(i, k)] = l;
+      const std::size_t j_hi = std::min(n_ - 1, k + hb_);
+      for (std::size_t j = k + 1; j <= j_hi; ++j) {
+        data_[idx(i, j)] -= l * data_[idx(k, j)];
       }
     }
   }
@@ -249,7 +166,7 @@ void GridBandedLU::assign_shifted_csr(const CsrMatrix& a, double scale_diag, dou
   band_.assign_shifted_csr(a, scale_diag, scale_a, order_);
 }
 
-void GridBandedLU::factorize(const KernelContext& ctx) { band_.factorize(ctx); }
+void GridBandedLU::factorize() { band_.factorize(); }
 
 void GridBandedLU::solve(const Vec& b, Vec& x) {
   if (order_.empty()) {

@@ -50,15 +50,6 @@ class BandedMatrix {
   /// In-place LU (Doolittle, no pivoting).  Throws on a (near-)zero pivot.
   void factorize();
 
-  /// Policy-aware factorisation.  Scalar is the seed loop; Tiled runs the
-  /// trailing update through the SIMD mul-sub kernels with four target rows
-  /// blocked against each pivot row.  The update of entry (i, j) at
-  /// elimination step k is the same single multiply-subtract in either
-  /// policy (steps stay outermost, elements are disjoint within a step), so
-  /// the factors are bitwise identical.  The substitution sweeps in solve()
-  /// are chain-serial by row and stay scalar under every policy.
-  void factorize(const KernelContext& ctx);
-
   /// Solves A x = b using the factors; requires factorize() first.
   void solve(const Vec& b, Vec& x) const;
   /// Same, overwriting the right-hand side x with the solution.
@@ -96,7 +87,7 @@ class GridBandedLU {
 
   /// BandedMatrix::assign_shifted_csr in this ordering.
   void assign_shifted_csr(const CsrMatrix& a, double scale_diag, double scale_a);
-  void factorize(const KernelContext& ctx = {});
+  void factorize();
   /// Solves A x = b; b and x are in the grid's x-fastest numbering.
   void solve(const Vec& b, Vec& x);
 

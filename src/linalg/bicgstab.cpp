@@ -36,7 +36,7 @@ struct SolveScope {
 }  // namespace
 
 SolveReport bicgstab(const CsrMatrix& a, const Vec& b, Vec& x, const Preconditioner& m,
-                     const SolveOptions& opts, KrylovWorkspace* ws, const KernelContext& kctx) {
+                     const SolveOptions& opts, KrylovWorkspace* ws) {
   MG_REQUIRE(a.rows() == a.cols());
   MG_REQUIRE(b.size() == a.rows());
   const std::size_t n = a.rows();
@@ -54,7 +54,7 @@ SolveReport bicgstab(const CsrMatrix& a, const Vec& b, Vec& x, const Preconditio
   Vec &phat = w.phat, &shat = w.shat, &tmp = w.tmp;
   p.resize(n);
   v.resize(n);
-  multiply_sub(a, b, x, r, kctx);
+  multiply_sub(a, b, x, r);
   r0 = r;
   double rnorm = norm2(r);
   if (rnorm <= target) {
@@ -72,35 +72,35 @@ SolveReport bicgstab(const CsrMatrix& a, const Vec& b, Vec& x, const Preconditio
     } else {
       const double beta = (rho / rho_prev) * (alpha / omega);
       // p = r + beta * (p - omega * v)
-      fused_p_update(beta, omega, r, v, p, kctx);
+      fused_p_update(beta, omega, r, v, p);
     }
-    m.apply(p, phat, kctx);
-    a.multiply(phat, v, kctx);
+    m.apply(p, phat);
+    a.multiply(phat, v);
     const double r0v = dot(r0, v);
     if (std::abs(r0v) < 1e-300) break;  // breakdown
     alpha = rho / r0v;
     // s = r - alpha * v, with ||s||^2 folded into the same sweep.
     const double snorm2 = axpy_dot(-alpha, v, r, s);
     if (std::sqrt(snorm2) <= target) {
-      axpy(alpha, phat, x, kctx);
-      multiply_sub(a, b, x, tmp, kctx);
+      axpy(alpha, phat, x);
+      multiply_sub(a, b, x, tmp);
       report.converged = true;
       report.iterations = it;
       report.residual_norm = norm2(tmp);
       return report;
     }
-    m.apply(s, shat, kctx);
-    a.multiply(shat, t, kctx);
+    m.apply(s, shat);
+    a.multiply(shat, t);
     double tt, ts;
     dot2(t, t, s, tt, ts);
     if (tt < 1e-300) break;  // breakdown
     omega = ts / tt;
-    fused_x_update(alpha, omega, phat, shat, x, kctx);
+    fused_x_update(alpha, omega, phat, shat, x);
     // r = s - omega * t, again with the norm folded in.
     rnorm = std::sqrt(axpy_dot(-omega, t, s, r));
     report.iterations = it;
     if (rnorm <= target) {
-      multiply_sub(a, b, x, tmp, kctx);
+      multiply_sub(a, b, x, tmp);
       report.converged = true;
       report.residual_norm = norm2(tmp);
       return report;
@@ -108,7 +108,7 @@ SolveReport bicgstab(const CsrMatrix& a, const Vec& b, Vec& x, const Preconditio
     if (std::abs(omega) < 1e-300) break;  // breakdown
     rho_prev = rho;
   }
-  multiply_sub(a, b, x, tmp, kctx);
+  multiply_sub(a, b, x, tmp);
   report.residual_norm = norm2(tmp);
   report.converged = report.residual_norm <= target;
   return report;

@@ -35,14 +35,7 @@ struct KrylovWorkspace {
 /// wrongly-sized x is reset to zero).  The preconditioner must correspond
 /// to (an approximation of) A.  Pass a KrylovWorkspace to reuse scratch
 /// storage across calls; with ws == nullptr a local workspace is allocated.
-///
-/// The kernel context routes the element-wise work (SpMV, triad updates,
-/// preconditioner applies) through the policy/team selected by the caller;
-/// every inner product and norm keeps the scalar left-to-right chain on the
-/// calling thread, so the iterate sequence — and the solution — is bitwise
-/// identical across policies and team sizes.
 SolveReport bicgstab(const CsrMatrix& a, const Vec& b, Vec& x, const Preconditioner& m,
-                     const SolveOptions& opts = {}, KrylovWorkspace* ws = nullptr,
-                     const KernelContext& kctx = {});
+                     const SolveOptions& opts = {}, KrylovWorkspace* ws = nullptr);
 
 }  // namespace mg::linalg

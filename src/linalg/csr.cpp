@@ -2,112 +2,9 @@
 
 #include <algorithm>
 
-#include "linalg/parallel.hpp"
 #include "support/check.hpp"
 
 namespace mg::linalg {
-
-namespace {
-
-// Row-range SpMV kernels shared by multiply / multiply_sub.  Subtract=false
-// computes y = A x, Subtract=true computes y = b - A x.  Per row the
-// accumulation walks the CSR entries left-to-right — exactly the seed loop —
-// in both variants, so tiled and scalar agree bitwise.
-
-template <bool Subtract>
-void spmv_range_scalar(const std::size_t* __restrict rp, const std::size_t* __restrict ci,
-                       const double* __restrict va, const double* __restrict xp,
-                       const double* __restrict bp, double* __restrict yp, std::size_t ib,
-                       std::size_t ie) {
-  for (std::size_t i = ib; i < ie; ++i) {
-    double s = Subtract ? bp[i] : 0.0;
-    if constexpr (Subtract) {
-      for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) s -= va[k] * xp[ci[k]];
-    } else {
-      for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) s += va[k] * xp[ci[k]];
-    }
-    yp[i] = s;
-  }
-}
-
-// Four rows in flight: four independent accumulator chains hide the
-// load-multiply-add latency of the gathered x accesses.  Each chain still
-// consumes its own row's entries in CSR order.
-template <bool Subtract>
-void spmv_range_tiled(const std::size_t* __restrict rp, const std::size_t* __restrict ci,
-                      const double* __restrict va, const double* __restrict xp,
-                      const double* __restrict bp, double* __restrict yp, std::size_t ib,
-                      std::size_t ie) {
-  std::size_t i = ib;
-  for (; i + 4 <= ie; i += 4) {
-    std::size_t k0 = rp[i], k1 = rp[i + 1], k2 = rp[i + 2], k3 = rp[i + 3];
-    const std::size_t e0 = rp[i + 1], e1 = rp[i + 2], e2 = rp[i + 3], e3 = rp[i + 4];
-    double s0 = Subtract ? bp[i] : 0.0;
-    double s1 = Subtract ? bp[i + 1] : 0.0;
-    double s2 = Subtract ? bp[i + 2] : 0.0;
-    double s3 = Subtract ? bp[i + 3] : 0.0;
-    const std::size_t m =
-        std::min(std::min(e0 - k0, e1 - k1), std::min(e2 - k2, e3 - k3));
-    for (std::size_t t = 0; t < m; ++t) {
-      if constexpr (Subtract) {
-        s0 -= va[k0 + t] * xp[ci[k0 + t]];
-        s1 -= va[k1 + t] * xp[ci[k1 + t]];
-        s2 -= va[k2 + t] * xp[ci[k2 + t]];
-        s3 -= va[k3 + t] * xp[ci[k3 + t]];
-      } else {
-        s0 += va[k0 + t] * xp[ci[k0 + t]];
-        s1 += va[k1 + t] * xp[ci[k1 + t]];
-        s2 += va[k2 + t] * xp[ci[k2 + t]];
-        s3 += va[k3 + t] * xp[ci[k3 + t]];
-      }
-    }
-    k0 += m;
-    k1 += m;
-    k2 += m;
-    k3 += m;
-    if constexpr (Subtract) {
-      for (; k0 < e0; ++k0) s0 -= va[k0] * xp[ci[k0]];
-      for (; k1 < e1; ++k1) s1 -= va[k1] * xp[ci[k1]];
-      for (; k2 < e2; ++k2) s2 -= va[k2] * xp[ci[k2]];
-      for (; k3 < e3; ++k3) s3 -= va[k3] * xp[ci[k3]];
-    } else {
-      for (; k0 < e0; ++k0) s0 += va[k0] * xp[ci[k0]];
-      for (; k1 < e1; ++k1) s1 += va[k1] * xp[ci[k1]];
-      for (; k2 < e2; ++k2) s2 += va[k2] * xp[ci[k2]];
-      for (; k3 < e3; ++k3) s3 += va[k3] * xp[ci[k3]];
-    }
-    yp[i] = s0;
-    yp[i + 1] = s1;
-    yp[i + 2] = s2;
-    yp[i + 3] = s3;
-  }
-  spmv_range_scalar<Subtract>(rp, ci, va, xp, bp, yp, i, ie);
-}
-
-template <bool Subtract>
-void spmv_dispatch(const CsrMatrix& a, const double* bp, const Vec& x, Vec& y,
-                   const KernelContext& ctx) {
-  y.resize(a.rows());
-  const std::size_t* __restrict rp = a.row_ptr().data();
-  const std::size_t* __restrict ci = a.col_idx().data();
-  const double* __restrict va = a.values().data();
-  const double* __restrict xp = x.data();
-  double* __restrict yp = y.data();
-  auto body = [&](std::size_t b, std::size_t e) {
-    if (ctx.tiled()) {
-      spmv_range_tiled<Subtract>(rp, ci, va, xp, bp, yp, b, e);
-    } else {
-      spmv_range_scalar<Subtract>(rp, ci, va, xp, bp, yp, b, e);
-    }
-  };
-  if (ctx.team) {
-    ctx.team->parallel_for(a.rows(), body);
-  } else {
-    body(0, a.rows());
-  }
-}
-
-}  // namespace
 
 CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols, std::vector<std::size_t> row_ptr,
                      std::vector<std::size_t> col_idx, std::vector<double> values)
@@ -138,11 +35,6 @@ void CsrMatrix::multiply(const Vec& x, Vec& y) const {
     for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) s += va[k] * xp[ci[k]];
     yp[i] = s;
   }
-}
-
-void CsrMatrix::multiply(const Vec& x, Vec& y, const KernelContext& ctx) const {
-  MG_REQUIRE(x.size() == cols_);
-  spmv_dispatch<false>(*this, nullptr, x, y, ctx);
 }
 
 void CsrMatrix::residual(const Vec& b, const Vec& x, Vec& y) const {
@@ -278,12 +170,6 @@ void multiply_sub(const CsrMatrix& a, const Vec& b, const Vec& x, Vec& y) {
     for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) s -= va[k] * xp[ci[k]];
     yp[i] = s;
   }
-}
-
-void multiply_sub(const CsrMatrix& a, const Vec& b, const Vec& x, Vec& y,
-                  const KernelContext& ctx) {
-  MG_REQUIRE(b.size() == a.rows() && x.size() == a.cols());
-  spmv_dispatch<true>(a, b.data(), x, y, ctx);
 }
 
 }  // namespace mg::linalg

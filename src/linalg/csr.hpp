@@ -36,11 +36,6 @@ class CsrMatrix {
   /// pass); it must not alias `x`.
   void multiply(const Vec& x, Vec& y) const;
 
-  /// Policy-aware SpMV.  Scalar runs the seed row loop; Tiled keeps four
-  /// independent rows in flight (each row's accumulation chain stays in CSR
-  /// order, so results are bitwise identical); a team partitions the rows.
-  void multiply(const Vec& x, Vec& y, const KernelContext& ctx) const;
-
   /// y = b - A * x.
   void residual(const Vec& b, const Vec& x, Vec& y) const;
 
@@ -104,10 +99,5 @@ CsrMatrix shifted_identity(const CsrMatrix& a, double scale_diag, double scale_a
 /// alias `b` or `x`.  CsrMatrix::residual delegates here; BiCGSTAB calls it
 /// directly for its true-residual checks.
 void multiply_sub(const CsrMatrix& a, const Vec& b, const Vec& x, Vec& y);
-
-/// Policy-aware multiply_sub; same row-partition/interleave scheme (and the
-/// same bit-identity argument) as CsrMatrix::multiply with a context.
-void multiply_sub(const CsrMatrix& a, const Vec& b, const Vec& x, Vec& y,
-                  const KernelContext& ctx);
 
 }  // namespace mg::linalg

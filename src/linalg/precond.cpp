@@ -1,11 +1,8 @@
 #include "linalg/precond.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
-#include "linalg/parallel.hpp"
-#include "linalg/simd.hpp"
 #include "support/check.hpp"
 
 namespace mg::linalg {
@@ -21,26 +18,6 @@ void JacobiPreconditioner::apply(const Vec& r, Vec& z) const {
   MG_REQUIRE(r.size() == inv_diag_.size());
   z.resize(r.size());
   for (std::size_t i = 0; i < r.size(); ++i) z[i] = r[i] * inv_diag_[i];
-}
-
-void JacobiPreconditioner::apply(const Vec& r, Vec& z, const KernelContext& ctx) const {
-  MG_REQUIRE(r.size() == inv_diag_.size());
-  z.resize(r.size());
-  const double* __restrict rp = r.data();
-  const double* __restrict dp = inv_diag_.data();
-  double* __restrict zp = z.data();
-  auto body = [&](std::size_t b, std::size_t e) {
-    if (ctx.tiled()) {
-      simd::hadamard(zp + b, rp + b, dp + b, e - b);
-    } else {
-      for (std::size_t i = b; i < e; ++i) zp[i] = rp[i] * dp[i];
-    }
-  };
-  if (ctx.team) {
-    ctx.team->parallel_for(r.size(), body);
-  } else {
-    body(0, r.size());
-  }
 }
 
 Ilu0Preconditioner::Ilu0Preconditioner(const CsrMatrix& a) : lu_(a), diag_(a.rows()) {
@@ -81,50 +58,6 @@ Ilu0Preconditioner::Ilu0Preconditioner(const CsrMatrix& a) : lu_(a), diag_(a.row
       }
     }
   }
-  build_level_schedule();
-}
-
-void Ilu0Preconditioner::build_level_schedule() {
-  const std::size_t n = lu_.rows();
-  const auto& row_ptr = lu_.row_ptr();
-  const auto& col_idx = lu_.col_idx();
-
-  // Level of a row = 1 + max level of the rows it reads during the sweep;
-  // rows that read nothing are level 0.  Bucketing rows in ascending index
-  // within each level keeps the schedule deterministic.
-  auto bucket = [n](const std::vector<std::size_t>& level, std::size_t n_levels,
-                    std::vector<std::size_t>& rows, std::vector<std::size_t>& ptr) {
-    ptr.assign(n_levels + 1, 0);
-    for (std::size_t i = 0; i < n; ++i) ++ptr[level[i] + 1];
-    for (std::size_t v = 0; v < n_levels; ++v) ptr[v + 1] += ptr[v];
-    rows.resize(n);
-    std::vector<std::size_t> cursor(ptr.begin(), ptr.end() - 1);
-    for (std::size_t i = 0; i < n; ++i) rows[cursor[level[i]]++] = i;
-  };
-
-  std::vector<std::size_t> level(n, 0);
-  std::size_t n_levels = 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t lv = 0;
-    for (std::size_t k = row_ptr[i]; k < diag_[i]; ++k) {
-      lv = std::max(lv, level[col_idx[k]] + 1);
-    }
-    level[i] = lv;
-    n_levels = std::max(n_levels, lv + 1);
-  }
-  bucket(level, n_levels, l_level_rows_, l_level_ptr_);
-
-  std::fill(level.begin(), level.end(), std::size_t{0});
-  n_levels = 1;
-  for (std::size_t ii = n; ii-- > 0;) {
-    std::size_t lv = 0;
-    for (std::size_t k = diag_[ii] + 1; k < row_ptr[ii + 1]; ++k) {
-      lv = std::max(lv, level[col_idx[k]] + 1);
-    }
-    level[ii] = lv;
-    n_levels = std::max(n_levels, lv + 1);
-  }
-  bucket(level, n_levels, u_level_rows_, u_level_ptr_);
 }
 
 void Ilu0Preconditioner::apply(const Vec& r, Vec& z) const {
@@ -146,56 +79,6 @@ void Ilu0Preconditioner::apply(const Vec& r, Vec& z) const {
     for (std::size_t k = diag_[ii] + 1; k < row_ptr[ii + 1]; ++k) s -= values[k] * z[col_idx[k]];
     z[ii] = s / values[diag_[ii]];
   }
-}
-
-void Ilu0Preconditioner::apply(const Vec& r, Vec& z, const KernelContext& ctx) const {
-  if (!ctx.tiled() && !ctx.team) {
-    apply(r, z);
-    return;
-  }
-  const std::size_t n = lu_.rows();
-  MG_REQUIRE(r.size() == n);
-  const std::size_t* __restrict row_ptr = lu_.row_ptr().data();
-  const std::size_t* __restrict col_idx = lu_.col_idx().data();
-  const double* __restrict values = lu_.values().data();
-  const std::size_t* __restrict diag = diag_.data();
-  z.resize(n);
-  const double* __restrict rp = r.data();
-  double* __restrict zp = z.data();
-
-  // Wavefront sweeps: rows of one level only read z entries finalised by
-  // earlier levels, so a level's rows can run in any order — including split
-  // across the team — while each row's own accumulation stays in CSR order.
-  // That makes this bitwise identical to the sequential apply() above.
-  auto sweep = [&](const std::vector<std::size_t>& rows, const std::vector<std::size_t>& ptr,
-                   auto&& row_body) {
-    const std::size_t* __restrict rows_p = rows.data();
-    const std::size_t n_levels = ptr.size() - 1;
-    for (std::size_t v = 0; v < n_levels; ++v) {
-      const std::size_t lo = ptr[v], hi = ptr[v + 1];
-      auto body = [&](std::size_t b, std::size_t e) {
-        for (std::size_t t = b; t < e; ++t) row_body(rows_p[lo + t]);
-      };
-      if (ctx.team) {
-        ctx.team->parallel_for(hi - lo, body);
-      } else {
-        body(0, hi - lo);
-      }
-    }
-  };
-
-  // L y = r (unit lower triangular), y stored in z.
-  sweep(l_level_rows_, l_level_ptr_, [&](std::size_t i) {
-    double s = rp[i];
-    for (std::size_t k = row_ptr[i]; k < diag[i]; ++k) s -= values[k] * zp[col_idx[k]];
-    zp[i] = s;
-  });
-  // U z = y.
-  sweep(u_level_rows_, u_level_ptr_, [&](std::size_t i) {
-    double s = zp[i];
-    for (std::size_t k = diag[i] + 1; k < row_ptr[i + 1]; ++k) s -= values[k] * zp[col_idx[k]];
-    zp[i] = s / values[diag[i]];
-  });
 }
 
 std::unique_ptr<Preconditioner> make_preconditioner(PrecondKind kind, const CsrMatrix& a) {

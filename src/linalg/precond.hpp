@@ -18,13 +18,6 @@ class Preconditioner {
  public:
   virtual ~Preconditioner() = default;
   virtual void apply(const Vec& r, Vec& z) const = 0;
-  /// Policy-aware apply.  Defaults to the plain path; implementations that
-  /// have a tiled/teamed variant (Jacobi, ILU0) override.  Results must be
-  /// bitwise identical to the 2-argument apply under every context.
-  virtual void apply(const Vec& r, Vec& z, const KernelContext& ctx) const {
-    (void)ctx;
-    apply(r, z);
-  }
   virtual const char* name() const = 0;
 };
 
@@ -38,7 +31,6 @@ class JacobiPreconditioner final : public Preconditioner {
  public:
   explicit JacobiPreconditioner(const CsrMatrix& a);
   void apply(const Vec& r, Vec& z) const override;
-  void apply(const Vec& r, Vec& z, const KernelContext& ctx) const override;
   const char* name() const override { return "jacobi"; }
 
  private:
@@ -46,35 +38,15 @@ class JacobiPreconditioner final : public Preconditioner {
 };
 
 /// Incomplete LU with zero fill-in on the pattern of A.
-///
-/// The triangular sweeps in apply() are level-scheduled (wavefront): rows are
-/// bucketed by dependency depth from the CSR structure, rows within a level
-/// are mutually independent, and a row's accumulation still walks its CSR
-/// entries in order — so the tiled apply (independent rows interleaved and/or
-/// split across a team within each level) is bitwise identical to the seed
-/// sequential sweep.  This replaces a red-black *reordering* variant, which
-/// would change the factor itself and break bit-identity with the seed.
 class Ilu0Preconditioner final : public Preconditioner {
  public:
   explicit Ilu0Preconditioner(const CsrMatrix& a);
   void apply(const Vec& r, Vec& z) const override;
-  void apply(const Vec& r, Vec& z, const KernelContext& ctx) const override;
   const char* name() const override { return "ilu0"; }
 
-  /// Number of wavefront levels in the L (resp. U) sweep; for diagnostics
-  /// and tests.
-  std::size_t lower_levels() const { return l_level_ptr_.size() - 1; }
-  std::size_t upper_levels() const { return u_level_ptr_.size() - 1; }
-
  private:
-  void build_level_schedule();
-
   CsrMatrix lu_;                   // combined L (unit diag, not stored) and U factors
   std::vector<std::size_t> diag_;  // index of the diagonal entry in each row
-  // Wavefront schedule: rows of level v are l_level_rows_[l_level_ptr_[v] ..
-  // l_level_ptr_[v+1]), ascending row index within a level.
-  std::vector<std::size_t> l_level_rows_, l_level_ptr_;
-  std::vector<std::size_t> u_level_rows_, u_level_ptr_;
 };
 
 /// Factory helper used by solver configuration.

@@ -3,44 +3,14 @@
 #include <algorithm>
 #include <cmath>
 
-#include "linalg/parallel.hpp"
-#include "linalg/simd.hpp"
 #include "support/check.hpp"
 
 namespace mg::linalg {
-
-namespace {
-
-/// Runs body(begin, end) over [0, n): partitioned across the team when one
-/// is attached, inline otherwise.  Safe only for element-wise bodies.
-template <typename F>
-void for_ranges(const KernelContext& ctx, std::size_t n, F&& body) {
-  if (ctx.team) {
-    ctx.team->parallel_for(n, body);
-  } else {
-    body(std::size_t{0}, n);
-  }
-}
-
-}  // namespace
 
 void axpy(double alpha, const Vec& x, Vec& y) {
   MG_REQUIRE(x.size() == y.size());
   const std::size_t n = x.size();
   for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-}
-
-void axpy(double alpha, const Vec& x, Vec& y, const KernelContext& ctx) {
-  MG_REQUIRE(x.size() == y.size());
-  const double* __restrict xp = x.data();
-  double* __restrict yp = y.data();
-  for_ranges(ctx, x.size(), [&](std::size_t b, std::size_t e) {
-    if (ctx.tiled()) {
-      simd::axpy(yp + b, xp + b, alpha, e - b);
-    } else {
-      for (std::size_t i = b; i < e; ++i) yp[i] += alpha * xp[i];
-    }
-  });
 }
 
 void axpby(double alpha, const Vec& x, double beta, Vec& y) {
@@ -123,34 +93,22 @@ void subtract(const Vec& a, const Vec& b, Vec& out) {
 
 void fill(Vec& v, double value) { std::fill(v.begin(), v.end(), value); }
 
-void fused_p_update(double beta, double omega, const Vec& r, const Vec& v, Vec& p,
-                    const KernelContext& ctx) {
+void fused_p_update(double beta, double omega, const Vec& r, const Vec& v, Vec& p) {
   MG_REQUIRE(r.size() == p.size() && v.size() == p.size());
+  const std::size_t n = p.size();
   const double* __restrict rp = r.data();
   const double* __restrict vp = v.data();
   double* __restrict pp = p.data();
-  for_ranges(ctx, p.size(), [&](std::size_t b, std::size_t e) {
-    if (ctx.tiled()) {
-      simd::triad_p_update(pp + b, rp + b, vp + b, beta, omega, e - b);
-    } else {
-      for (std::size_t i = b; i < e; ++i) pp[i] = rp[i] + beta * (pp[i] - omega * vp[i]);
-    }
-  });
+  for (std::size_t i = 0; i < n; ++i) pp[i] = rp[i] + beta * (pp[i] - omega * vp[i]);
 }
 
-void fused_x_update(double alpha, double omega, const Vec& a, const Vec& b, Vec& x,
-                    const KernelContext& ctx) {
+void fused_x_update(double alpha, double omega, const Vec& a, const Vec& b, Vec& x) {
   MG_REQUIRE(a.size() == x.size() && b.size() == x.size());
+  const std::size_t n = x.size();
   const double* __restrict ap = a.data();
   const double* __restrict bp = b.data();
   double* __restrict xp = x.data();
-  for_ranges(ctx, x.size(), [&](std::size_t lo, std::size_t hi) {
-    if (ctx.tiled()) {
-      simd::triad_x_update(xp + lo, ap + lo, bp + lo, alpha, omega, hi - lo);
-    } else {
-      for (std::size_t i = lo; i < hi; ++i) xp[i] += alpha * ap[i] + omega * bp[i];
-    }
-  });
+  for (std::size_t i = 0; i < n; ++i) xp[i] += alpha * ap[i] + omega * bp[i];
 }
 
 }  // namespace mg::linalg

@@ -7,19 +7,12 @@
 #include <cstddef>
 #include <vector>
 
-#include "linalg/kernels.hpp"
-
 namespace mg::linalg {
 
 using Vec = std::vector<double>;
 
 /// y += alpha * x.  Sizes must match.
 void axpy(double alpha, const Vec& x, Vec& y);
-
-/// Policy-aware axpy: Scalar runs the seed loop, Tiled the SIMD kernel, and a
-/// team (either policy) partitions the range.  Element-wise, so bitwise
-/// identical to the seed loop in every configuration.
-void axpy(double alpha, const Vec& x, Vec& y, const KernelContext& ctx);
 
 /// y = alpha * x + beta * y.  Sizes must match.
 void axpby(double alpha, const Vec& x, double beta, Vec& y);
@@ -56,15 +49,11 @@ void subtract(const Vec& a, const Vec& b, Vec& out);
 /// Fills with a constant.
 void fill(Vec& v, double value);
 
-/// BiCGSTAB direction update: p = r + beta * (p - omega * v).  Element-wise;
-/// per element the operation sequence matches the seed inline loop exactly,
-/// so Tiled/teamed runs are bitwise identical to Scalar.  Sizes must match.
-void fused_p_update(double beta, double omega, const Vec& r, const Vec& v, Vec& p,
-                    const KernelContext& ctx = {});
+/// BiCGSTAB direction update: p = r + beta * (p - omega * v).  Sizes must
+/// match.
+void fused_p_update(double beta, double omega, const Vec& r, const Vec& v, Vec& p);
 
-/// BiCGSTAB solution update: x += alpha * a + omega * b.  Same bit-identity
-/// argument as fused_p_update.  Sizes must match.
-void fused_x_update(double alpha, double omega, const Vec& a, const Vec& b, Vec& x,
-                    const KernelContext& ctx = {});
+/// BiCGSTAB solution update: x += alpha * a + omega * b.  Sizes must match.
+void fused_x_update(double alpha, double omega, const Vec& a, const Vec& b, Vec& x);
 
 }  // namespace mg::linalg

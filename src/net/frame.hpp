@@ -56,7 +56,9 @@ struct FrameHeader {
   static constexpr std::uint32_t kMagic = 0x4D474E46u;  // "MGNF" little-endian
   // v2: Hello grew a wall-clock sample, Work may carry a trace-context
   // prefix, Result may be a telemetry envelope, GetStats/StatsReport added.
-  static constexpr std::uint16_t kVersion = 2;
+  // v3: the Work payload lost the kernel policy and inner-thread count, and
+  // the SubmitJob payload lost the same two fields.
+  static constexpr std::uint16_t kVersion = 3;
   static constexpr std::size_t kWireSize = 28;
 
   std::uint16_t version = kVersion;

@@ -106,8 +106,6 @@ struct SolveEngine::Job {
     program.root = spec_.root;
     program.level = spec_.level;
     program.le_tol = spec_.le_tol;
-    program.kernel.system.kernel_policy = static_cast<linalg::KernelPolicy>(spec_.kernel_policy);
-    program.kernel.system.inner_threads = spec_.inner_threads;
   }
 };
 
@@ -142,11 +140,6 @@ JobTicket SolveEngine::submit(const JobSpec& spec) {
     why = "le_tol must be > 0";
   } else if (!(spec.weight > 0.0)) {
     why = "weight must be > 0";
-  } else if (spec.kernel_policy < 0 ||
-             spec.kernel_policy > static_cast<std::int32_t>(linalg::KernelPolicy::Tiled)) {
-    why = "kernel_policy out of range";
-  } else if (spec.inner_threads < 1 || spec.inner_threads > 1024) {
-    why = "inner_threads out of range [1, 1024]";
   } else if (spec.pipeline_depth > 64) {
     why = "pipeline_depth out of range [0, 64]";
   } else if (!spec.fault_spec.empty()) {

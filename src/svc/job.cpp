@@ -48,8 +48,6 @@ std::vector<std::uint8_t> encode_job_spec(const JobSpec& spec) {
   w.write_f64(spec.weight);
   w.write_string(spec.fault_spec);
   w.write_string(spec.tag);
-  w.write_i32(spec.kernel_policy);
-  w.write_i32(static_cast<std::int32_t>(spec.inner_threads));
   w.write_i32(static_cast<std::int32_t>(spec.pipeline_depth));
   return w.take();
 }
@@ -64,15 +62,6 @@ JobSpec decode_job_spec(const std::vector<std::uint8_t>& bytes) {
   spec.weight = r.read_f64();
   spec.fault_spec = r.read_string();
   spec.tag = r.read_string();
-  spec.kernel_policy = r.read_i32();
-  if (spec.kernel_policy < 0 || spec.kernel_policy > 1) {
-    throw DecodeError("decode_job_spec: kernel policy out of range");
-  }
-  const std::int32_t inner = r.read_i32();
-  if (inner < 1 || inner > 1024) {
-    throw DecodeError("decode_job_spec: inner_threads out of range");
-  }
-  spec.inner_threads = static_cast<std::uint32_t>(inner);
   const std::int32_t pipeline = r.read_i32();
   if (pipeline < 0 || pipeline > 64) {
     throw DecodeError("decode_job_spec: pipeline_depth out of range");

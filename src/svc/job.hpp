@@ -42,12 +42,6 @@ struct JobSpec {
   std::string fault_spec;
   /// Free-form client label, echoed in status and the per-job report.
   std::string tag;
-  /// Kernel policy for the job's subsolves (0 = scalar seed path, 1 = SIMD
-  /// tiled; linalg::KernelPolicy values).  Bit-identical either way.
-  std::int32_t kernel_policy = 0;
-  /// Inner worker-team size per subsolve (within-grid parallelism); 1 = no
-  /// team.  Bit-identical at any size (DESIGN.md §14).
-  std::uint32_t inner_threads = 1;
   /// Per-job pipeline window: how many of this job's tasks may be dispatched
   /// to the shared fleet concurrently (0 = unlimited, the default).  Caps a
   /// tenant's instantaneous fleet footprint independently of its fair-share

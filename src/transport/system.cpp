@@ -38,9 +38,6 @@ const char* to_string(StageSolverKind k) {
 
 TransportSystem::TransportSystem(grid::Grid2D grid, TransportProblem problem, SystemOptions options)
     : grid_(grid), problem_(problem), options_(options) {
-  if (options_.inner_threads > 1) {
-    inner_team_ = std::make_unique<linalg::ParallelContext>(options_.inner_threads);
-  }
   assemble();
 }
 
@@ -126,7 +123,7 @@ void TransportSystem::rhs(double t, const ros::Vec& u, ros::Vec& f) {
     koren_rhs(grid_, problem_, nodal_scratch_, f);
     return;
   }
-  jacobian_.multiply(u, f, kernel_context());
+  jacobian_.multiply(u, f);
   for (const auto& bc : boundary_couplings_) {
     f[bc.row] += bc.coefficient * problem_.exact(bc.bx, bc.by, t);
   }
@@ -139,14 +136,13 @@ namespace {
 class BandedStageSolver final : public ros::StageSolver {
  public:
   /// Rebuild path: takes a fully formed band and factorises it.
-  BandedStageSolver(linalg::GridBandedLU matrix, linalg::KernelContext kctx)
-      : matrix_(std::move(matrix)), kctx_(kctx) {
+  explicit BandedStageSolver(linalg::GridBandedLU matrix) : matrix_(std::move(matrix)) {
     factorize();
   }
 
   /// Cached path: allocates the band storage once; refresh() fills it.
-  BandedStageSolver(const grid::Grid2D& grid, linalg::KernelContext kctx)
-      : matrix_(grid.interior_x(), grid.interior_y()), kctx_(kctx) {}
+  explicit BandedStageSolver(const grid::Grid2D& grid)
+      : matrix_(grid.interior_x(), grid.interior_y()) {}
 
   /// Rewrites the band as (I - gamma_h * J) and refactorises, all in the
   /// storage allocated at construction.
@@ -166,20 +162,19 @@ class BandedStageSolver final : public ros::StageSolver {
  private:
   void factorize() {
     support::Stopwatch clock;
-    matrix_.factorize(kctx_);
+    matrix_.factorize();
     stage_metrics().factor_seconds.observe(clock.elapsed_seconds());
   }
 
   linalg::GridBandedLU matrix_;
-  linalg::KernelContext kctx_;
 };
 
 class KrylovStageSolver final : public ros::StageSolver {
  public:
   KrylovStageSolver(linalg::CsrMatrix matrix, linalg::PrecondKind precond,
-                    linalg::SolveOptions opts, bool warm_start, linalg::KernelContext kctx)
+                    linalg::SolveOptions opts, bool warm_start)
       : matrix_(std::move(matrix)), precond_kind_(precond), opts_(opts),
-        warm_start_(warm_start), kctx_(kctx) {
+        warm_start_(warm_start) {
     build_preconditioner();
   }
 
@@ -205,7 +200,7 @@ class KrylovStageSolver final : public ros::StageSolver {
     // this step's k1 for stage 2) unless warm starts are disabled.
     if (!warm_start_ || x.size() != matrix_.rows()) x.assign(matrix_.rows(), 0.0);
     support::Stopwatch clock;
-    const auto report = linalg::bicgstab(matrix_, rhs, x, *precond_, opts_, &workspace_, kctx_);
+    const auto report = linalg::bicgstab(matrix_, rhs, x, *precond_, opts_, &workspace_);
     stage_metrics().solve_seconds.observe(clock.elapsed_seconds());
     if (!report.converged) {
       throw std::runtime_error("TransportSystem: BiCGSTAB failed to converge (residual " +
@@ -224,7 +219,6 @@ class KrylovStageSolver final : public ros::StageSolver {
   linalg::PrecondKind precond_kind_;
   linalg::SolveOptions opts_;
   bool warm_start_;
-  linalg::KernelContext kctx_;
   std::unique_ptr<linalg::Preconditioner> precond_;
   linalg::KrylovWorkspace workspace_;
 };
@@ -260,14 +254,12 @@ std::unique_ptr<ros::StageSolver> TransportSystem::rebuild_stage(double gamma_h)
   switch (options_.solver) {
     case StageSolverKind::BandedLU:
       return std::make_unique<BandedStageSolver>(
-          linalg::GridBandedLU::from_csr(stage, grid_.interior_x(), grid_.interior_y()),
-          kernel_context());
+          linalg::GridBandedLU::from_csr(stage, grid_.interior_x(), grid_.interior_y()));
     case StageSolverKind::BiCgStabIlu0:
     case StageSolverKind::BiCgStabJacobi:
       return std::make_unique<KrylovStageSolver>(std::move(stage),
                                                  precond_kind_for(options_.solver),
-                                                 options_.krylov, options_.warm_start,
-                                                 kernel_context());
+                                                 options_.krylov, options_.warm_start);
   }
   throw std::logic_error("TransportSystem: unknown solver kind");
 }
@@ -302,7 +294,7 @@ std::unique_ptr<ros::StageSolver> TransportSystem::prepare_stage(double /*t*/, c
   switch (options_.solver) {
     case StageSolverKind::BandedLU: {
       if (!cached_solver_) {
-        cached_solver_ = std::make_shared<BandedStageSolver>(grid_, kernel_context());
+        cached_solver_ = std::make_shared<BandedStageSolver>(grid_);
       }
       static_cast<BandedStageSolver&>(*cached_solver_).refresh(jacobian_, gamma_h);
       break;
@@ -319,7 +311,7 @@ std::unique_ptr<ros::StageSolver> TransportSystem::prepare_stage(double /*t*/, c
         stage_metrics().assemble_seconds.observe(assemble_clock.elapsed_seconds());
         cached_solver_ = std::make_shared<KrylovStageSolver>(
             std::move(stage), precond_kind_for(options_.solver), options_.krylov,
-            options_.warm_start, kernel_context());
+            options_.warm_start);
       } else {
         static_cast<KrylovStageSolver&>(*cached_solver_)
             .refresh(jacobian_, diag_offset_, gamma_h);

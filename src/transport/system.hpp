@@ -22,8 +22,6 @@
 #include "linalg/banded.hpp"
 #include "linalg/bicgstab.hpp"
 #include "linalg/csr.hpp"
-#include "linalg/kernels.hpp"
-#include "linalg/parallel.hpp"
 #include "rosenbrock/ode_system.hpp"
 #include "transport/problem.hpp"
 
@@ -51,15 +49,6 @@ struct SystemOptions {
   /// solution under ROS2) instead of zero.  Changes iteration counts, never
   /// the convergence tolerance; no effect on the direct (banded) solver.
   bool warm_start = true;
-  /// Kernel policy for the linalg hot paths (DESIGN.md §14): Scalar runs the
-  /// plain scalar loops, Tiled the SIMD/interleaved kernels.  Results are
-  /// bitwise identical either way — this is a pure performance knob.
-  linalg::KernelPolicy kernel_policy = linalg::KernelPolicy::Scalar;
-  /// Within-grid parallelism: size of the inner worker team that one solve
-  /// spans (row-partitioned SpMV, fused triads, wavefront preconditioner
-  /// sweeps).  1 = no team.  Any size yields bit-identical results; helper
-  /// threads beyond the host's capacity are elided, not queued.
-  std::uint32_t inner_threads = 1;
 };
 
 /// Hit/miss/refresh ledger of one TransportSystem's stage cache.  A miss is
@@ -84,12 +73,6 @@ class TransportSystem final : public ros::OdeSystem {
   const linalg::CsrMatrix& jacobian() const { return jacobian_; }
   const StageCacheStats& stage_cache_stats() const { return cache_stats_; }
 
-  /// Kernel context built from kernel_policy/inner_threads; the team pointer
-  /// stays valid for this system's lifetime.
-  linalg::KernelContext kernel_context() const {
-    return {options_.kernel_policy, inner_team_.get()};
-  }
-
   /// Packs a nodal field's interior values into an unknown vector.
   ros::Vec restrict_interior(const grid::Field& field) const;
 
@@ -111,9 +94,6 @@ class TransportSystem final : public ros::OdeSystem {
   grid::Grid2D grid_;
   TransportProblem problem_;
   SystemOptions options_;
-  /// Inner worker team (inner_threads > 1); declared before cached_solver_
-  /// so any solver still holding the context is destroyed first.
-  std::unique_ptr<linalg::ParallelContext> inner_team_;
   linalg::CsrMatrix jacobian_;
   std::vector<BoundaryCoupling> boundary_couplings_;
   std::vector<double> nodal_scratch_;  ///< work array for the limited scheme

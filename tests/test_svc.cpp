@@ -860,6 +860,11 @@ TEST(SolverCli, RejectsUnknownFlagsBadNumbersAndExtraPositionals) {
   EXPECT_FALSE(parse({"--listen=nocolon"}).ok);
   EXPECT_FALSE(parse({"--listen=:99999"}).ok);
   EXPECT_FALSE(parse({"--listen=:0"}).ok);
+  // The kernel-policy and inner-team flags are gone; a stale script fails.
+  EXPECT_FALSE(parse({"--kernels=tiled"}).ok);
+  EXPECT_FALSE(parse({"--inner-threads=4"}).ok);
+  EXPECT_NE(parse({"2", "3", "1e-3", "--kernels=tiled"}).error.find("unknown flag"),
+            std::string::npos);
 }
 
 }  // namespace
