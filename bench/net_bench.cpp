@@ -1,6 +1,6 @@
 // Perf smoke for the pipelined transport (DESIGN.md §15): the same batch of
-// echo round trips pushed through a RemoteEndpoint at pipeline depth 1 (the
-// PR-5 one-in-flight protocol) and depth 4 (the N-in-flight window), over
+// echo round trips pushed through a RemoteEndpoint at pipeline depth 1 (one
+// frame in flight per channel) and depth 4 (the N-in-flight window), over
 // loopback TCP with in-process worker threads.  The depth-4/depth-1
 // throughput ratio is the headline: with more clients than channels, a
 // window keeps the next Work frame already buffered at the worker when it
@@ -75,7 +75,7 @@ DepthTiming run_depth_once(std::size_t depth, std::size_t workers, int clients, 
 
   net::RemoteEndpointConfig config;
   config.telemetry = false;  // raw echo: measure the transport, not the tracer
-  config.elastic.pipeline_depth = depth;
+  config.pipeline_depth = depth;
   if (delay_ms > 0) config.faults = &plan;
   net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0), config);
 

@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
   config.idle_timeout = std::chrono::milliseconds(idle_timeout_ms);
   if (workers > 0) {
     net::RemoteEndpointConfig ep_config;
-    if (pipeline > 0) ep_config.elastic.pipeline_depth = static_cast<std::size_t>(pipeline);
+    if (pipeline > 0) ep_config.pipeline_depth = static_cast<std::size_t>(pipeline);
     endpoint = std::make_unique<net::RemoteEndpoint>(std::move(worker_listener), ep_config);
     if (!endpoint->wait_for_workers(workers, std::chrono::milliseconds(15'000))) {
       std::fprintf(stderr, "timed out waiting for %zu tcp worker(s)\n", workers);

@@ -31,14 +31,12 @@
 // replays a seeded spot-instance schedule against the worker fleet while the
 // concurrent solve runs.  On the threads backend the events drive the
 // fault-tolerant pool (Leave re-leases the victim's grid immediately, Crash
-// routes through the normal retry path); on the tcp backend the endpoint
-// runs in elastic mode — late-join worker processes are forked per Join
-// event and accepted mid-run, Leave/Crash events close the busiest channel,
-// idle channels steal leased work, and units past the soft deadline are
-// speculatively re-issued with first-result-wins dedup.  Either way the
-// solve must still be bit-identical to the sequential program, and the
-// report gains a "fleet" section (joins/leaves/crashes/steals/releases/
-// duplicates).
+// routes through the normal retry path); on the tcp backend late-join worker
+// processes are forked per Join event and accepted mid-run, and Leave/Crash
+// events close the busiest channel, whose round trips fail back to the
+// fault-tolerant pool for re-dispatch.  Either way the solve must still be
+// bit-identical to the sequential program, and the report gains a "fleet"
+// section (joins/leaves/crashes/steals/releases/duplicates).
 //
 // --backend=tcp runs the concurrent solve over the network substrate: the
 // master binds a TCP listener (--listen=HOST:PORT, default loopback
@@ -158,8 +156,8 @@ int main(int argc, char** argv) {
       return mw::run_subsolve_worker(host, port);
     });
     // Churn joins: fork one late worker per Join event.  Each child sleeps
-    // until its scheduled join time before connecting, so the elastic
-    // endpoint accepts it into the lease set mid-run.
+    // until its scheduled join time before connecting, so the endpoint
+    // accepts it into the lease set mid-run.
     if (churn_on) {
       for (const auto& ev : churn_plan.events()) {
         if (ev.kind != fleet::ChurnEventKind::Join) continue;
@@ -209,7 +207,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<net::RemoteEndpoint> endpoint;
   if (tcp) {
     net::RemoteEndpointConfig ep_config;
-    if (cli.pipeline_depth > 0) ep_config.elastic.pipeline_depth = cli.pipeline_depth;
+    if (cli.pipeline_depth > 0) ep_config.pipeline_depth = cli.pipeline_depth;
     if (!net_fault_spec.empty()) {
       net_plan = std::make_unique<const fault::FaultPlan>(fault::parse_fault_spec(net_fault_spec));
       ep_config.faults = net_plan.get();
@@ -220,14 +218,8 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(nf.seed), nf.net_drop, nf.net_slow,
                   nf.net_truncate);
     }
-    // Remote workers need the fault-tolerant pool: a dead TCP peer surfaces
-    // as crash_worker, which the legacy rendezvous cannot digest.
-    if (!options.retry) options.retry = fault::RetryPolicy{};
     if (churn_on) {
-      ep_config.elastic.enabled = true;
-      ep_config.elastic.lease_depth = 2;
-      ep_config.elastic.soft_deadline = std::chrono::milliseconds(1500);
-      std::printf("\nchurn on (tcp elastic): seed=%llu joins=%zu leaves=%zu crashes=%zu "
+      std::printf("\nchurn on (tcp fleet): seed=%llu joins=%zu leaves=%zu crashes=%zu "
                   "over [%g, %g)s\n",
                   static_cast<unsigned long long>(churn_cfg.seed), churn_cfg.joins,
                   churn_cfg.leaves, churn_cfg.crashes, churn_cfg.start_seconds,
@@ -242,7 +234,6 @@ int main(int argc, char** argv) {
       return 3;
     }
     options.remote = endpoint.get();
-    options.pipeline_depth = cli.pipeline_depth;  // 0 = endpoint default
   } else if (churn_on) {
     options.churn = churn_cfg;
     std::printf("\nchurn on (threads pool): seed=%llu joins=%zu leaves=%zu crashes=%zu "
@@ -253,7 +244,7 @@ int main(int argc, char** argv) {
   }
 
   // The spot-instance adversary: a thread replaying the plan's Leave/Crash
-  // events against the elastic endpoint while the solve runs.
+  // events against the endpoint while the solve runs.
   std::atomic<bool> churn_stop{false};
   std::thread churn_thread;
   if (endpoint && churn_on) {
@@ -289,8 +280,6 @@ int main(int argc, char** argv) {
     fleet.joins += nc.fleet_joins;
     fleet.leaves += nc.fleet_leaves;
     fleet.crashes += nc.fleet_crashes;
-    fleet.steals += nc.fleet_steals;
-    fleet.releases += nc.fleet_releases;
     fleet.duplicates += nc.fleet_duplicates;
   }
   if (fleet.any()) {

@@ -266,12 +266,14 @@ ConcurrentResult solve_concurrent(const transport::ProgramConfig& program,
     policy.backoff_initial = std::chrono::milliseconds(5);
     run_options.retry = policy;
   }
+  // The endpoint never retries a lost lease, so a remote pool is always the
+  // fault-tolerant one: a failed round trip is a crash to respawn.
+  if (options.remote != nullptr && !run_options.retry) run_options.retry = fault::RetryPolicy{};
   WorkerFactory factory;
   std::shared_ptr<InjectionStats> injections;
   if (options.remote != nullptr) {
     MG_REQUIRE(options.data_path == DataPath::ThroughMaster);
-    if (options.pipeline_depth > 0) options.remote->set_pipeline_depth(options.pipeline_depth);
-    factory = make_remote_worker_factory(*options.remote, run_options.retry.has_value());
+    factory = make_remote_worker_factory(*options.remote);
   } else if (run_options.retry) {
     auto plan = options.faults.any()
                     ? std::make_shared<const fault::FaultPlan>(options.faults)

@@ -100,15 +100,10 @@ struct ConcurrentOptions {
   /// Third substrate: when set, pool workers are remote proxies that marshal
   /// each work unit over this TCP endpoint to a worker process instead of
   /// computing in-thread (ThroughMaster only).  Failed round trips surface
-  /// as worker crashes, so `retry` supervises remote workers exactly like
-  /// local ones.  Not owned; must outlive the run.
+  /// as worker crashes, so the fault-tolerant pool supervises remote workers
+  /// exactly like local ones (a default RetryPolicy is supplied when `retry`
+  /// is unset).  Not owned; must outlive the run.
   net::RemoteEndpoint* remote = nullptr;
-  /// Transport pipeline window override: when > 0 and `remote` is set, the
-  /// endpoint is told to keep up to this many seq-tagged work units in
-  /// flight per channel (RemoteEndpoint::set_pipeline_depth).  0 leaves the
-  /// endpoint's configured depth alone.  Any value is bit-identical — the
-  /// window only reorders wire traffic, never results (DESIGN.md §15).
-  std::uint32_t pipeline_depth = 0;
 };
 
 struct ConcurrentResult {

@@ -8,19 +8,18 @@
 
 namespace mg::mw {
 
-WorkerFactory make_remote_worker_factory(net::RemoteEndpoint& endpoint, bool fault_tolerant,
-                                         std::string kind) {
+WorkerFactory make_remote_worker_factory(net::RemoteEndpoint& endpoint, std::string kind) {
   net::RemoteEndpoint* ep = &endpoint;
-  return [ep, fault_tolerant, kind = std::move(kind)](
-             iwim::Runtime& runtime, std::size_t index) -> std::shared_ptr<iwim::Process> {
+  return [ep, kind = std::move(kind)](iwim::Runtime& runtime,
+                                      std::size_t index) -> std::shared_ptr<iwim::Process> {
     return runtime.create_process(
-        kind, kind + std::to_string(index), [ep, fault_tolerant](iwim::ProcessContext& ctx) {
+        kind, kind + std::to_string(index), [ep](iwim::ProcessContext& ctx) {
           const iwim::Unit job = ctx.read("input");  // worker step 1
           const auto& item = job.as<WorkItem>();
 
           // Worker step 2, delegated across the wire.  The cancellation hook
           // lets a deadline kill() release the proxy mid-trip; the endpoint
-          // then drops the channel so the stale result cannot come back.
+          // then retires the lease, so a late result is dropped, never read.
           iwim::Process& self = ctx.self();
           net::RemoteEndpoint::RoundTrip trip =
               ep->round_trip(encode_work_item(item), [&self] { return self.killed(); });
@@ -28,15 +27,9 @@ WorkerFactory make_remote_worker_factory(net::RemoteEndpoint& endpoint, bool fau
           if (self.killed()) return;  // killed workers unwind silently
 
           if (!trip.ok) {
+            // Peer disconnect / timeout / corrupt stream == worker crash.
             ctx.trace("remote round trip failed: " + trip.error, "remote_worker.cpp", __LINE__);
-            if (fault_tolerant) {
-              // Peer disconnect / timeout / corrupt stream == worker crash.
-              ctx.raise(ProtocolEvents::crash_worker);
-            } else {
-              ctx.write(iwim::Unit{}, "error");
-              ctx.write(iwim::Unit{}, "output");
-              ctx.raise(ProtocolEvents::death_worker);
-            }
+            ctx.raise(ProtocolEvents::crash_worker);
             return;
           }
 
@@ -48,13 +41,7 @@ WorkerFactory make_remote_worker_factory(net::RemoteEndpoint& endpoint, bool fau
             // observable as a crash, never a fake result.
             ctx.trace(std::string("remote result rejected: ") + e.what(), "remote_worker.cpp",
                       __LINE__);
-            if (fault_tolerant) {
-              ctx.raise(ProtocolEvents::crash_worker);
-            } else {
-              ctx.write(iwim::Unit{}, "error");
-              ctx.write(iwim::Unit{}, "output");
-              ctx.raise(ProtocolEvents::death_worker);
-            }
+            ctx.raise(ProtocolEvents::crash_worker);
             return;
           }
           ctx.raise(ProtocolEvents::death_worker);  // worker step 4

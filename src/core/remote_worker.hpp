@@ -4,10 +4,11 @@
 // reads its WorkItem from its own input port like any other worker, but the
 // computation happens in a remote process — the proxy marshals the item over
 // a RemoteEndpoint round trip and reports the decoded ResultItem.  From the
-// coordinator's point of view nothing changed; a failed round trip surfaces
-// as crash_worker (fault-tolerant pools) or as the legacy empty-result death,
-// so peer disconnects, timeouts, and corrupt streams flow into the same
-// retry/respawn/abandon machinery that supervises in-process workers.
+// coordinator's point of view nothing changed; a failed round trip or a reply
+// that does not decode surfaces as crash_worker, so peer disconnects,
+// timeouts, and corrupt streams flow into the same retry/respawn/abandon
+// machinery that supervises in-process workers.  The endpoint never retries
+// on its own: the fault-tolerant pool's respawn is the one retry.
 //
 // run_subsolve_worker is the matching worker-process main: a blocking serve
 // loop that decodes WorkItems, subsolves, and returns encoded ResultItems.
@@ -24,11 +25,10 @@ class RemoteEndpoint;
 
 namespace mg::mw {
 
-/// Worker factory whose compute step is a RemoteEndpoint::round_trip.  With
-/// `fault_tolerant`, failures raise crash_worker (pair with a RetryPolicy
-/// pool); otherwise they mimic the legacy visible death (empty result +
-/// error + death_worker).  The endpoint must outlive the run.
-WorkerFactory make_remote_worker_factory(net::RemoteEndpoint& endpoint, bool fault_tolerant,
+/// Worker factory whose compute step is a RemoteEndpoint::round_trip.
+/// Failures raise crash_worker, so the pool must run with a RetryPolicy.
+/// The endpoint must outlive the run.
+WorkerFactory make_remote_worker_factory(net::RemoteEndpoint& endpoint,
                                          std::string kind = "Worker");
 
 /// Worker-process main loop: serves subsolve work from the master at

@@ -80,22 +80,19 @@ NetMetrics& net_metrics() {
   return m;
 }
 
-// Elastic-fleet obs mirrors — same fleet.* names every substrate writes, so
-// the merged view of a run sums threads, sim, and TCP contributions.
+// Fleet obs mirrors — same fleet.* names every substrate writes, so the
+// merged view of a run sums threads, sim, and TCP contributions.
 struct FleetNetMetrics {
   obs::Counter& joins;
   obs::Counter& leaves;
   obs::Counter& crashes;
-  obs::Counter& steals;
-  obs::Counter& releases;
   obs::Counter& duplicates;
 };
 
 FleetNetMetrics& fleet_net_metrics() {
   static FleetNetMetrics m{
-      obs::registry().counter("fleet.joins"),    obs::registry().counter("fleet.leaves"),
-      obs::registry().counter("fleet.crashes"),  obs::registry().counter("fleet.steals"),
-      obs::registry().counter("fleet.releases"), obs::registry().counter("fleet.duplicates"),
+      obs::registry().counter("fleet.joins"),   obs::registry().counter("fleet.leaves"),
+      obs::registry().counter("fleet.crashes"), obs::registry().counter("fleet.duplicates"),
   };
   return m;
 }
@@ -123,8 +120,6 @@ struct RemoteEndpoint::CounterCells {
   std::atomic<std::uint64_t> fleet_joins{0};
   std::atomic<std::uint64_t> fleet_leaves{0};
   std::atomic<std::uint64_t> fleet_crashes{0};
-  std::atomic<std::uint64_t> fleet_steals{0};
-  std::atomic<std::uint64_t> fleet_releases{0};
   std::atomic<std::uint64_t> fleet_duplicates{0};
 
   void bump(std::atomic<std::uint64_t>& cell, obs::Counter& mirror, std::uint64_t n = 1) {
@@ -135,14 +130,11 @@ struct RemoteEndpoint::CounterCells {
 
 struct RemoteEndpoint::Trip {
   std::vector<std::uint8_t> work;
-  std::uint64_t seq = 0;     ///< loop thread: seq of the latest dispatch
   std::uint64_t job_id = 0;  ///< caller-supplied trace attribution
-  /// Loop thread: channels currently carrying this trip.  At most one unless
-  /// a speculative re-lease put a second copy in flight; empty = queued.
-  std::vector<std::uint64_t> carriers;
-  bool speculated = false;  ///< one speculative re-lease per trip
+  // Loop thread: the one lease carrying this trip (channel 0 = still queued).
+  std::uint64_t carrier = 0;
+  std::uint64_t seq = 0;
   std::chrono::steady_clock::time_point queued_at{};  ///< round_trip submission time
-  bool dispatched = false;  ///< loop thread: first dispatch happened (stall accounted)
 
   // Telemetry (loop thread): set when a trace context was prepended to the
   // Work payload — the Result is then a telemetry envelope.
@@ -156,15 +148,6 @@ struct RemoteEndpoint::Trip {
 };
 
 struct RemoteEndpoint::Channel {
-  /// One seq-tagged work unit on the wire.  Each dispatch keeps the seq of
-  /// its own send, so a speculative copy racing on another channel has a
-  /// different seq than the original — completion is matched per lease, in
-  /// any order, never per channel.
-  struct Lease {
-    std::shared_ptr<Trip> trip;
-    std::chrono::steady_clock::time_point sent_at{};
-  };
-
   std::uint64_t id = 0;
   Socket sock;
   FrameDecoder decoder;
@@ -175,12 +158,9 @@ struct RemoteEndpoint::Channel {
   /// back-to-back small frames coalesce into one syscall.
   std::deque<std::vector<std::uint8_t>> outbox;
   std::size_t out_off = 0;  ///< bytes of outbox.front() already sent
-  /// Work units on the wire, keyed by seq (ascending = dispatch order).  Up
-  /// to pipeline_depth entries; Results may land in any order.
-  std::map<std::uint64_t, Lease> in_flight;
-  /// Elastic: work leased to this channel but not yet on the wire; what
-  /// idle joiners steal from.
-  std::deque<std::shared_ptr<Trip>> backlog;
+  /// Leases on the wire, keyed by seq (ascending = dispatch order).  Up to
+  /// pipeline_depth entries; completion is matched per seq, in any order.
+  std::map<std::uint64_t, std::shared_ptr<Trip>> in_flight;
 
   // Telemetry: per-connection clock alignment + the trace track all of this
   // channel's dispatch and worker spans land on.
@@ -199,7 +179,7 @@ RemoteEndpoint::RemoteEndpoint(TcpListener listener, RemoteEndpointConfig config
       counters_(std::make_unique<CounterCells>()) {
   MG_REQUIRE(listener_.valid());
   port_ = listener_.port();
-  set_pipeline_depth(config_.elastic.pipeline_depth);
+  config_.pipeline_depth = std::clamp<std::size_t>(config_.pipeline_depth, 1, 64);
   static std::atomic<std::uint64_t> endpoint_ordinal{0};
   trace_id_ = (static_cast<std::uint64_t>(::getpid()) << 16) ^
               endpoint_ordinal.fetch_add(1, std::memory_order_relaxed);
@@ -209,15 +189,7 @@ RemoteEndpoint::RemoteEndpoint(TcpListener listener, RemoteEndpointConfig config
 
 RemoteEndpoint::~RemoteEndpoint() { shutdown(); }
 
-void RemoteEndpoint::set_pipeline_depth(std::size_t depth) {
-  pipeline_depth_.store(std::clamp<std::size_t>(depth, 1, 64), std::memory_order_release);
-}
-
 const char* RemoteEndpoint::poller_name() const { return loop_.poller_name(); }
-
-bool RemoteEndpoint::dedup_enabled() const {
-  return config_.elastic.enabled || pipeline_depth_.load(std::memory_order_acquire) > 1;
-}
 
 void RemoteEndpoint::setup_on_loop() {
   // Blocking while single-threaded (fork-friendly), non-blocking once polled:
@@ -225,49 +197,6 @@ void RemoteEndpoint::setup_on_loop() {
   // loop inside accept().
   listener_.set_nonblocking(true);
   loop_.watch(listener_.fd(), POLLIN, [this](short) { on_acceptable(); });
-  if (config_.elastic.enabled && config_.elastic.soft_deadline.count() > 0) arm_speculation();
-}
-
-void RemoteEndpoint::arm_speculation() {
-  const auto tick = std::max(config_.elastic.soft_deadline / 2, std::chrono::milliseconds(5));
-  loop_.post_after(tick, [this] {
-    if (down_.load(std::memory_order_acquire)) return;
-    speculate();
-    arm_speculation();
-  });
-}
-
-void RemoteEndpoint::speculate() {
-  // A lease in flight past the soft deadline gets a second copy on an idle
-  // channel — first Result wins; the loser is recognised by its seq and
-  // dropped (never combined, never double-counted).
-  const auto now = std::chrono::steady_clock::now();
-  for (;;) {
-    Channel* idle = nullptr;
-    std::shared_ptr<Trip> overdue;  // copy: the original carrier keeps racing
-    std::chrono::steady_clock::time_point overdue_at{};
-    for (auto& [id, ch] : channels_) {
-      if (!ch->hello_seen) continue;
-      if (ch->in_flight.empty() && ch->backlog.empty()) {
-        if (idle == nullptr) idle = ch.get();
-        continue;
-      }
-      for (const auto& [seq, lease] : ch->in_flight) {
-        if (lease.trip->speculated || now - lease.sent_at < config_.elastic.soft_deadline ||
-            trip_done(lease.trip)) {
-          continue;
-        }
-        if (overdue == nullptr || lease.sent_at < overdue_at) {
-          overdue = lease.trip;
-          overdue_at = lease.sent_at;
-        }
-      }
-    }
-    if (idle == nullptr || overdue == nullptr) return;
-    overdue->speculated = true;
-    counters_->bump(counters_->fleet_releases, fleet_net_metrics().releases);
-    dispatch(*idle, std::move(overdue));
-  }
 }
 
 void RemoteEndpoint::on_acceptable() {
@@ -336,28 +265,23 @@ void RemoteEndpoint::on_channel_io(std::uint64_t id, short revents) {
 void RemoteEndpoint::handle_frame(Channel& ch, Frame frame) {
   switch (frame.header.type) {
     case FrameType::Hello: {
-      // 24 bytes since protocol v2 (pid, attempt, f64 clock sample); the
-      // 16-byte form is still accepted so a bare handshake keeps working.
-      if (ch.hello_seen || (frame.payload.size() != 16 && frame.payload.size() != 24)) {
+      // pid, connect attempt, f64 wall-clock sample (24 bytes).
+      if (ch.hello_seen || frame.payload.size() != 24) {
         close_channel(ch.id, "protocol violation: bad Hello");
         return;
       }
       ch.hello_seen = true;
       ch.worker_pid = get_u64(frame.payload.data());
       const std::uint64_t attempt = get_u64(frame.payload.data() + 8);
-      if (frame.payload.size() == 24) {
-        // Coarse one-way seed: refined by the first round trip's NTP-style
-        // two-sided sample, but good enough to align spans immediately.
-        const std::uint64_t bits = get_u64(frame.payload.data() + 16);
-        double sample = 0.0;
-        std::memcpy(&sample, &bits, sizeof sample);
-        ch.offset.seed(obs::wall_clock_seconds(), sample);
-      }
+      // Coarse one-way seed: refined by the first round trip's NTP-style
+      // two-sided sample, but good enough to align spans immediately.
+      const std::uint64_t bits = get_u64(frame.payload.data() + 16);
+      double sample = 0.0;
+      std::memcpy(&sample, &bits, sizeof sample);
+      ch.offset.seed(obs::wall_clock_seconds(), sample);
       counters_->bump(counters_->accepts, net_metrics().accepts);
       if (attempt > 0) counters_->bump(counters_->reconnects, net_metrics().reconnects);
-      if (config_.elastic.enabled) {
-        counters_->bump(counters_->fleet_joins, fleet_net_metrics().joins);
-      }
+      counters_->bump(counters_->fleet_joins, fleet_net_metrics().joins);
       connected_.fetch_add(1, std::memory_order_acq_rel);
       {
         std::lock_guard<std::mutex> lk(workers_mutex_);
@@ -366,28 +290,28 @@ void RemoteEndpoint::handle_frame(Channel& ch, Frame frame) {
       try_dispatch();
       return;
     }
-    case FrameType::Result: {
+    case FrameType::Result:
+    case FrameType::Error: {
       const auto lease = ch.in_flight.find(frame.header.seq);
       if (lease == ch.in_flight.end()) {
-        if (dedup_enabled() && seq_retired(frame.header.seq)) {
-          // Late echo of a lease that already completed elsewhere — a
-          // speculative loser or a cancelled lease within the pipeline
-          // window, not a protocol violation.
+        if (seq_retired(frame.header.seq)) {
+          // Late echo of a lease that already ended (cancelled, or answered
+          // twice), not a protocol violation.
           counters_->bump(counters_->fleet_duplicates, fleet_net_metrics().duplicates);
           return;
         }
-        close_channel(ch.id, "protocol violation: unexpected Result seq");
+        close_channel(ch.id, std::string("protocol violation: unexpected ") +
+                                 to_string(frame.header.type) + " seq");
         return;
       }
-      auto trip = std::move(lease->second.trip);
+      auto trip = std::move(lease->second);
       ch.in_flight.erase(lease);
       retire_seq(frame.header.seq);
-      trip->carriers.erase(std::remove(trip->carriers.begin(), trip->carriers.end(), ch.id),
-                           trip->carriers.end());
-      if (dedup_enabled() && trip_done(trip)) {
-        // This carrier lost the speculation race: the unit was already
-        // combined once, so this copy is dropped, not delivered.
-        counters_->bump(counters_->fleet_duplicates, fleet_net_metrics().duplicates);
+      if (frame.header.type == FrameType::Error) {
+        // The worker is healthy — its computation failed.  Fail the trip but
+        // keep the channel; the caller decides whether to retry.
+        fail_trip(trip, "worker error: " +
+                            std::string(frame.payload.begin(), frame.payload.end()));
         try_dispatch();
         return;
       }
@@ -405,7 +329,9 @@ void RemoteEndpoint::handle_frame(Channel& ch, Frame frame) {
       try {
         env = obs::unwrap_result(frame.payload);
       } catch (const support::DecodeError& e) {
-        close_channel(ch.id, std::string("protocol violation: ") + e.what());
+        const std::string reason = std::string("protocol violation: ") + e.what();
+        fail_trip(trip, reason);  // its lease is already off the channel
+        close_channel(ch.id, reason);
         return;
       }
       const double t3 = obs::wall_clock_seconds();
@@ -434,33 +360,6 @@ void RemoteEndpoint::handle_frame(Channel& ch, Frame frame) {
       try_dispatch();
       return;
     }
-    case FrameType::Error: {
-      const auto lease = ch.in_flight.find(frame.header.seq);
-      if (lease == ch.in_flight.end()) {
-        if (dedup_enabled() && seq_retired(frame.header.seq)) {
-          counters_->bump(counters_->fleet_duplicates, fleet_net_metrics().duplicates);
-          return;
-        }
-        close_channel(ch.id, "protocol violation: unexpected Error seq");
-        return;
-      }
-      // The worker is healthy — its computation failed.  Fail the trip but
-      // keep the channel; the supervisor decides whether to retry.
-      auto trip = std::move(lease->second.trip);
-      ch.in_flight.erase(lease);
-      retire_seq(frame.header.seq);
-      trip->carriers.erase(std::remove(trip->carriers.begin(), trip->carriers.end(), ch.id),
-                           trip->carriers.end());
-      if (dedup_enabled() && trip_done(trip)) {
-        counters_->bump(counters_->fleet_duplicates, fleet_net_metrics().duplicates);
-        try_dispatch();
-        return;
-      }
-      fail_trip(trip, "worker error: " +
-                          std::string(frame.payload.begin(), frame.payload.end()));
-      try_dispatch();
-      return;
-    }
     case FrameType::Bye:
       close_channel(ch.id, "worker said Bye");
       return;
@@ -486,156 +385,47 @@ void RemoteEndpoint::close_channel(std::uint64_t id, const std::string& reason) 
     workers_cv_.notify_all();
   }
   counters_->bump(counters_->disconnects, net_metrics().disconnects);
-  // Elastic mode survives a channel death: its leases go back to the queue
-  // front (a re-lease) unless a speculative copy is still racing elsewhere.
-  // During shutdown nobody will dispatch again, so trips must fail instead.
-  const bool elastic = config_.elastic.enabled && !down_.load(std::memory_order_acquire);
-  bool requeued = false;
-  // Requeue in dispatch order: backlog first (pushed front in reverse), then
-  // the in-flight leases (map is seq-ascending = dispatch order, also pushed
-  // front in reverse), so the oldest lease re-dispatches first.
-  for (auto bit = ch.backlog.rbegin(); bit != ch.backlog.rend(); ++bit) {
-    if (elastic && !trip_done(*bit)) {
-      pending_trips_.push_front(std::move(*bit));
-      requeued = true;
-    } else if (!elastic && !trip_done(*bit)) {
-      fail_trip(*bit, "channel closed: " + reason);
-    }
-  }
-  ch.backlog.clear();
-  for (auto lit = ch.in_flight.rbegin(); lit != ch.in_flight.rend(); ++lit) {
-    auto trip = std::move(lit->second.trip);
-    retire_seq(lit->first);
-    trip->carriers.erase(std::remove(trip->carriers.begin(), trip->carriers.end(), id),
-                         trip->carriers.end());
-    if (elastic) {
-      if (!trip_done(trip) && trip->carriers.empty()) {
-        counters_->bump(counters_->fleet_releases, fleet_net_metrics().releases);
-        pending_trips_.push_front(std::move(trip));
-        requeued = true;
-      }
-    } else {
-      fail_trip(trip, "channel closed: " + reason);
-    }
-  }
-  ch.in_flight.clear();
+  // The endpoint never re-sends: every lease on a dead channel fails back to
+  // its caller, whose own retry owns the unit from here.
+  for (auto& [seq, trip] : ch.in_flight) fail_trip(trip, "channel closed: " + reason);
   channels_.erase(it);
-  if (requeued) {
-    // Deferred: close_channel may be running inside try_dispatch already.
-    loop_.post([this] { try_dispatch(); });
-  }
 }
 
 void RemoteEndpoint::try_dispatch() {
-  const std::size_t depth = pipeline_depth_.load(std::memory_order_acquire);
-  if (!config_.elastic.enabled) {
-    // Fixed fleet, pipelined wire: place each queued trip on the channel
-    // with the most spare window, so trips spread before they stack.
-    while (!pending_trips_.empty()) {
-      Channel* target = nullptr;
-      for (auto& [id, ch] : channels_) {
-        if (!ch->hello_seen || ch->in_flight.size() >= depth) continue;
-        if (target == nullptr || ch->in_flight.size() < target->in_flight.size()) {
-          target = ch.get();
-        }
-      }
-      if (target == nullptr) return;
-      auto trip = std::move(pending_trips_.front());
-      pending_trips_.pop_front();
-      {
-        std::lock_guard<std::mutex> lk(trip->m);
-        if (trip->done) continue;  // aborted while queued
-      }
-      dispatch(*target, std::move(trip));
-    }
-    return;
-  }
-
-  // Elastic scheduler.  One placement per pass — a send can tear down its
-  // channel, so every pass rescans the (possibly mutated) channel map:
-  //   1. a free wire slot drains its own backlog;
-  //   2. queued work goes on the wire of the least-loaded channel with
-  //      window to spare, else the shallowest backlog with lease capacity;
-  //   3. with nothing queued, an idle channel steals the oldest
-  //      leased-but-unsent unit from the most-loaded lane.
-  const std::size_t lease_cap = std::max(config_.elastic.lease_depth, depth);
-  for (;;) {
-    Channel* wire = nullptr;   // free wire slot with its own backlog
-    Channel* spare = nullptr;  // free wire slot, empty backlog (least loaded)
-    Channel* roomy = nullptr;  // wire full, but under the lease cap
-    Channel* donor = nullptr;  // deepest backlog (steal victim)
+  // Place each queued trip on the channel with the most spare window, so
+  // trips spread before they stack.
+  while (!pending_trips_.empty()) {
+    Channel* target = nullptr;
     for (auto& [id, ch] : channels_) {
-      if (!ch->hello_seen) continue;
-      if (ch->in_flight.size() < depth) {
-        if (!ch->backlog.empty()) {
-          if (wire == nullptr) wire = ch.get();
-        } else if (spare == nullptr || ch->in_flight.size() < spare->in_flight.size()) {
-          spare = ch.get();
-        }
-        continue;
-      }
-      if (ch->in_flight.size() + ch->backlog.size() < lease_cap &&
-          (roomy == nullptr || ch->backlog.size() < roomy->backlog.size())) {
-        roomy = ch.get();
-      }
-      if (!ch->backlog.empty() &&
-          (donor == nullptr || ch->backlog.size() > donor->backlog.size())) {
-        donor = ch.get();
+      if (!ch->hello_seen || ch->in_flight.size() >= config_.pipeline_depth) continue;
+      if (target == nullptr || ch->in_flight.size() < target->in_flight.size()) {
+        target = ch.get();
       }
     }
-    const auto aborted_while_queued = [](const std::shared_ptr<Trip>& t) {
-      std::lock_guard<std::mutex> lk(t->m);
-      return t->done;
-    };
-    if (wire != nullptr) {
-      auto trip = std::move(wire->backlog.front());
-      wire->backlog.pop_front();
-      if (aborted_while_queued(trip)) continue;
-      dispatch(*wire, std::move(trip));
-      continue;
+    if (target == nullptr) return;
+    auto trip = std::move(pending_trips_.front());
+    pending_trips_.pop_front();
+    {
+      std::lock_guard<std::mutex> lk(trip->m);
+      if (trip->done) continue;  // aborted while queued
     }
-    if (!pending_trips_.empty() && (spare != nullptr || roomy != nullptr)) {
-      auto trip = std::move(pending_trips_.front());
-      pending_trips_.pop_front();
-      if (aborted_while_queued(trip)) continue;
-      if (spare != nullptr) {
-        dispatch(*spare, std::move(trip));
-      } else {
-        roomy->backlog.push_back(std::move(trip));
-      }
-      continue;
-    }
-    // Steal only into a fully idle channel (a fresh joiner), as before.
-    if (spare != nullptr && spare->in_flight.empty() && donor != nullptr &&
-        config_.elastic.steal) {
-      auto trip = std::move(donor->backlog.front());
-      donor->backlog.pop_front();
-      if (aborted_while_queued(trip)) continue;
-      counters_->bump(counters_->fleet_steals, fleet_net_metrics().steals);
-      dispatch(*spare, std::move(trip));
-      continue;
-    }
-    return;
+    dispatch(*target, std::move(trip));
   }
 }
 
 void RemoteEndpoint::dispatch(Channel& ch, std::shared_ptr<Trip> trip) {
   const std::uint64_t seq = next_seq_++;
-  const auto now = std::chrono::steady_clock::now();
+  trip->carrier = ch.id;
   trip->seq = seq;
-  trip->carriers.push_back(ch.id);
-  ch.in_flight[seq] = Channel::Lease{trip, now};
-  if (!trip->dispatched) {
-    // Dispatch stall: queue-entry to first placement.  This is the wait
-    // pipelining exists to shrink — with a wide enough window it is the
-    // post() hop, with a saturated one it is a full round trip.
-    trip->dispatched = true;
-    const auto stall = std::chrono::duration_cast<std::chrono::microseconds>(now - trip->queued_at);
-    const std::uint64_t micros = stall.count() > 0 ? static_cast<std::uint64_t>(stall.count()) : 0;
-    counters_->bump(counters_->dispatch_stall_micros, net_metrics().dispatch_stall_micros,
-                    micros);
-    net_metrics().dispatch_stall_seconds.observe(static_cast<double>(micros) * 1e-6);
-  }
+  ch.in_flight[seq] = trip;
+  // Dispatch stall: queue-entry to placement.  This is the wait pipelining
+  // exists to shrink — with a wide enough window it is the post() hop, with
+  // a saturated one it is a full round trip.
+  const auto stall = std::chrono::duration_cast<std::chrono::microseconds>(
+      std::chrono::steady_clock::now() - trip->queued_at);
+  const std::uint64_t micros = stall.count() > 0 ? static_cast<std::uint64_t>(stall.count()) : 0;
+  counters_->bump(counters_->dispatch_stall_micros, net_metrics().dispatch_stall_micros, micros);
+  net_metrics().dispatch_stall_seconds.observe(static_cast<double>(micros) * 1e-6);
   const std::uint64_t ordinal = transfer_ordinal_++;
   std::vector<std::uint8_t> payload;
   if (config_.telemetry) {
@@ -646,7 +436,7 @@ void RemoteEndpoint::dispatch(Channel& ch, std::shared_ptr<Trip> trip) {
     trip->context_sent = true;
     payload = obs::prepend_context(trip->context, trip->work);
   } else {
-    payload = trip->work;  // copy: the trip may be re-leased elsewhere later
+    payload = std::move(trip->work);  // a trip is sent at most once
   }
   std::vector<std::uint8_t> header =
       encode_frame_header(FrameType::Work, seq, payload.data(), payload.size());
@@ -684,8 +474,7 @@ void RemoteEndpoint::dispatch(Channel& ch, std::shared_ptr<Trip> trip) {
                          const auto it = channels_.find(channel_id);
                          if (it == channels_.end()) return;
                          const auto lease = it->second->in_flight.find(seq);
-                         if (lease == it->second->in_flight.end() ||
-                             lease->second.trip != trip) {
+                         if (lease == it->second->in_flight.end() || lease->second != trip) {
                            return;  // lease completed/cancelled while delayed
                          }
                          try {
@@ -780,13 +569,7 @@ void RemoteEndpoint::complete_trip(const std::shared_ptr<Trip>& trip,
   trip->cv.notify_all();
 }
 
-bool RemoteEndpoint::trip_done(const std::shared_ptr<Trip>& trip) const {
-  std::lock_guard<std::mutex> lk(trip->m);
-  return trip->done;
-}
-
 void RemoteEndpoint::retire_seq(std::uint64_t seq) {
-  if (!dedup_enabled() || seq == 0) return;
   constexpr std::size_t kRetiredRing = 256;
   if (retired_seqs_.size() < kRetiredRing) {
     retired_seqs_.push_back(seq);
@@ -853,44 +636,25 @@ RemoteEndpoint::RoundTrip RemoteEndpoint::round_trip(std::vector<std::uint8_t> w
       const std::string reason = timed_out ? "round trip deadline exceeded" : "cancelled";
       // A timeout means the frame (or its Result) is lost or the worker is
       // stuck — the channel must die so the worker reconnects with a fresh
-      // stream.  A cancellation is the master's own choice: when the dedup
-      // window is on, the leases are simply retired and the channel lives;
-      // the late Result is recognised by its retired seq and dropped.
-      // Without dedup (strict depth-1, non-elastic) a live channel could
-      // alias the stale Result onto a future lease, so keep the legacy kill.
-      const bool gentle = !timed_out && dedup_enabled();
-      loop_.post([this, trip, reason, gentle] {
+      // stream.  A cancellation is the master's own choice: the lease is
+      // retired and the channel lives; the late Result is recognised by its
+      // retired seq and dropped.
+      loop_.post([this, trip, reason, timed_out] {
         {
           std::lock_guard<std::mutex> inner(trip->m);
           if (trip->done) return;
         }
-        if (!trip->carriers.empty()) {
-          // Fail first so close_channel cannot re-lease it.
-          fail_trip(trip, reason);
-          const std::vector<std::uint64_t> carriers = trip->carriers;
-          trip->carriers.clear();
-          if (gentle) {
-            for (const std::uint64_t id : carriers) {
-              const auto it = channels_.find(id);
-              if (it == channels_.end()) continue;
-              auto& in_flight = it->second->in_flight;
-              for (auto lease = in_flight.begin(); lease != in_flight.end();) {
-                if (lease->second.trip == trip) {
-                  retire_seq(lease->first);
-                  lease = in_flight.erase(lease);
-                } else {
-                  ++lease;
-                }
-              }
-            }
-            try_dispatch();  // the freed wire slots can take queued work
-          } else {
-            for (const std::uint64_t id : carriers) close_channel(id, reason);
-          }
-        } else {
+        fail_trip(trip, reason);
+        if (trip->carrier == 0) {
           const auto it = std::find(pending_trips_.begin(), pending_trips_.end(), trip);
           if (it != pending_trips_.end()) pending_trips_.erase(it);
-          fail_trip(trip, reason);
+        } else if (timed_out) {
+          close_channel(trip->carrier, reason);
+        } else {
+          const auto it = channels_.find(trip->carrier);
+          if (it != channels_.end()) it->second->in_flight.erase(trip->seq);
+          retire_seq(trip->seq);
+          try_dispatch();  // the freed wire slot can take queued work
         }
       });
     }
@@ -953,8 +717,6 @@ RemoteCounters RemoteEndpoint::counters() const {
   c.fleet_joins = counters_->fleet_joins.load(std::memory_order_relaxed);
   c.fleet_leaves = counters_->fleet_leaves.load(std::memory_order_relaxed);
   c.fleet_crashes = counters_->fleet_crashes.load(std::memory_order_relaxed);
-  c.fleet_steals = counters_->fleet_steals.load(std::memory_order_relaxed);
-  c.fleet_releases = counters_->fleet_releases.load(std::memory_order_relaxed);
   c.fleet_duplicates = counters_->fleet_duplicates.load(std::memory_order_relaxed);
   return c;
 }
@@ -962,11 +724,12 @@ RemoteCounters RemoteEndpoint::counters() const {
 void RemoteEndpoint::disrupt(bool graceful) {
   loop_.post([this, graceful] {
     if (down_.load(std::memory_order_acquire)) return;
-    const auto load_of = [](const Channel& c) { return c.in_flight.size() + c.backlog.size(); };
     Channel* busiest = nullptr;
     for (auto& [id, ch] : channels_) {
       if (!ch->hello_seen) continue;
-      if (busiest == nullptr || load_of(*ch) > load_of(*busiest)) busiest = ch.get();
+      if (busiest == nullptr || ch->in_flight.size() > busiest->in_flight.size()) {
+        busiest = ch.get();
+      }
     }
     if (busiest == nullptr) return;
     if (graceful) {

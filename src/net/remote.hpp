@@ -5,13 +5,17 @@
 // the transport does: ProtocolMW ran shared-memory and distributed by
 // swapping the MLINK/CONFIG mapping.  This file is that swap for the
 // reproduction.  The endpoint accepts connections from worker processes
-// (local forks or remote joins), hands each leased channel one frame-encoded
-// work unit at a time, and exposes a blocking round_trip() that the
-// remote-proxy workers of core/remote_worker.cpp call from inside the
-// unchanged protocol.  Failures are normalised to one observable — the round
-// trip fails and the channel dies — which the proxy maps onto crash_worker,
-// so the PR-3 retry/respawn/abandon machinery supervises real sockets
-// exactly as it supervised threads.
+// (local forks or remote joins), keeps up to `pipeline_depth` seq-tagged
+// work units in flight on each channel, and exposes a blocking round_trip()
+// that the remote-proxy workers of core/remote_worker.cpp and the service
+// lanes of svc/engine.cpp call.
+//
+// The endpoint is a transport that never retries.  A lease ends in one of
+// three ways: its Result or Error arrives, its caller cancels it, or its
+// channel dies — and then the round trip fails back to the caller, whose own
+// retry (the fault-tolerant pool's respawn, the service's attempt loop)
+// re-submits it.  So the coordinator keeps the one policy that matters, who
+// retries a lost unit, exactly as it supervised threads.
 //
 // Frame-level fault injection (drop / delay / truncate on the master's TX
 // path) reuses the seeded fault::FaultPlan: every work-frame send consumes a
@@ -39,29 +43,6 @@
 
 namespace mg::net {
 
-/// Elastic-fleet behaviour of the endpoint.  Off by default: the wire
-/// protocol and failure semantics are then byte-identical to the fixed-fleet
-/// endpoint (one lease per channel, unexpected seq closes the connection).
-struct ElasticConfig {
-  bool enabled = false;
-  /// Work units leased to one channel: on-the-wire slots + locally queued
-  /// backlog.  Depth >= 2 gives idle joiners a backlog to steal from.
-  std::size_t lease_depth = 2;
-  /// A lease in flight longer than this is speculatively re-issued to an
-  /// idle channel (first Result wins, the loser is discarded and counted as
-  /// fleet.duplicates).  0 disables speculation.
-  std::chrono::milliseconds soft_deadline{0};
-  /// Idle channels steal leased-but-unsent work from the most-loaded one.
-  bool steal = true;
-  /// Seq-tagged work units a channel may have on the wire at once, completed
-  /// out of order — the pipelining that overlaps wire latency with worker
-  /// compute.  Honoured with or without `enabled` (it is transport depth,
-  /// not fleet elasticity).  Depth 1 restores the strict one-in-flight
-  /// protocol of PR 5, where an unexpected Result seq closes the channel;
-  /// any depth > 1 turns on the retired-seq dedup window instead.
-  std::size_t pipeline_depth = 4;
-};
-
 struct RemoteEndpointConfig {
   /// Hard cap on one lease-dispatch-collect cycle; 0 = wait forever.  This
   /// bounds a dropped frame even when no RetryPolicy deadline is armed.
@@ -74,9 +55,10 @@ struct RemoteEndpointConfig {
   /// and merge the worker's piggybacked counter/span batch from the Result.
   /// A pure observer either way — result bytes are delivered verbatim.
   bool telemetry = true;
-  /// Elastic fleet: join/leave churn tolerance, work stealing, and
-  /// deadline-aware speculative re-leasing.
-  ElasticConfig elastic;
+  /// Seq-tagged work units a channel may have on the wire at once, completed
+  /// out of order — the pipelining that overlaps wire latency with worker
+  /// compute.  Clamped to [1, 64] and fixed at construction.
+  std::size_t pipeline_depth = 4;
   /// Readiness backend for the endpoint's event loop (Auto = epoll on
   /// Linux, poll elsewhere; MG_NET_POLLER overrides Auto).
   PollerBackend poller = PollerBackend::Auto;
@@ -104,13 +86,11 @@ struct RemoteCounters {
   /// Microseconds trips spent queued before their first dispatch — the
   /// dispatch-stall time pipelining exists to shrink (net_bench reads this).
   std::uint64_t dispatch_stall_micros = 0;
-  // Elastic fleet (all zero unless config.elastic.enabled).
+  // Fleet churn, in the fleet.* names every substrate writes.
   std::uint64_t fleet_joins = 0;       ///< handshakes accepted into the lease set
-  std::uint64_t fleet_leaves = 0;      ///< graceful departures (disrupt/Bye)
-  std::uint64_t fleet_crashes = 0;     ///< abrupt channel deaths handled
-  std::uint64_t fleet_steals = 0;      ///< leased-but-unsent units rebalanced
-  std::uint64_t fleet_releases = 0;    ///< units re-leased (lost lease or soft deadline)
-  std::uint64_t fleet_duplicates = 0;  ///< speculative-loser results discarded
+  std::uint64_t fleet_leaves = 0;      ///< graceful departures (disrupt)
+  std::uint64_t fleet_crashes = 0;     ///< abrupt departures (disrupt)
+  std::uint64_t fleet_duplicates = 0;  ///< late replies for retired seqs, dropped
 };
 
 class RemoteEndpoint {
@@ -137,20 +117,21 @@ class RemoteEndpoint {
   /// Blocks until at least n workers are connected; false on timeout.
   bool wait_for_workers(std::size_t n, std::chrono::milliseconds timeout);
 
-  /// Leases an idle channel, sends `work` as one frame, and blocks until the
-  /// matching Result/Error frame arrives or the channel dies.  `cancelled`
-  /// (optional) is polled while waiting so a killed proxy process can
-  /// abandon the wait; a cancelled or timed-out in-flight trip closes its
-  /// channel (the worker will reconnect fresh).  Thread-safe.  `job_id`
-  /// (optional) tags the dispatch's trace context so worker spans can be
-  /// attributed to a service job.
+  /// Leases the channel with the most spare window, sends `work` as one
+  /// frame, and blocks until the matching Result/Error frame arrives or the
+  /// channel dies; the endpoint never re-sends it.  `cancelled` (optional)
+  /// is polled while waiting so a killed proxy process can abandon the
+  /// wait: a cancelled lease is retired and its channel lives on, while a
+  /// timed-out one closes its channel (the worker will reconnect fresh).
+  /// Thread-safe.  `job_id` (optional) tags the dispatch's trace context so
+  /// worker spans can be attributed to a service job.
   RoundTrip round_trip(std::vector<std::uint8_t> work,
                        const std::function<bool()>& cancelled = {},
                        std::uint64_t job_id = 0);
 
-  /// Elastic-fleet churn hook: closes the most-loaded connected channel, as
-  /// a spot instance leaving (`graceful`) or crashing.  The channel's leases
-  /// are re-queued (elastic mode) and the worker reconnects fresh; a no-op
+  /// Fleet churn hook: closes the most-loaded connected channel, as a spot
+  /// instance leaving (`graceful`) or crashing.  The channel's round trips
+  /// fail back to their callers and the worker reconnects fresh; a no-op
   /// when no channel is connected.  Thread-safe.
   void disrupt(bool graceful);
 
@@ -161,11 +142,8 @@ class RemoteEndpoint {
 
   RemoteCounters counters() const;
 
-  /// Runtime pipeline-window adjustment (clamped to [1, 64]).  Thread-safe:
-  /// the loop reads the atomic before every placement, so a shrink stops new
-  /// dispatches immediately while already-in-flight leases drain naturally.
-  void set_pipeline_depth(std::size_t depth);
-  std::size_t pipeline_depth() const { return pipeline_depth_.load(std::memory_order_acquire); }
+  /// The clamped per-channel window this endpoint was built with.
+  std::size_t pipeline_depth() const { return config_.pipeline_depth; }
 
   /// Readiness backend the endpoint's loop resolved to ("epoll" / "poll").
   const char* poller_name() const;
@@ -185,17 +163,10 @@ class RemoteEndpoint {
                      std::vector<std::uint8_t> payload);
   void enqueue_bytes(Channel& ch, std::vector<std::uint8_t> bytes);
   void flush_channel(Channel& ch);
-  /// True when unexpected-but-retired Result seqs are dropped as duplicates
-  /// instead of treated as protocol violations (elastic fleet, or any
-  /// pipeline window wider than one).
-  bool dedup_enabled() const;
   void fail_trip(const std::shared_ptr<Trip>& trip, const std::string& error);
   void complete_trip(const std::shared_ptr<Trip>& trip, std::vector<std::uint8_t> payload);
-  bool trip_done(const std::shared_ptr<Trip>& trip) const;
   void retire_seq(std::uint64_t seq);
   bool seq_retired(std::uint64_t seq) const;
-  void speculate();
-  void arm_speculation();
 
   RemoteEndpointConfig config_;
   TcpListener listener_;
@@ -210,17 +181,16 @@ class RemoteEndpoint {
   std::uint64_t transfer_ordinal_ = 0;  ///< work-frame sends, for the fault plan
   std::uint64_t trace_id_ = 0;          ///< one per endpoint (pid + ordinal)
   std::uint64_t next_span_id_ = 1;      ///< dispatch span ids within the trace
-  /// Ring of recently completed lease seqs (elastic or pipelined): a Result
-  /// bearing one of these is a speculative loser's or a cancelled lease's
-  /// late echo, dropped without closing the channel.  Any other unexpected
-  /// seq is still a protocol violation.
+  /// Ring of recently completed lease seqs: a Result or Error bearing one of
+  /// these is a cancelled lease's (or a repeated reply's) late echo, dropped
+  /// without closing the channel.  Any other unexpected seq is a protocol
+  /// violation.
   std::vector<std::uint64_t> retired_seqs_;
   std::size_t retired_next_ = 0;
 
   // ---- shared state ----
   std::atomic<std::size_t> connected_{0};
   std::atomic<bool> down_{false};
-  std::atomic<std::size_t> pipeline_depth_{1};  ///< seeded from config in the ctor
   mutable std::mutex workers_mutex_;
   std::condition_variable workers_cv_;
 

@@ -663,15 +663,13 @@ fleet::FleetCounters SolveEngine::fleet_counters() const {
     std::lock_guard<std::mutex> lock(counters_mutex_);
     out = fleet_;
   }
-  // Fold in the TCP substrate's elastic ledger so one probe answers for the
+  // Fold in the TCP substrate's churn ledger so one probe answers for the
   // whole fleet, lanes and channels alike.
   if (config_.remote != nullptr) {
     const net::RemoteCounters rc = config_.remote->counters();
     out.joins += rc.fleet_joins;
     out.leaves += rc.fleet_leaves;
     out.crashes += rc.fleet_crashes;
-    out.steals += rc.fleet_steals;
-    out.releases += rc.fleet_releases;
     out.duplicates += rc.fleet_duplicates;
   }
   return out;

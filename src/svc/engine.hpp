@@ -116,8 +116,10 @@ class SolveEngine {
 
   EngineCounters counters() const;
   SchedulerCounters scheduler_counters() const;
-  /// Elastic-fleet ledger: lane joins/leaves from resize() (the service's
-  /// substrate-level steal/release counters live on the RemoteEndpoint).
+  /// Fleet ledger: lane joins/leaves from resize(), plus the RemoteEndpoint's
+  /// channel joins/leaves/crashes/duplicates when lanes lease TCP workers.
+  /// Steals and releases stay 0 here: a lost lease fails back to the lane,
+  /// whose attempt loop re-submits it (counted as task_retries).
   fleet::FleetCounters fleet_counters() const;
 
   // ---- live-stats probes (GetStats; see svc/stats.hpp) ----

@@ -1,9 +1,11 @@
-// Tier-2 churn soak: 8 concurrent tenant jobs over an elastic TCP fleet of 4
-// forked worker processes that loses half its workers mid-run (one graceful
-// leave, one crash) and regains them via reconnect, while the service's lane
-// fleet is resized up and back down.  Every completed job must stay
-// bit-identical to a standalone sequential run, the fleet ledger must record
-// the churn, and the whole stack must return every fd.
+// Tier-2 churn soak: 8 concurrent tenant jobs over a TCP fleet of 4 forked
+// worker processes that loses half its workers mid-run (one graceful leave,
+// one crash, each while every lane is inside a task) and regains them via
+// reconnect, while the service's lane fleet is resized up and back down.  The
+// leases the disrupts cost must come back through the engine's retries;
+// every completed job must stay bit-identical to a standalone sequential
+// run, the fleet ledger must record the churn, and the whole stack must
+// return every fd.
 //
 // Fork discipline: the worker listener is bound and the workers forked
 // before the RemoteEndpoint or the JobServer exists (both spawn threads).
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "core/remote_worker.hpp"
+#include "fault/fault_plan.hpp"
 #include "fleet/churn.hpp"
 #include "net/remote.hpp"
 #include "net/socket.hpp"
@@ -49,12 +52,20 @@ TEST(ChurnSoak, EightTenantsSurviveLosingAndRegainingHalfTheFleet) {
       return mw::run_subsolve_worker("127.0.0.1", worker_port);
     });
 
-    // 2. Elastic endpoint: disrupted channels re-queue their leases instead
-    //    of failing trips, and idle channels steal from loaded ones.
+    // 2. A disrupted channel fails the trips it carried; the engine's
+    //    attempt loop re-submits them.  The link is emulated at 10 ms (every
+    //    Work frame waits on the loop's timer before it is sent, as in
+    //    net_bench), so a lease stays on the wire long enough for a disrupt
+    //    fired while four lanes are busy to find one: on bare loopback a
+    //    level-4 lease can finish before the disrupt runs, and both disrupts
+    //    missed in 3 of 30 runs without the delay (0 of 60 with it).
+    fault::FaultPlanConfig link;
+    link.net_slow = 1.0;
+    link.net_delay = 10ms;
+    const fault::FaultPlan link_plan(link);
     net::RemoteEndpointConfig ep_config;
     ep_config.round_trip_deadline = 30'000ms;
-    ep_config.elastic.enabled = true;
-    ep_config.elastic.lease_depth = 2;
+    ep_config.faults = &link_plan;
     net::RemoteEndpoint endpoint(std::move(worker_listener), ep_config);
     ASSERT_TRUE(endpoint.wait_for_workers(4, 15s));
 
@@ -68,14 +79,21 @@ TEST(ChurnSoak, EightTenantsSurviveLosingAndRegainingHalfTheFleet) {
     svc::JobServer server(server_config);
     const std::uint16_t port = server.port();
 
-    // 3. Mid-run churn: after the tenants are under way, take down half the
-    //    worker fleet (one leave, one crash — both reconnect on their own)
-    //    and bounce the lane fleet 4 -> 6 -> 4.
+    // 3. Mid-run churn: take down half the worker fleet (one leave, one
+    //    crash — both reconnect on their own), each only once four lanes are
+    //    inside a task so it lands on live leases, and bounce the lane fleet
+    //    4 -> 6 -> 4.
+    const auto await_four_busy_lanes = [&server] {
+      const auto until = std::chrono::steady_clock::now() + 60s;
+      while (server.engine().busy_lanes() < 4 && std::chrono::steady_clock::now() < until) {
+        std::this_thread::sleep_for(1ms);
+      }
+    };
     std::thread churner([&] {
-      std::this_thread::sleep_for(150ms);
+      await_four_busy_lanes();
       endpoint.disrupt(/*graceful=*/true);
       server.engine().resize(6);
-      std::this_thread::sleep_for(150ms);
+      await_four_busy_lanes();
       endpoint.disrupt(/*graceful=*/false);
       std::this_thread::sleep_for(150ms);
       server.engine().resize(4);
@@ -88,7 +106,7 @@ TEST(ChurnSoak, EightTenantsSurviveLosingAndRegainingHalfTheFleet) {
       std::string error;
     };
     std::vector<Outcome> outcomes(8);
-    const int levels[3] = {3, 4, 5};
+    const int levels[3] = {4, 5, 6};
     const double tols[2] = {1e-3, 5e-4};
 
     std::vector<std::thread> tenants;
@@ -131,11 +149,14 @@ TEST(ChurnSoak, EightTenantsSurviveLosingAndRegainingHalfTheFleet) {
     }
 
     // The churn actually happened and the ledger recorded it: the two
-    // disrupts on the wire, the workers' reconnect joins, and the lane
-    // resize folded into the service view.
+    // disrupts on the wire cost live leases that the engine retried, the
+    // workers' reconnect joins, and the lane resize folded into the service
+    // view.
     const net::RemoteCounters nc = endpoint.counters();
     EXPECT_EQ(nc.fleet_leaves, 1u);
     EXPECT_EQ(nc.fleet_crashes, 1u);
+    EXPECT_GE(nc.round_trips_failed, 1u) << "the disrupts never hit a live lease";
+    EXPECT_GE(server.engine().counters().task_retries, 1u);
     EXPECT_GE(nc.fleet_joins, 6u) << "4 initial Hellos + 2 reconnects";
     const fleet::FleetCounters fc = server.engine().fleet_counters();
     EXPECT_GE(fc.joins, 2u + nc.fleet_joins) << "2 lane joins + endpoint joins";

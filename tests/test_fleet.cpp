@@ -1,9 +1,9 @@
 // Tests for the elastic worker fleet: the seeded ChurnPlan and its spec
 // parser, the shared FleetCounters contract, churn applied to the threaded
 // pool (protocol level and full solve), the virtual-time elastic simulator
-// (determinism + exactly-once completion), the elastic TCP endpoint
-// (stealing, disrupt-driven churn, speculative-duplicate discard), and the
-// worker reconnect failure-budget regression.  The one invariant everything
+// (determinism + exactly-once completion), and the worker reconnect
+// failure-budget regression.  TCP churn lives with the endpoint's own tests
+// (test_net.cpp).  The one invariant everything
 // here asserts from a different angle: however much the fleet churns, every
 // work unit is combined exactly once and results stay bit-identical to the
 // fault-free sequential solve.
@@ -24,11 +24,9 @@
 #include "core/concurrent_solver.hpp"
 #include "core/master.hpp"
 #include "core/protocol.hpp"
-#include "core/remote_worker.hpp"
 #include "core/worker.hpp"
 #include "fleet/churn.hpp"
 #include "manifold/runtime.hpp"
-#include "net/frame.hpp"
 #include "net/remote.hpp"
 #include "net/socket.hpp"
 #include "transport/seq_solver.hpp"
@@ -248,156 +246,6 @@ TEST(ChurnSim, NoChurnDegeneratesToAFixedFleet) {
   // A fixed fleet's machine series is one flat step: claimed at 0, held to
   // the end.
   EXPECT_EQ(run.peak_machines, run.machines.counts.front());
-}
-
-// ---- the elastic TCP endpoint --------------------------------------------------------
-
-/// In-process subsolve workers over loopback (tier-1 stand-in for forked
-/// worker processes); they join once the endpoint shuts down.
-struct SubsolveWorkers {
-  std::vector<std::thread> threads;
-
-  explicit SubsolveWorkers(std::uint16_t port, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      threads.emplace_back([port] { mw::run_subsolve_worker("127.0.0.1", port); });
-    }
-  }
-  ~SubsolveWorkers() {
-    for (auto& t : threads) t.join();
-  }
-};
-
-TEST(ElasticEndpoint, DisruptDrivenChurnKeepsTheSolveBitExact) {
-  transport::ProgramConfig program;
-  program.root = 2;
-  program.level = 3;
-  const auto seq = transport::solve_sequential(program);
-
-  net::RemoteEndpointConfig config;
-  config.elastic.enabled = true;
-  config.elastic.lease_depth = 2;
-  net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0), config);
-  SubsolveWorkers workers(endpoint.port(), 3);
-  ASSERT_TRUE(endpoint.wait_for_workers(3, 10s));
-
-  fleet::ChurnPlanConfig churn_config;
-  churn_config.seed = 5;
-  churn_config.leaves = 1;
-  churn_config.crashes = 1;
-  churn_config.start_seconds = 0.02;
-  churn_config.spread_seconds = 0.2;
-  const fleet::ChurnPlan plan(churn_config);
-  std::atomic<bool> stop{false};
-  std::thread churner([&] { net::drive_churn(endpoint, plan, stop); });
-
-  mw::ConcurrentOptions options;
-  options.remote = &endpoint;
-  options.retry = fault::RetryPolicy{};
-  options.retry->max_attempts = 6;
-  options.retry->backoff_initial = 2ms;
-  const auto remote = mw::solve_concurrent(program, options);
-
-  stop.store(true);
-  churner.join();
-  EXPECT_EQ(remote.solve.combined.max_diff(seq.combined), 0.0);
-  const net::RemoteCounters c = endpoint.counters();
-  EXPECT_EQ(c.fleet_joins, c.accepts) << "every elastic Hello joins the lease set";
-  EXPECT_LE(c.fleet_leaves, 1u);
-  EXPECT_LE(c.fleet_crashes, 1u);
-  endpoint.shutdown();
-}
-
-/// A raw fake worker: completes the Hello handshake by hand so the test can
-/// violate the protocol deliberately (double Results for one lease).
-struct FakeWorker {
-  net::Socket sock;
-  net::FrameDecoder decoder;
-
-  explicit FakeWorker(std::uint16_t port) {
-    sock = net::connect_tcp("127.0.0.1", port, 2000ms);
-    EXPECT_TRUE(sock.valid());
-    std::uint8_t hello[16] = {};  // pid 0, attempt 0 (bare v1 handshake)
-    const auto frame = net::encode_frame(net::FrameType::Hello, 0, hello, sizeof hello);
-    EXPECT_TRUE(net::send_all(sock, frame.data(), frame.size()));
-  }
-
-  /// Blocks until one frame arrives (the socket stays blocking).
-  std::optional<net::Frame> next_frame() {
-    std::uint8_t buf[4096];
-    for (;;) {
-      if (auto f = decoder.next()) return f;
-      const std::ptrdiff_t n = sock.recv_some(buf, sizeof buf);
-      if (n <= 0) return std::nullopt;
-      decoder.feed(buf, static_cast<std::size_t>(n));
-    }
-  }
-
-  void send_result(std::uint64_t seq, const std::vector<std::uint8_t>& payload) {
-    const auto bytes = net::encode_frame(net::FrameType::Result, seq, payload);
-    EXPECT_TRUE(net::send_all(sock, bytes.data(), bytes.size()));
-  }
-};
-
-TEST(ElasticEndpoint, DuplicateResultIsDiscardedAndTheChannelSurvives) {
-  net::RemoteEndpointConfig config;
-  config.telemetry = false;  // raw payloads: the fake worker speaks v1 frames
-  config.elastic.enabled = true;
-  net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0), config);
-  FakeWorker worker(endpoint.port());
-  ASSERT_TRUE(endpoint.wait_for_workers(1, 5s));
-
-  auto trip = std::async(std::launch::async, [&] { return endpoint.round_trip({1, 2, 3}); });
-  const auto work = worker.next_frame();
-  ASSERT_TRUE(work.has_value());
-  ASSERT_EQ(work->header.type, net::FrameType::Work);
-
-  // The speculative-loser scenario on one wire: the same lease answered
-  // twice.  First Result wins; the echo must be counted and dropped, not
-  // treated as a protocol violation.
-  worker.send_result(work->header.seq, {9});
-  worker.send_result(work->header.seq, {9});
-  const auto result = trip.get();
-  ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_EQ(result.payload, (std::vector<std::uint8_t>{9}));
-
-  // A second trip over the same channel proves it survived the echo.
-  auto again = std::async(std::launch::async, [&] { return endpoint.round_trip({4}); });
-  const auto work2 = worker.next_frame();
-  ASSERT_TRUE(work2.has_value());
-  worker.send_result(work2->header.seq, {8});
-  EXPECT_TRUE(again.get().ok);
-
-  const net::RemoteCounters c = endpoint.counters();
-  EXPECT_EQ(c.fleet_duplicates, 1u);
-  EXPECT_EQ(c.disconnects, 0u);
-  EXPECT_EQ(c.round_trips_ok, 2u);
-  endpoint.shutdown();
-}
-
-TEST(ElasticEndpoint, DuplicateResultIsAProtocolViolationWhenElasticIsOff) {
-  net::RemoteEndpointConfig config;
-  config.telemetry = false;
-  // Depth 1 restores the strict PR-5 contract this test pins; any wider
-  // pipeline window turns on the retired-seq dedup that drops the echo.
-  config.elastic.pipeline_depth = 1;
-  net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0), config);
-  FakeWorker worker(endpoint.port());
-  ASSERT_TRUE(endpoint.wait_for_workers(1, 5s));
-
-  auto trip = std::async(std::launch::async, [&] { return endpoint.round_trip({1}); });
-  const auto work = worker.next_frame();
-  ASSERT_TRUE(work.has_value());
-  worker.send_result(work->header.seq, {7});
-  worker.send_result(work->header.seq, {7});
-  ASSERT_TRUE(trip.get().ok);
-
-  // The fixed-fleet endpoint keeps the strict one-lease-one-result contract:
-  // the echo closes the channel (the fake worker sees EOF).
-  EXPECT_FALSE(worker.next_frame().has_value());
-  const net::RemoteCounters c = endpoint.counters();
-  EXPECT_EQ(c.fleet_duplicates, 0u);
-  EXPECT_EQ(c.disconnects, 1u);
-  endpoint.shutdown();
 }
 
 // ---- worker reconnect failure budget (regression) ------------------------------------

@@ -8,17 +8,21 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <thread>
 
 #include "core/concurrent_solver.hpp"
 #include "core/remote_worker.hpp"
 #include "fleet/churn.hpp"
+#include "gated_workers.hpp"
 #include "net/crc32.hpp"
 #include "net/event_loop.hpp"
 #include "net/frame.hpp"
 #include "net/remote.hpp"
 #include "net/socket.hpp"
+#include "obs/span.hpp"
+#include "support/bytes.hpp"
 #include "transport/seq_solver.hpp"
 
 namespace {
@@ -398,8 +402,12 @@ struct FakeWorker {
   explicit FakeWorker(std::uint16_t port) {
     sock = net::connect_tcp("127.0.0.1", port, 2000ms);
     EXPECT_TRUE(sock.valid());
-    std::uint8_t hello[16] = {};  // pid 0, attempt 0 (bare v1 handshake)
-    const auto frame = net::encode_frame(net::FrameType::Hello, 0, hello, sizeof hello);
+    // pid 0, attempt 0, and the wall-clock sample that seeds clock alignment.
+    support::ByteWriter hello;
+    hello.write_u64(0);
+    hello.write_u64(0);
+    hello.write_f64(obs::wall_clock_seconds());
+    const auto frame = net::encode_frame(net::FrameType::Hello, 0, hello.bytes());
     EXPECT_TRUE(net::send_all(sock, frame.data(), frame.size()));
   }
 
@@ -422,19 +430,19 @@ struct FakeWorker {
 
 net::RemoteEndpointConfig pipelined_config(std::size_t depth) {
   net::RemoteEndpointConfig config;
-  config.telemetry = false;  // raw payloads: the fake worker speaks v1 frames
-  config.elastic.pipeline_depth = depth;
+  config.telemetry = false;  // raw payloads: the fake worker sends no envelope
+  config.pipeline_depth = depth;
   return config;
 }
 
 TEST(PipelinedEndpoint, DepthKnobClampsToTheProtocolWindow) {
-  net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0), pipelined_config(4));
-  EXPECT_EQ(endpoint.pipeline_depth(), 4u);
-  endpoint.set_pipeline_depth(0);  // below the floor: one in flight minimum
-  EXPECT_EQ(endpoint.pipeline_depth(), 1u);
-  endpoint.set_pipeline_depth(1000);  // above the seq-window cap
-  EXPECT_EQ(endpoint.pipeline_depth(), 64u);
-  endpoint.shutdown();
+  const auto depth_of = [](std::size_t requested) {
+    net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0), pipelined_config(requested));
+    return endpoint.pipeline_depth();
+  };
+  EXPECT_EQ(depth_of(4), 4u);
+  EXPECT_EQ(depth_of(0), 1u);     // below the floor: one in flight minimum
+  EXPECT_EQ(depth_of(1000), 64u);  // above the seq-window cap
 }
 
 TEST(PipelinedEndpoint, WindowOfFramesRidesOneChannelAndCompletesOutOfOrder) {
@@ -474,76 +482,149 @@ TEST(PipelinedEndpoint, WindowOfFramesRidesOneChannelAndCompletesOutOfOrder) {
   endpoint.shutdown();
 }
 
-TEST(PipelinedEndpoint, DuplicateSeqInsideTheWindowIsDroppedNotFatal) {
-  // Same scenario as the elastic duplicate test, but with elastic OFF: the
-  // pipeline window alone turns on the retired-seq dedup, so a double Result
-  // for one lease is counted and dropped and the channel survives.
+TEST(ElasticEndpoint, DuplicateResultIsDiscardedAndTheChannelSurvives) {
+  // The suite name dates from when dedup was an opt-in endpoint mode; the
+  // default config (depth 4) now carries it.
   net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0), pipelined_config(4));
   FakeWorker worker(endpoint.port());
   ASSERT_TRUE(endpoint.wait_for_workers(1, 5s));
 
-  auto trip = std::async(std::launch::async, [&] { return endpoint.round_trip({5}); });
+  auto trip = std::async(std::launch::async, [&] { return endpoint.round_trip({1, 2, 3}); });
   const auto work = worker.next_frame();
   ASSERT_TRUE(work.has_value());
-  worker.send_result(work->header.seq, {6});
-  worker.send_result(work->header.seq, {6});
-  ASSERT_TRUE(trip.get().ok);
+  ASSERT_EQ(work->header.type, net::FrameType::Work);
 
-  auto again = std::async(std::launch::async, [&] { return endpoint.round_trip({7}); });
+  // The same lease answered twice: the first Result wins; the echo must be
+  // counted and dropped, not treated as a protocol violation.
+  worker.send_result(work->header.seq, {9});
+  worker.send_result(work->header.seq, {9});
+  const auto result = trip.get();
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.payload, (std::vector<std::uint8_t>{9}));
+
+  // A second trip over the same channel proves it survived the echo.
+  auto again = std::async(std::launch::async, [&] { return endpoint.round_trip({4}); });
   const auto work2 = worker.next_frame();
-  ASSERT_TRUE(work2.has_value()) << "channel died on the duplicate";
+  ASSERT_TRUE(work2.has_value());
   worker.send_result(work2->header.seq, {8});
   EXPECT_TRUE(again.get().ok);
 
   const net::RemoteCounters c = endpoint.counters();
   EXPECT_EQ(c.fleet_duplicates, 1u);
   EXPECT_EQ(c.disconnects, 0u);
+  EXPECT_EQ(c.round_trips_ok, 2u);
   endpoint.shutdown();
 }
 
-TEST(PipelinedEndpoint, CancellationMidWindowSparesTheOtherFramesInFlight) {
-  net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0), pipelined_config(4));
-  FakeWorker worker(endpoint.port());
-  ASSERT_TRUE(endpoint.wait_for_workers(1, 5s));
+TEST(PipelinedEndpoint, DuplicateSeqInsideTheWindowIsDroppedNotFatal) {
+  // The retired-seq dedup is on at every depth.  Here the echo of a finished
+  // lease arrives while the next lease is live on the same channel: it is
+  // counted and dropped, it does not resolve the live lease, and the channel
+  // survives.
+  for (const std::size_t depth : {1u, 4u}) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0), pipelined_config(depth));
+    FakeWorker worker(endpoint.port());
+    ASSERT_TRUE(endpoint.wait_for_workers(1, 5s));
 
-  // Two frames in flight on one channel; the first trip is cancelled while
-  // both are on the wire.
-  std::atomic<bool> cancel{false};
-  auto doomed = std::async(std::launch::async, [&] {
-    return endpoint.round_trip({1}, [&] { return cancel.load(); });
-  });
-  auto survivor = std::async(std::launch::async, [&] { return endpoint.round_trip({2}); });
-  std::vector<net::Frame> work;
-  for (int i = 0; i < 2; ++i) {
-    auto f = worker.next_frame();
-    ASSERT_TRUE(f.has_value());
-    work.push_back(std::move(*f));
+    auto trip = std::async(std::launch::async, [&] { return endpoint.round_trip({5}); });
+    const auto work = worker.next_frame();
+    ASSERT_TRUE(work.has_value());
+    worker.send_result(work->header.seq, {6});
+    const auto first = trip.get();
+    ASSERT_TRUE(first.ok) << first.error;
+    EXPECT_EQ(first.payload, (std::vector<std::uint8_t>{6}));
+
+    auto again = std::async(std::launch::async, [&] { return endpoint.round_trip({7}); });
+    const auto work2 = worker.next_frame();
+    ASSERT_TRUE(work2.has_value());
+    worker.send_result(work->header.seq, {6});  // the echo, behind a live lease
+    worker.send_result(work2->header.seq, {8});
+    const auto second = again.get();
+    ASSERT_TRUE(second.ok) << "channel died on the duplicate: " << second.error;
+    EXPECT_EQ(second.payload, (std::vector<std::uint8_t>{8}));
+
+    const net::RemoteCounters c = endpoint.counters();
+    EXPECT_EQ(c.fleet_duplicates, 1u);
+    EXPECT_EQ(c.disconnects, 0u);
+    EXPECT_EQ(c.round_trips_ok, 2u);
+    endpoint.shutdown();
   }
-  const auto& doomed_work = work[0].payload == std::vector<std::uint8_t>{1} ? work[0] : work[1];
-  const auto& live_work = work[0].payload == std::vector<std::uint8_t>{1} ? work[1] : work[0];
+}
 
-  cancel.store(true);
-  EXPECT_FALSE(doomed.get().ok);
+TEST(PipelinedEndpoint, CancellationMidWindowSparesTheOtherFramesInFlight) {
+  for (const std::size_t depth : {1u, 4u}) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0), pipelined_config(depth));
+    FakeWorker worker(endpoint.port());
+    ASSERT_TRUE(endpoint.wait_for_workers(1, 5s));
 
-  // The cancel was gentle: the survivor's lease is untouched and completes.
-  worker.send_result(live_work.header.seq, {22});
-  const auto ok = survivor.get();
-  ASSERT_TRUE(ok.ok) << ok.error;
-  EXPECT_EQ(ok.payload, (std::vector<std::uint8_t>{22}));
+    // The first trip is cancelled while on the wire.  At depth 4 the second
+    // trip rides the same channel beside it; at depth 1 it queues behind it.
+    std::atomic<bool> cancel{false};
+    auto doomed = std::async(std::launch::async, [&] {
+      return endpoint.round_trip({1}, [&] { return cancel.load(); });
+    });
+    const auto doomed_work = worker.next_frame();
+    ASSERT_TRUE(doomed_work.has_value());
+    auto survivor = std::async(std::launch::async, [&] { return endpoint.round_trip({2}); });
+    std::optional<net::Frame> live_work;
+    if (depth > 1) live_work = worker.next_frame();
 
-  // The cancelled lease's seq was retired: its late Result is a counted
-  // duplicate, not a protocol violation, and the channel stays up.
-  worker.send_result(doomed_work.header.seq, {11});
-  auto after = std::async(std::launch::async, [&] { return endpoint.round_trip({3}); });
-  const auto work3 = worker.next_frame();
-  ASSERT_TRUE(work3.has_value()) << "late Result for a cancelled lease killed the channel";
-  worker.send_result(work3->header.seq, {33});
-  EXPECT_TRUE(after.get().ok);
+    cancel.store(true);
+    EXPECT_FALSE(doomed.get().ok);
 
-  const net::RemoteCounters c = endpoint.counters();
-  EXPECT_EQ(c.disconnects, 0u);
-  EXPECT_GE(c.fleet_duplicates, 1u);
-  endpoint.shutdown();
+    // The cancel was gentle: the survivor's lease is untouched (or, at
+    // depth 1, takes the freed slot on the same channel) and completes.
+    if (depth == 1) live_work = worker.next_frame();
+    ASSERT_TRUE(live_work.has_value());
+    EXPECT_EQ(live_work->payload, (std::vector<std::uint8_t>{2}));
+    worker.send_result(live_work->header.seq, {22});
+    const auto ok = survivor.get();
+    ASSERT_TRUE(ok.ok) << ok.error;
+    EXPECT_EQ(ok.payload, (std::vector<std::uint8_t>{22}));
+
+    // The cancelled lease's seq was retired: its late Result is a counted
+    // duplicate, not a protocol violation, and the channel stays up.
+    worker.send_result(doomed_work->header.seq, {11});
+    auto after = std::async(std::launch::async, [&] { return endpoint.round_trip({3}); });
+    const auto work3 = worker.next_frame();
+    ASSERT_TRUE(work3.has_value()) << "late Result for a cancelled lease killed the channel";
+    worker.send_result(work3->header.seq, {33});
+    EXPECT_TRUE(after.get().ok);
+
+    const net::RemoteCounters c = endpoint.counters();
+    EXPECT_EQ(c.disconnects, 0u);
+    EXPECT_GE(c.fleet_duplicates, 1u);
+    endpoint.shutdown();
+  }
+}
+
+TEST(PipelinedEndpoint, ResultOrErrorForAnUnissuedSeqClosesTheChannel) {
+  // The one seq rule that still kills a channel: a reply to a lease the
+  // endpoint never issued means the stream is not speaking our protocol.
+  for (const std::size_t depth : {1u, 4u}) {
+    for (const net::FrameType type : {net::FrameType::Result, net::FrameType::Error}) {
+      SCOPED_TRACE("depth " + std::to_string(depth) + ", " + net::to_string(type));
+      net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0), pipelined_config(depth));
+      FakeWorker worker(endpoint.port());
+      ASSERT_TRUE(endpoint.wait_for_workers(1, 5s));
+
+      auto trip = std::async(std::launch::async, [&] { return endpoint.round_trip({4}); });
+      const auto work = worker.next_frame();
+      ASSERT_TRUE(work.has_value());
+      const auto bogus = net::encode_frame(type, work->header.seq + 1000, {9});
+      ASSERT_TRUE(net::send_all(worker.sock, bogus.data(), bogus.size()));
+
+      // The close fails the live lease with it, and the worker sees EOF.
+      EXPECT_FALSE(trip.get().ok);
+      EXPECT_FALSE(worker.next_frame().has_value());
+      const net::RemoteCounters c = endpoint.counters();
+      EXPECT_EQ(c.disconnects, 1u);
+      EXPECT_EQ(c.fleet_duplicates, 0u);
+      endpoint.shutdown();
+    }
+  }
 }
 
 // ---- pipelined solves: bit-identity at any depth ------------------------------------
@@ -569,19 +650,19 @@ TEST(PipelinedSolve, DepthFourMatchesDepthOneAndTheSequentialProgram) {
   program.level = 3;
   const auto seq = transport::solve_sequential(program);
 
-  for (const std::uint32_t depth : {1u, 4u}) {
+  for (const std::size_t depth : {1u, 4u}) {
     SCOPED_TRACE("depth " + std::to_string(depth));
-    net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0));
+    net::RemoteEndpointConfig config;
+    config.pipeline_depth = depth;
+    net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0), config);
     SubsolveWorkers workers(endpoint.port(), 2);
     ASSERT_TRUE(endpoint.wait_for_workers(2, 10s));
 
     mw::ConcurrentOptions options;
     options.remote = &endpoint;
     options.retry = fault::RetryPolicy{};
-    options.pipeline_depth = depth;
     const auto remote = mw::solve_concurrent(program, options);
 
-    EXPECT_EQ(endpoint.pipeline_depth(), depth) << "ConcurrentOptions did not reach the endpoint";
     EXPECT_EQ(remote.solve.combined.max_diff(seq.combined), 0.0);
     EXPECT_EQ(endpoint.counters().round_trips_failed, 0u);
     endpoint.shutdown();
@@ -605,7 +686,7 @@ TEST(PipelinedSolve, DepthFourUnderSeededNetFaultsStaysBitIdentical) {
   net::RemoteEndpointConfig config;
   config.round_trip_deadline = 2000ms;
   config.faults = &plan;
-  config.elastic.pipeline_depth = 4;
+  config.pipeline_depth = 4;
   net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0), config);
   SubsolveWorkers workers(endpoint.port(), 2);
   ASSERT_TRUE(endpoint.wait_for_workers(2, 10s));
@@ -622,40 +703,113 @@ TEST(PipelinedSolve, DepthFourUnderSeededNetFaultsStaysBitIdentical) {
   endpoint.shutdown();
 }
 
-TEST(PipelinedSolve, DepthFourUnderChurnStaysBitIdentical) {
+// ---- churn that really loses leases ------------------------------------------------
+
+/// Solves root 2, level 3 over three gated workers with the default endpoint
+/// config, calls `churn` once every worker is parked inside a handler (so
+/// every channel carries a live lease), and opens the gate only after two
+/// channels have closed.  A lost lease is the caller's to retry: the
+/// endpoint fails the trips a closed channel carried and the fault-tolerant
+/// pool re-submits them.  `churn` must cost one leave and one crash.
+void solve_through_one_leave_and_one_crash(const std::function<void(net::RemoteEndpoint&)>& churn,
+                                           net::RemoteCounters& counters) {
   transport::ProgramConfig program;
   program.root = 2;
   program.level = 3;
   const auto seq = transport::solve_sequential(program);
 
-  net::RemoteEndpointConfig config;
-  config.elastic.enabled = true;
-  config.elastic.lease_depth = 2;
-  config.elastic.pipeline_depth = 4;
-  net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0), config);
-  SubsolveWorkers workers(endpoint.port(), 3);
+  // Workers before the endpoint, so an early exit shuts the endpoint down
+  // (and so lets the workers finish) before they are joined.
+  net::TcpListener listener("127.0.0.1", 0);
+  tests::GatedSubsolveWorkers workers(listener.port(), 3);
+  net::RemoteEndpoint endpoint(std::move(listener));
+  EXPECT_EQ(endpoint.pipeline_depth(), 4u);
   ASSERT_TRUE(endpoint.wait_for_workers(3, 10s));
-
-  fleet::ChurnPlanConfig churn_config;
-  churn_config.seed = 5;
-  churn_config.leaves = 1;
-  churn_config.crashes = 1;
-  churn_config.start_seconds = 0.02;
-  churn_config.spread_seconds = 0.2;
-  const fleet::ChurnPlan plan(churn_config);
-  std::atomic<bool> stop{false};
-  std::thread churner([&] { net::drive_churn(endpoint, plan, stop); });
 
   mw::ConcurrentOptions options;
   options.remote = &endpoint;
   options.retry = fault::RetryPolicy{};
   options.retry->max_attempts = 6;
   options.retry->backoff_initial = 2ms;
+  auto solve = std::async(std::launch::async, [&] { return mw::solve_concurrent(program, options); });
+
+  EXPECT_TRUE(workers.gate.wait_entered(3, 30s));
+  churn(endpoint);
+  EXPECT_TRUE(tests::wait_for_disconnects(endpoint, 2, 10s));
+  workers.gate.open();
+  const auto remote = solve.get();
+  // Read the counters once the loop has stopped, so a disrupted worker's
+  // reconnect cannot land between two of the reads.
+  endpoint.shutdown();
+  counters = endpoint.counters();
+
+  EXPECT_EQ(remote.solve.combined.max_diff(seq.combined), 0.0);
+  EXPECT_EQ(counters.fleet_leaves, 1u);
+  EXPECT_EQ(counters.fleet_crashes, 1u);
+  EXPECT_GE(counters.round_trips_failed, 2u) << "each disrupt must cost at least one live lease";
+  EXPECT_GE(remote.protocol.faults.retries, 2u);
+  EXPECT_EQ(remote.protocol.faults.abandoned, 0u);
+}
+
+TEST(PipelinedSolve, DepthFourUnderChurnStaysBitIdentical) {
+  net::RemoteCounters counters;
+  solve_through_one_leave_and_one_crash(
+      [](net::RemoteEndpoint& endpoint) {
+        endpoint.disrupt(/*graceful=*/true);
+        endpoint.disrupt(/*graceful=*/false);
+      },
+      counters);
+}
+
+TEST(ElasticEndpoint, DisruptDrivenChurnKeepsTheSolveBitExact) {
+  // The same losses, scheduled by a seeded ChurnPlan through drive_churn(),
+  // which `sparse_grid_solver --backend=tcp --churn=` also runs.  Its offsets
+  // count from the call, and the call returns once every event has fired,
+  // so both land while the workers are still parked.
+  net::RemoteCounters counters;
+  solve_through_one_leave_and_one_crash(
+      [](net::RemoteEndpoint& endpoint) {
+        fleet::ChurnPlanConfig churn_config;
+        churn_config.seed = 5;
+        churn_config.leaves = 1;
+        churn_config.crashes = 1;
+        churn_config.start_seconds = 0.0;
+        churn_config.spread_seconds = 0.02;
+        const std::atomic<bool> stop{false};
+        net::drive_churn(endpoint, fleet::ChurnPlan(churn_config), stop);
+      },
+      counters);
+  EXPECT_EQ(counters.fleet_joins, counters.accepts) << "every accepted Hello joins the fleet";
+}
+
+// ---- remote solves always run the fault-tolerant pool -------------------------------
+
+TEST(RemoteSolve, DroppedFramesRecoverWithoutAnExplicitRetryPolicy) {
+  transport::ProgramConfig program;
+  program.root = 2;
+  program.level = 3;
+  const auto seq = transport::solve_sequential(program);
+
+  fault::FaultPlanConfig fault_config;
+  fault_config.seed = 3;
+  fault_config.net_drop = 0.3;
+  const fault::FaultPlan plan(fault_config);
+
+  net::RemoteEndpointConfig config;
+  config.round_trip_deadline = 150ms;
+  config.faults = &plan;
+  net::TcpListener listener("127.0.0.1", 0);
+  SubsolveWorkers workers(listener.port(), 2);
+  net::RemoteEndpoint endpoint(std::move(listener), config);
+  ASSERT_TRUE(endpoint.wait_for_workers(2, 10s));
+
+  mw::ConcurrentOptions options;
+  options.remote = &endpoint;  // no `retry`: the remote pool supplies its own
   const auto remote = mw::solve_concurrent(program, options);
 
-  stop.store(true);
-  churner.join();
   EXPECT_EQ(remote.solve.combined.max_diff(seq.combined), 0.0);
+  EXPECT_GE(endpoint.counters().faults_dropped, 1u);
+  EXPECT_GE(remote.protocol.faults.retries, 1u);
   endpoint.shutdown();
 }
 

@@ -150,7 +150,7 @@ TEST(NetSoak, PipelinedFourDeepTwoHundredTasksUnderFrameFaultsLeakNoFds) {
     net::RemoteEndpointConfig config;
     config.round_trip_deadline = 500ms;
     config.faults = &plan;
-    config.elastic.pipeline_depth = 4;
+    config.pipeline_depth = 4;
     net::RemoteEndpoint endpoint(std::move(listener), config);
     ASSERT_TRUE(endpoint.wait_for_workers(4, 15s));
 

@@ -15,6 +15,7 @@
 #include "core/concurrent_solver.hpp"
 #include "core/marshal.hpp"
 #include "core/remote_worker.hpp"
+#include "gated_workers.hpp"
 #include "net/frame.hpp"
 #include "net/remote.hpp"
 #include "net/socket.hpp"
@@ -439,6 +440,51 @@ TEST(SvcEngine, RemoteFleetIsBitIdenticalToo) {
   }
   endpoint.shutdown();
   for (auto& w : workers) w.join();
+}
+
+TEST(SvcEngine, LeaveAndCrashMidLeaseRetryToABitIdenticalJob) {
+  // The engine's attempt loop owns a lost lease: both disrupts close a
+  // channel whose worker is parked in a handler, the round trips fail, and
+  // the lanes re-submit the terms.
+  // Workers before the endpoint, so an early exit shuts the endpoint down
+  // (and so lets the workers finish) before they are joined.
+  net::TcpListener listener("127.0.0.1", 0);
+  tests::GatedSubsolveWorkers workers(listener.port(), 3);
+  net::RemoteEndpoint endpoint(std::move(listener));
+  ASSERT_TRUE(endpoint.wait_for_workers(3, 10s));
+
+  {
+    svc::EngineConfig config;
+    config.lanes = 3;
+    config.remote = &endpoint;
+    config.retry.max_attempts = 6;
+    config.retry.backoff_initial = 2ms;
+    svc::SolveEngine engine(config);
+    svc::JobSpec spec;
+    spec.root = 2;
+    spec.level = 3;
+    const svc::JobTicket ticket = engine.submit(spec);
+    EXPECT_TRUE(ticket.accepted) << ticket.reason;
+
+    // Every worker parked in a handler: every channel carries a live lease.
+    EXPECT_TRUE(workers.gate.wait_entered(3, 30s));
+    endpoint.disrupt(/*graceful=*/true);
+    endpoint.disrupt(/*graceful=*/false);
+    EXPECT_TRUE(tests::wait_for_disconnects(endpoint, 2, 10s));
+    workers.gate.open();
+
+    EXPECT_TRUE(engine.wait_terminal(ticket.job_id, 60s));
+    const svc::JobResultData result = engine.result(ticket.job_id);
+    EXPECT_EQ(result.state, svc::JobState::Done) << result.error;
+    EXPECT_EQ(result.combined_nodes, sequential_nodes(2, 3, 1e-3));
+    EXPECT_GE(engine.counters().task_retries, 1u);
+    const net::RemoteCounters c = endpoint.counters();
+    EXPECT_EQ(c.fleet_leaves, 1u);
+    EXPECT_EQ(c.fleet_crashes, 1u);
+    EXPECT_GE(c.round_trips_failed, 2u) << "each disrupt must cost at least one live lease";
+    engine.shutdown();
+  }
+  endpoint.shutdown();
 }
 
 // ---- server/client loopback ---------------------------------------------------------

@@ -357,8 +357,12 @@ void fake_worker_one_trip(std::uint16_t port, const std::vector<std::uint8_t>& t
                           std::atomic<bool>& served) {
   net::Socket sock = net::connect_tcp("127.0.0.1", port, 5s);
   if (!sock.valid()) return;
-  std::vector<std::uint8_t> hello(16, 0);  // legacy 16-byte Hello (pid 0, attempt 0)
-  const auto hello_frame = net::encode_frame(net::FrameType::Hello, 0, hello);
+  // pid 0, attempt 0, and the wall-clock sample that seeds clock alignment.
+  support::ByteWriter hello;
+  hello.write_u64(0);
+  hello.write_u64(0);
+  hello.write_f64(obs::wall_clock_seconds());
+  const auto hello_frame = net::encode_frame(net::FrameType::Hello, 0, hello.bytes());
   if (!net::send_all(sock, hello_frame.data(), hello_frame.size())) return;
 
   net::FrameDecoder decoder;
