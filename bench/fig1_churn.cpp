@@ -6,13 +6,15 @@
 // MLINK tasks surviving host turnover) rendered as the same step chart.
 //
 // The run is the virtual-time simulator's elastic variant
-// (cluster::simulate_churn_run): per-host lease queues, work stealing from
-// the most-loaded queue, deadline-aware speculative re-leasing with
-// first-completion-wins dedup.  Exactly-once completion is asserted inside
-// the simulator, so a successful run *is* the invariant check.
+// (cluster::simulate_churn_run) on the fault-tolerant pool's model: one
+// work queue that every idle host takes the head of, and a lost lease
+// re-queued or abandoned by the same fault::LeaseLedger the pool asks.
+// Exactly-once completion is asserted inside the simulator, so a successful
+// run *is* the invariant check.
 //
 // Usage: fig1_churn [--level L] [--tol T] [--churn=SPEC] [--out=PATH]
 //                   [--label=S] [--timestamp=S] [--report=PATH]
+// An unknown flag or a flag missing its value exits 2 with the usage line.
 //
 // The default output path is BENCH_churn.json in the working directory; the
 // committed copy at the repo root is a bench trajectory
@@ -29,14 +31,23 @@
 #include "bench/bench_trajectory.hpp"
 #include "cluster/cluster_sim.hpp"
 #include "cluster/cost_model.hpp"
+#include "fault/fault_plan.hpp"
 #include "fleet/churn.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "trace/ebb_flow.hpp"
 
+namespace {
+
+constexpr const char* kUsage =
+    "usage: fig1_churn [--level L] [--tol T] [--churn=SPEC] [--out=PATH]\n"
+    "                  [--label=S] [--timestamp=S] [--report=PATH]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  // Level 18 gives 37 terms over the paper's 31 worker hosts, so the lease
-  // queues have depth and an idle host has something to steal; the churn
+  // Level 18 gives 37 terms over the paper's 31 worker hosts, so the work
+  // queue outlasts the first wave and churn finds busy hosts; the churn
   // window covers the early, fleet-saturated part of the run.
   int level = 18;
   double tol = 1e-4;
@@ -46,13 +57,25 @@ int main(int argc, char** argv) {
   std::string timestamp;
   std::string report_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--level") == 0 && i + 1 < argc) level = std::atoi(argv[++i]);
-    if (std::strcmp(argv[i], "--tol") == 0 && i + 1 < argc) tol = std::atof(argv[++i]);
-    if (std::strncmp(argv[i], "--churn=", 8) == 0) churn_spec = argv[i] + 8;
-    if (std::strncmp(argv[i], "--out=", 6) == 0) out_path = argv[i] + 6;
-    if (std::strncmp(argv[i], "--label=", 8) == 0) label = argv[i] + 8;
-    if (std::strncmp(argv[i], "--timestamp=", 12) == 0) timestamp = argv[i] + 12;
-    if (std::strncmp(argv[i], "--report=", 9) == 0) report_path = argv[i] + 9;
+    const char* arg = argv[i];
+    if (std::strcmp(arg, "--level") == 0 && i + 1 < argc) {
+      level = std::atoi(argv[++i]);
+    } else if (std::strcmp(arg, "--tol") == 0 && i + 1 < argc) {
+      tol = std::atof(argv[++i]);
+    } else if (std::strncmp(arg, "--churn=", 8) == 0) {
+      churn_spec = arg + 8;
+    } else if (std::strncmp(arg, "--out=", 6) == 0) {
+      out_path = arg + 6;
+    } else if (std::strncmp(arg, "--label=", 8) == 0) {
+      label = arg + 8;
+    } else if (std::strncmp(arg, "--timestamp=", 12) == 0) {
+      timestamp = arg + 12;
+    } else if (std::strncmp(arg, "--report=", 9) == 0) {
+      report_path = arg + 9;
+    } else {
+      std::fprintf(stderr, "fig1_churn: unknown flag or missing value '%s'\n%s", arg, kUsage);
+      return 2;
+    }
   }
 
   mg::fleet::ChurnPlanConfig churn;
@@ -73,10 +96,11 @@ int main(int argc, char** argv) {
               "%zu terms (every term completed exactly once)\n",
               run.concurrent_seconds, run.peak_machines, run.weighted_machines,
               run.terms_total);
-  std::printf("fleet: %zu joins, %zu leaves, %zu crashes, %zu steals, %zu releases, "
-              "%zu duplicates discarded\n\n",
-              run.fleet.joins, run.fleet.leaves, run.fleet.crashes, run.fleet.steals,
-              run.fleet.releases, run.fleet.duplicates);
+  std::printf("fleet: %zu joins, %zu leaves, %zu crashes, %zu duplicates discarded\n",
+              run.fleet.joins, run.fleet.leaves, run.fleet.crashes, run.fleet.duplicates);
+  std::printf("faults: %zu timeouts, %zu retries, %zu abandoned%s\n\n", run.faults.timeouts,
+              run.faults.retries, run.faults.abandoned,
+              run.faults.degraded ? " (recomputed by the master)" : "");
   std::printf("%s\n", mg::trace::render_ascii_chart(run.machines, 96, 20).c_str());
 
   std::printf("# series (gnuplot format): time_s machines\n");
@@ -108,6 +132,7 @@ int main(int argc, char** argv) {
   report.derived().kv("end_time", s.end_time);
   report.derived().end_object();
   report.derived().end_object();
+  if (run.faults.any()) mg::fault::fault_counters_to_json(report.faults(), run.faults);
 
   const std::string report_json = report.json(mg::obs::registry().snapshot());
   if (!report_path.empty()) {

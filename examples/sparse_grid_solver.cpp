@@ -36,7 +36,8 @@
 // events close the busiest channel, whose round trips fail back to the
 // fault-tolerant pool for re-dispatch.  Either way the solve must still be
 // bit-identical to the sequential program, and the report gains a "fleet"
-// section (joins/leaves/crashes/steals/releases/duplicates).
+// section (joins/leaves/crashes/duplicates); the re-leased units show up as
+// fault-ledger retries.
 //
 // --backend=tcp runs the concurrent solve over the network substrate: the
 // master binds a TCP listener (--listen=HOST:PORT, default loopback
@@ -283,10 +284,8 @@ int main(int argc, char** argv) {
     fleet.duplicates += nc.fleet_duplicates;
   }
   if (fleet.any()) {
-    std::printf("fleet: %zu joins, %zu leaves, %zu crashes, %zu steals, %zu releases, "
-                "%zu duplicates discarded\n",
-                fleet.joins, fleet.leaves, fleet.crashes, fleet.steals, fleet.releases,
-                fleet.duplicates);
+    std::printf("fleet: %zu joins, %zu leaves, %zu crashes, %zu duplicates discarded\n",
+                fleet.joins, fleet.leaves, fleet.crashes, fleet.duplicates);
   }
 
   if (endpoint) {

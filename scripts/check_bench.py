@@ -38,7 +38,7 @@ def flag(path, msg):
     print(f"::warning::{path}: {msg}")
 
 
-FLEET_KEYS = ("joins", "leaves", "crashes", "steals", "releases", "duplicates")
+FLEET_KEYS = ("joins", "leaves", "crashes", "duplicates")
 
 
 def check_churn_report(path, where, report):

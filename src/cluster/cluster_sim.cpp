@@ -118,12 +118,9 @@ SimRunResult simulate_run(int root, int level, double tol, const CostModel& cost
   // the dispatch order.
   const bool injecting = config.faults.any();
   const fault::FaultPlan plan(config.faults);
-  const fault::RetryPolicy& retry = config.retry;
-  const double policy_deadline_s =
-      std::chrono::duration<double>(retry.task_deadline).count();
+  fault::LeaseLedger ledger(config.retry);
   std::uint64_t incarnation = 0;
   std::uint64_t transfer_ordinal = 0;
-  std::size_t respawns_used = 0;
 
   // Family grouping: single pool by default; one pool per lm when requested.
   std::vector<std::pair<std::size_t, std::size_t>> groups;  // (first, count)
@@ -216,10 +213,8 @@ SimRunResult simulate_run(int root, int level, double tol, const CostModel& cost
         w.death = part.end;
         result.faults.host_crashes_injected += 1;
         fault_span("host_crash:" + g.name(), w.host, part.start, part.end);
-        const double expected = cost.subsolve_seconds(g, tol, host_mhz);
-        const double deadline_s =
-            std::max(policy_deadline_s, retry.deadline_cost_factor * expected);
-        out.detect = w.input_done + deadline_s;
+        out.detect =
+            w.input_done + config.retry.deadline_seconds(cost.subsolve_seconds(g, tol, host_mhz));
         result.faults.timeouts += 1;
         releases.push({out.detect, w.task_id});
         return out;
@@ -247,9 +242,10 @@ SimRunResult simulate_run(int root, int level, double tol, const CostModel& cost
       return out;
     };
 
-    // Failed attempt `attempt` of slot widx: retry under the shared policy,
-    // or degrade — the master receives the abandonment at detection time and
-    // recomputes the grid itself on the start-up machine.
+    // Failed attempt `attempt` of slot widx: the run's ledger either retries
+    // it after its wait, or abandons it — the master receives the
+    // abandonment at detection time and recomputes the grid itself on the
+    // start-up machine.
     struct PendingRetry {
       std::size_t k = 0;
       std::size_t widx = 0;
@@ -259,16 +255,11 @@ SimRunResult simulate_run(int root, int level, double tol, const CostModel& cost
     std::vector<PendingRetry> retry_queue;
     auto handle_failure = [&](std::size_t k, std::size_t widx, std::size_t attempt,
                               double detect) {
-      if (attempt < retry.max_attempts && respawns_used < retry.respawn_budget) {
-        respawns_used += 1;
-        result.faults.retries += 1;
-        result.faults.respawns += 1;
-        const double backoff = retry.backoff_seconds_for(attempt);
+      if (const auto wait = ledger.lost(attempt, /*graceful=*/false)) {
+        const double backoff = std::chrono::duration<double>(*wait).count();
         fault_span("backoff:" + terms[k].grid.name(), "spawner", detect, detect + backoff);
         retry_queue.push_back({k, widx, attempt + 1, detect + backoff});
       } else {
-        result.faults.abandoned += 1;
-        result.faults.degraded = true;
         arrivals.push_back(detect + oh.event_latency_s);  // the WorkAbandoned unit
         deaths.push_back(detect);
         fallback_s += cost.subsolve_seconds(terms[k].grid, tol, startup_mhz) * noise();
@@ -331,6 +322,7 @@ SimRunResult simulate_run(int root, int level, double tol, const CostModel& cost
   apply_releases(master_clock);
   tasks.release(master_task, "Master", master_clock);
 
+  result.faults += ledger.counters();
   result.concurrent_seconds = master_clock;
   result.ebb_flow = trace::build_ebb_flow(tasks.stats().machine_events, master_clock);
   result.weighted_machines = result.ebb_flow.weighted_average();
@@ -374,29 +366,28 @@ double churn_noise(std::uint64_t seed, std::size_t term, std::size_t attempt, do
 }
 
 struct ElasticHost {
-  std::string name;
   double mhz = 0;
-  bool active = false;
+  bool active = false;  ///< a host that left or crashed never comes back
   bool busy = false;
   std::size_t current = 0;  ///< term in flight (valid while busy)
   double started = 0;
-  std::uint64_t gen = 0;  ///< bumped when a lease is cancelled; voids its completion
-  std::deque<std::size_t> queue;  ///< leased to this host, not yet started
-
-  std::size_t load() const { return (busy ? 1u : 0u) + queue.size(); }
 };
 
-enum class ChurnEvKind { Complete, Churn, Release };
+enum class ChurnEvKind {
+  Complete,  ///< a host's lease delivers its result
+  Churn,     ///< the plan's next join / leave / crash
+  Lost,      ///< the master learns a lease was lost and asks the ledger
+  Requeue,   ///< the ledger's wait is over: the unit goes back to the queue
+};
 
 struct ChurnEv {
   double time = 0;
   std::uint64_t seq = 0;  ///< insertion order — the deterministic tie-break
   ChurnEvKind kind = ChurnEvKind::Complete;
   std::size_t host = 0;       ///< Complete: the computing host
-  std::uint64_t gen = 0;      ///< Complete: host generation at dispatch
   std::size_t churn_idx = 0;  ///< Churn: index into the plan's event list
-  std::size_t term = 0;       ///< Complete / Release
-  bool dispatched = false;    ///< Release: the unit was in flight (a true re-lease)
+  std::size_t term = 0;       ///< Complete / Lost / Requeue
+  bool graceful = false;      ///< Lost: the host left (no detection wait)
 };
 
 struct ChurnEvLater {
@@ -414,8 +405,7 @@ ChurnSimResult simulate_churn_run(int root, int level, double tol, const CostMod
   MG_REQUIRE(config.cluster.hosts.size() >= 2);
   const OverheadModel& oh = config.overhead;
   const fleet::ChurnPlan plan(churn);
-  const fault::RetryPolicy& retry = config.retry;
-  const double policy_deadline_s = std::chrono::duration<double>(retry.task_deadline).count();
+  fault::LeaseLedger ledger(config.retry);
 
   const auto terms = grid::combination_terms(root, level);
   ChurnSimResult result;
@@ -427,129 +417,67 @@ ChurnSimResult simulate_churn_run(int root, int level, double tol, const CostMod
   hosts.reserve(config.cluster.hosts.size() - 1 + churn.joins);
   for (std::size_t i = 1; i < config.cluster.hosts.size(); ++i) {
     ElasticHost h;
-    h.name = config.cluster.hosts[i].name;
     h.mhz = config.cluster.hosts[i].mhz;
     h.active = true;
-    hosts.push_back(std::move(h));
+    hosts.push_back(h);
   }
   std::vector<trace::MachineEvent> machine_events;
   machine_events.reserve(hosts.size() + plan.events().size());
   for (std::size_t i = 0; i < hosts.size(); ++i) machine_events.push_back({0.0, +1});
 
-  // Lease the terms heaviest-first, round-robin across the initial fleet.
+  // One work queue, heaviest grid first — the pool's LPT dispatch order.
   std::vector<std::size_t> order(terms.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(), [&terms](std::size_t a, std::size_t b) {
     return transport::subsolve_payload_bytes(terms[a].grid) >
            transport::subsolve_payload_bytes(terms[b].grid);
   });
-  for (std::size_t j = 0; j < order.size(); ++j) hosts[j % hosts.size()].queue.push_back(order[j]);
+  std::deque<std::size_t> queue(order.begin(), order.end());
 
   std::vector<bool> done(terms.size(), false);
-  std::vector<bool> speculated(terms.size(), false);
   std::vector<std::size_t> attempts(terms.size(), 0);
+  std::vector<std::size_t> abandoned;  ///< recomputed by the master, in order
   std::size_t remaining = terms.size();
 
   std::priority_queue<ChurnEv, std::vector<ChurnEv>, ChurnEvLater> events;
   std::uint64_t seq = 0;
+  auto push = [&](ChurnEv ev) {
+    ev.seq = seq++;
+    events.push(ev);
+  };
   for (std::size_t i = 0; i < plan.events().size(); ++i) {
     ChurnEv ev;
     ev.time = plan.events()[i].at_seconds;
-    ev.seq = seq++;
     ev.kind = ChurnEvKind::Churn;
     ev.churn_idx = i;
-    events.push(ev);
+    push(ev);
   }
 
   auto expected_compute = [&](std::size_t term, double mhz) {
     return cost.subsolve_seconds(terms[term].grid, tol, mhz);
   };
-  auto soft_deadline = [&](std::size_t term, double mhz) {
-    return std::max(policy_deadline_s, retry.deadline_cost_factor * expected_compute(term, mhz));
-  };
 
-  auto start_unit = [&](std::size_t hi, std::size_t term, double now) {
-    ElasticHost& h = hosts[hi];
-    h.busy = true;
-    h.current = term;
-    h.started = now;
-    const std::size_t attempt = ++attempts[term];
-    const std::size_t payload = transport::subsolve_payload_bytes(terms[term].grid);
-    const double xfer = config.network.transfer_seconds(payload);
-    const double dur = oh.reuse_task_s + 2.0 * xfer +
-                       expected_compute(term, h.mhz) *
-                           churn_noise(config.seed, term, attempt, config.noise_amplitude);
-    ChurnEv ev;
-    ev.time = now + dur;
-    ev.seq = seq++;
-    ev.kind = ChurnEvKind::Complete;
-    ev.host = hi;
-    ev.gen = h.gen;
-    ev.term = term;
-    events.push(ev);
-  };
-
-  auto least_loaded = [&]() -> std::size_t {
-    std::size_t best = hosts.size();
-    for (std::size_t i = 0; i < hosts.size(); ++i) {
-      if (!hosts[i].active) continue;
-      if (best == hosts.size() || hosts[i].load() < hosts[best].load()) best = i;
-    }
-    return best;
-  };
-
-  // One scheduling sweep: starts queued units on idle hosts, lets an idle
-  // empty-queue host steal from the deepest queue, and — when nothing is
-  // left to steal — speculatively re-issues the most overdue in-flight unit.
-  // One placement per pass, repeated until quiescent; all selections scan in
-  // index order, so the schedule is deterministic.
+  // Every idle active host takes the head of the queue, in index order.
   auto kick = [&](double now) {
-    if (remaining == 0) return;
-    for (;;) {
-      std::size_t idle = hosts.size();
-      for (std::size_t i = 0; i < hosts.size(); ++i) {
-        if (hosts[i].active && !hosts[i].busy) {
-          idle = i;
-          break;
-        }
-      }
-      if (idle == hosts.size()) return;
-      if (!hosts[idle].queue.empty()) {
-        const std::size_t term = hosts[idle].queue.front();
-        hosts[idle].queue.pop_front();
-        if (done[term]) continue;  // finished elsewhere while queued
-        start_unit(idle, term, now);
-        continue;
-      }
-      std::size_t donor = hosts.size();
-      for (std::size_t i = 0; i < hosts.size(); ++i) {
-        if (!hosts[i].active || hosts[i].queue.empty()) continue;
-        if (donor == hosts.size() || hosts[i].queue.size() > hosts[donor].queue.size()) donor = i;
-      }
-      if (donor != hosts.size()) {
-        const std::size_t term = hosts[donor].queue.front();
-        hosts[donor].queue.pop_front();
-        if (done[term]) continue;
-        result.fleet.steals += 1;
-        start_unit(idle, term, now);
-        continue;
-      }
-      std::size_t overdue = hosts.size();
-      double overdue_by = 0;
-      for (std::size_t i = 0; i < hosts.size(); ++i) {
-        const ElasticHost& h = hosts[i];
-        if (!h.active || !h.busy || speculated[h.current] || done[h.current]) continue;
-        const double by = (now - h.started) - soft_deadline(h.current, h.mhz);
-        if (by >= 0 && (overdue == hosts.size() || by > overdue_by)) {
-          overdue = i;
-          overdue_by = by;
-        }
-      }
-      if (overdue == hosts.size()) return;
-      const std::size_t term = hosts[overdue].current;
-      speculated[term] = true;
-      result.fleet.releases += 1;
-      start_unit(idle, term, now);
+    for (std::size_t i = 0; i < hosts.size() && !queue.empty(); ++i) {
+      ElasticHost& h = hosts[i];
+      if (!h.active || h.busy) continue;
+      const std::size_t term = queue.front();
+      queue.pop_front();
+      h.busy = true;
+      h.current = term;
+      h.started = now;
+      const std::size_t attempt = ++attempts[term];
+      const double xfer =
+          config.network.transfer_seconds(transport::subsolve_payload_bytes(terms[term].grid));
+      ChurnEv ev;
+      ev.time = now + oh.reuse_task_s + 2.0 * xfer +
+                expected_compute(term, h.mhz) *
+                    churn_noise(config.seed, term, attempt, config.noise_amplitude);
+      ev.kind = ChurnEvKind::Complete;
+      ev.host = i;
+      ev.term = term;
+      push(ev);
     }
   };
   kick(0.0);
@@ -563,114 +491,103 @@ ChurnSimResult simulate_churn_run(int root, int level, double tol, const CostMod
     switch (ev.kind) {
       case ChurnEvKind::Complete: {
         ElasticHost& h = hosts[ev.host];
-        if (!h.active || h.gen != ev.gen || !h.busy) break;  // lease was cancelled
+        if (!h.active) break;  // the lease was lost with its host
         h.busy = false;
-        if (done[ev.term]) {
-          result.fleet.duplicates += 1;  // speculative loser: discarded
-        } else {
-          done[ev.term] = true;
-          result.completion_order.push_back(ev.term);
-          remaining -= 1;
-          last_result = now;
-        }
+        MG_ASSERT(!done[ev.term]);  // exactly-once: a lost lease never completes
+        done[ev.term] = true;
+        result.completion_order.push_back(ev.term);
+        remaining -= 1;
+        last_result = now;
         kick(now);
         break;
       }
       case ChurnEvKind::Churn: {
         const fleet::ChurnEvent& ce = plan.events()[ev.churn_idx];
         if (ce.kind == fleet::ChurnEventKind::Join) {
-          ElasticHost h;
-          h.name = "elastic-" + std::to_string(++joined);
           // Joiners clone the worker speeds round-robin, so the elastic
           // fleet stays as heterogeneous as the cluster it extends.
-          const std::size_t base = 1 + (joined - 1) % (config.cluster.hosts.size() - 1);
-          h.mhz = config.cluster.hosts[base].mhz;
+          ElasticHost h;
+          h.mhz = config.cluster.hosts[1 + joined++ % (config.cluster.hosts.size() - 1)].mhz;
           h.active = true;
-          hosts.push_back(std::move(h));
+          hosts.push_back(h);
           machine_events.push_back({now, +1});
           result.fleet.joins += 1;
-          kick(now);  // the joiner steals (or speculates) immediately
+          kick(now);
           break;
         }
-        // Leave / Crash: take down the most-loaded host — but never the
-        // last one, or the remaining leases would strand.
-        std::size_t active_count = 0;
-        for (const auto& h : hosts) active_count += h.active ? 1 : 0;
-        if (active_count <= 1) break;
+        // Leave / Crash: the pool's rule — the lowest-index busy host, else
+        // the lowest-index active one, but never the last active host, or
+        // the queue would strand.
         std::size_t victim = hosts.size();
+        std::size_t active_count = 0;
         for (std::size_t i = 0; i < hosts.size(); ++i) {
           if (!hosts[i].active) continue;
-          if (victim == hosts.size() || hosts[i].load() > hosts[victim].load()) victim = i;
+          active_count += 1;
+          if (victim == hosts.size() || (hosts[i].busy && !hosts[victim].busy)) victim = i;
         }
+        if (active_count <= 1) break;
         ElasticHost& v = hosts[victim];
         const bool graceful = ce.kind == fleet::ChurnEventKind::Leave;
-        // A graceful leaver hands its leases back at once; a crash is
-        // silent, so the master only learns of the loss when the in-flight
-        // unit's deadline expires.
-        double relief = now;
-        if (!graceful && v.busy) {
-          relief = std::max(now, v.started + soft_deadline(v.current, v.mhz));
-        }
         v.active = false;
-        v.gen += 1;  // void the in-flight completion
         machine_events.push_back({now, -1});
         result.fleet.leaves += graceful ? 1 : 0;
         result.fleet.crashes += graceful ? 0 : 1;
         if (v.busy) {
-          v.busy = false;
-          ChurnEv rel;
-          rel.time = relief;
-          rel.seq = seq++;
-          rel.kind = ChurnEvKind::Release;
-          rel.term = v.current;
-          rel.dispatched = true;
-          events.push(rel);
+          // A leaver hands its lease back at once; a crash is silent, so
+          // the master only learns of the loss at the cost-model deadline.
+          ChurnEv lost;
+          lost.time = now;
+          if (!graceful) {
+            lost.time = std::max(now, v.started + config.retry.deadline_seconds(
+                                                      expected_compute(v.current, v.mhz)));
+            result.faults.timeouts += 1;
+          }
+          lost.kind = ChurnEvKind::Lost;
+          lost.term = v.current;
+          lost.graceful = graceful;
+          push(lost);
         }
-        while (!v.queue.empty()) {
-          ChurnEv rel;
-          rel.time = relief;
-          rel.seq = seq++;
-          rel.kind = ChurnEvKind::Release;
-          rel.term = v.queue.front();
-          events.push(rel);
-          v.queue.pop_front();
-        }
-        kick(now);
         break;
       }
-      case ChurnEvKind::Release: {
-        if (done[ev.term]) break;
-        if (ev.dispatched) result.fleet.releases += 1;
-        const std::size_t target = least_loaded();
-        MG_ASSERT(target != hosts.size());  // the last host is never taken down
-        hosts[target].queue.push_front(ev.term);
-        kick(now);
+      case ChurnEvKind::Lost: {
+        if (const auto wait = ledger.lost(attempts[ev.term], ev.graceful)) {
+          ChurnEv requeue;
+          requeue.time = now + std::chrono::duration<double>(*wait).count();
+          requeue.kind = ChurnEvKind::Requeue;
+          requeue.term = ev.term;
+          push(requeue);
+        } else {
+          abandoned.push_back(ev.term);
+          remaining -= 1;
+          last_result = now;  // the abandonment reaches the master now
+        }
         break;
       }
+      case ChurnEvKind::Requeue:
+        queue.push_front(ev.term);
+        kick(now);
+        break;
     }
   }
   MG_ASSERT(remaining == 0);
 
-  // Drain still-in-flight speculative copies: their results would arrive
-  // after the winner and be discarded, which is exactly what the duplicate
-  // counter records.
-  while (!events.empty()) {
-    const ChurnEv ev = events.top();
-    events.pop();
-    if (ev.kind != ChurnEvKind::Complete) continue;
-    const ElasticHost& h = hosts[ev.host];
-    if (!h.active || h.gen != ev.gen || !h.busy) continue;
-    if (done[ev.term]) result.fleet.duplicates += 1;
-  }
-
+  // The master recomputes every abandoned unit on the start-up machine
+  // after the last result, as simulate_run does.
   const double startup_mhz = config.cluster.startup().mhz;
+  double fallback_s = 0;
+  for (const std::size_t term : abandoned) {
+    fallback_s += expected_compute(term, startup_mhz) *
+                  churn_noise(config.seed, term, attempts[term] + 1, config.noise_amplitude);
+    result.completion_order.push_back(term);
+  }
   const double collect =
-      last_result + oh.result_handling_s * static_cast<double>(terms.size());
+      last_result + oh.result_handling_s * static_cast<double>(terms.size()) + fallback_s;
   result.concurrent_seconds = oh.startup_s + cost.init_seconds(startup_mhz) + collect +
                               cost.prolongation_seconds(root, level, startup_mhz);
   result.machines = trace::build_ebb_flow(std::move(machine_events), collect);
   result.weighted_machines = result.machines.weighted_average();
   result.peak_machines = result.machines.peak();
+  result.faults += ledger.counters();
 
   SimMetrics& metrics = sim_metrics();
   metrics.runs.add();

@@ -68,11 +68,10 @@ struct SimConfig {
   /// net_slow).  The fault stream is independent of the timing-noise RNG, so
   /// an all-zero config leaves the schedule bit-identical to a fault-free
   /// build.  Host crashes are silent: the master detects them at a per-task
-  /// deadline derived from the cost model (`retry.deadline_cost_factor` x
-  /// the expected compute time, floored by `retry.task_deadline`), then
-  /// re-dispatches with the same capped-backoff / attempt-cap /
-  /// respawn-budget policy as the threaded protocol; exhausted slots degrade
-  /// to a local recompute on the start-up machine.
+  /// deadline derived from the cost model (RetryPolicy::deadline_seconds),
+  /// then asks the run's fault::LeaseLedger — the rule the threaded pool
+  /// applies — whether to re-dispatch; abandoned slots degrade to a local
+  /// recompute on the start-up machine.
   fault::FaultPlanConfig faults;
   /// Recovery contract mirrored from the threaded runtime (one struct, two
   /// execution paths).
@@ -138,26 +137,29 @@ struct ChurnSimResult {
   double weighted_machines = 0;
   int peak_machines = 0;
   std::size_t terms_total = 0;
-  /// Term indices in first-completion order.  Every term appears exactly
-  /// once no matter how much churn / stealing / speculation occurred — the
-  /// simulator's analogue of the bit-identity invariant (the sim carries no
-  /// solution payloads, so exactly-once completion *is* the result
-  /// contract).
+  /// Term indices in completion order, units the master recomputed last.
+  /// Every term appears exactly once no matter how much churn occurred —
+  /// the simulator's analogue of the bit-identity invariant (the sim
+  /// carries no solution payloads, so exactly-once completion *is* the
+  /// result contract).
   std::vector<std::size_t> completion_order;
   fleet::FleetCounters fleet;
+  /// Crash detections (timeouts) plus the run's LeaseLedger counters.
+  fault::FaultCounters faults;
 };
 
-/// Elastic-fleet variant of the simulator: the work units are leased across
-/// per-host queues, hosts join / leave / crash in virtual time per the
-/// seeded churn plan, an idle host steals from the most-loaded queue, and a
-/// unit past its soft deadline (RetryPolicy::deadline_cost_factor x the
-/// expected compute, floored by task_deadline) is speculatively re-issued to
-/// an idle host with first-completion-wins dedup.  A graceful Leave
-/// re-leases the victim's units immediately; a Crash is silent and its units
-/// re-lease only once the deadline detects the loss.  Coarser than
-/// simulate_run (no master-link or spawner contention — the fleet schedule
-/// is the object of study) but driven by the same cost model.  Deterministic
-/// in (config.seed, churn): timing noise is hashed per (term, attempt), so
+/// Elastic-fleet variant of the simulator, on the FT pool's model: one work
+/// queue (heaviest grid first) that every idle host takes the head of,
+/// while hosts join / leave / crash in virtual time per the seeded churn
+/// plan.  A Leave or Crash takes the lowest-index busy host.  A Leave's
+/// unit is lost at once; a Crash is silent, so its unit is lost only when
+/// the cost-model deadline (RetryPolicy::deadline_seconds) detects it.  The
+/// run's fault::LeaseLedger then puts the unit back at the head of the
+/// queue after its wait, or abandons it to a local recompute on the
+/// start-up machine after the last result.  Coarser than simulate_run (no
+/// master-link or spawner contention — the fleet schedule is the object of
+/// study) but driven by the same cost model.  Deterministic in
+/// (config.seed, churn): timing noise is hashed per (term, attempt), so
 /// event ordering cannot perturb it.
 ChurnSimResult simulate_churn_run(int root, int level, double tol, const CostModel& cost,
                                   const SimConfig& config, const fleet::ChurnPlanConfig& churn);

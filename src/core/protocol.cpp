@@ -93,11 +93,10 @@ bool resolved(const Slot& s) {
 /// The fault-tolerant Create_Worker_Pool.  Same external contract as the
 /// paper's manner — create workers on demand, acknowledge the rendezvous
 /// when the pool has drained — but every worker slot is supervised: a
-/// crash_worker event or an expired per-task deadline re-enqueues the lost
-/// work unit onto a respawned replacement (capped exponential backoff,
-/// bounded respawn budget), and an exhausted slot degrades gracefully by
-/// handing the master a WorkAbandoned unit instead of deadlocking the
-/// rendezvous.
+/// crash_worker event or an expired per-task deadline asks the pool's
+/// fault::LeaseLedger, which either re-enqueues the lost work unit onto a
+/// respawned replacement after its wait, or abandons the slot: the master
+/// then gets a WorkAbandoned unit instead of a deadlocked rendezvous.
 ///
 /// Work replay relies on the §4.3 master behaviour (one send_work per
 /// create_worker): the coordinator taps the master's output port with an
@@ -112,7 +111,7 @@ PoolStats create_worker_pool_ft(iwim::ProcessContext& coordinator, iwim::Process
 
   std::vector<Slot> slots;
   std::map<std::uint64_t, std::size_t> slot_by_worker;  // live incarnation id -> slot
-  std::size_t respawns_used = 0;
+  fault::LeaseLedger ledger(retry);
   std::size_t tap_assigned = 0;  // tap units handed to slots so far
 
   // The replay tap: master.output additionally feeds the coordinator's own
@@ -135,8 +134,6 @@ PoolStats create_worker_pool_ft(iwim::ProcessContext& coordinator, iwim::Process
   auto abandon = [&](std::size_t idx) {
     Slot& s = slots[idx];
     s.state = Slot::State::Abandoned;
-    stats.faults.abandoned += 1;
-    stats.faults.degraded = true;
     fm.abandoned.add();
     fm.attempts_per_slot.observe(static_cast<double>(s.attempts));
     coordinator.trace("slot " + std::to_string(idx) + " abandoned after " +
@@ -147,9 +144,9 @@ PoolStats create_worker_pool_ft(iwim::ProcessContext& coordinator, iwim::Process
     runtime.send(master.port("dataport"), Unit::of(WorkAbandoned{idx, s.attempts}));
   };
 
-  // A slot's incarnation failed (crashed, or was killed at its deadline):
-  // retry with backoff if the policy still allows it, else degrade.
-  auto fail_slot = [&](std::size_t idx, bool timed_out) {
+  // A slot's incarnation failed (crashed, left, or was killed at its
+  // deadline): the ledger says when to respawn it, or that it degrades.
+  auto fail_slot = [&](std::size_t idx, bool timed_out, bool graceful) {
     Slot& s = slots[idx];
     const double now_t = obs::tracer().clock_now();
     if (timed_out) {
@@ -168,22 +165,24 @@ PoolStats create_worker_pool_ft(iwim::ProcessContext& coordinator, iwim::Process
     if (s.result_stream != nullptr) runtime.disconnect_source(*s.result_stream);
     slot_by_worker.erase(s.worker->id());
     drain_tap();
-    const bool can_retry = s.work_captured && s.attempts < retry.max_attempts &&
-                           respawns_used < retry.respawn_budget;
-    if (!can_retry) {
+    std::optional<std::chrono::milliseconds> backoff;
+    if (s.work_captured) {
+      backoff = ledger.lost(s.attempts, graceful);
+    } else {
+      ledger.abandon();  // nothing to replay
+    }
+    if (!backoff) {
       abandon(idx);
       return;
     }
     s.state = Slot::State::AwaitingRespawn;
-    const auto backoff = retry.backoff_for(s.attempts);
-    s.respawn_due = Clock::now() + backoff;
+    s.respawn_due = Clock::now() + *backoff;
     s.backoff_started = now_t;
-    stats.faults.retries += 1;
     fm.retries.add();
-    fm.backoff_seconds.observe(static_cast<double>(backoff.count()) / 1e3);
+    fm.backoff_seconds.observe(static_cast<double>(backoff->count()) / 1e3);
     coordinator.trace("slot " + std::to_string(idx) + " lost its worker (" +
                           (timed_out ? "timeout" : "crash") + "); retry in " +
-                          std::to_string(backoff.count()) + " ms",
+                          std::to_string(backoff->count()) + " ms",
                       "protocol.cpp", __LINE__);
   };
 
@@ -199,8 +198,6 @@ PoolStats create_worker_pool_ft(iwim::ProcessContext& coordinator, iwim::Process
       s.has_deadline = true;
       s.deadline = Clock::now() + retry.task_deadline;
     }
-    respawns_used += 1;
-    stats.faults.respawns += 1;
     fm.respawns.add();
     // The replacement gets the saved work unit straight from the
     // coordinator; only the KK result stream needs wiring.
@@ -217,11 +214,11 @@ PoolStats create_worker_pool_ft(iwim::ProcessContext& coordinator, iwim::Process
   };
 
   // Spot-instance churn: the seeded plan's Leave/Crash events pick a running
-  // slot, kill its incarnation, and route the lost unit through the normal
-  // retry machinery — a graceful Leave re-leases immediately (no backoff),
-  // a Crash pays the crash-detection backoff.  Joins are recorded: the
-  // threads pool cannot grow past the master's create_worker requests, so
-  // respawned incarnations are this substrate's joiners.
+  // slot, kill its incarnation, and hand the lost unit to the ledger — a
+  // graceful Leave re-leases immediately (no backoff), a Crash pays the
+  // crash-detection backoff.  Joins are recorded: the threads pool cannot
+  // grow past the master's create_worker requests, so respawned
+  // incarnations are this substrate's joiners.
   const Clock::time_point churn_epoch = Clock::now();
   std::size_t churn_next = 0;
 
@@ -256,11 +253,7 @@ PoolStats create_worker_pool_ft(iwim::ProcessContext& coordinator, iwim::Process
                           (graceful ? " worker left" : " worker crashed"),
                       "protocol.cpp", __LINE__);
     slots[idx].worker->kill();
-    fail_slot(idx, /*timed_out=*/false);
-    if (slots[idx].state == Slot::State::AwaitingRespawn) {
-      stats.fleet.releases += 1;
-      if (graceful) slots[idx].respawn_due = Clock::now();  // re-lease at once
-    }
+    fail_slot(idx, /*timed_out=*/false, graceful);
   };
 
   // Next timer to service: the earliest live deadline, due respawn, or
@@ -292,7 +285,7 @@ PoolStats create_worker_pool_ft(iwim::ProcessContext& coordinator, iwim::Process
     for (std::size_t i = 0; i < slots.size(); ++i) {
       if (slots[i].state == Slot::State::Running && slots[i].has_deadline &&
           slots[i].deadline <= now) {
-        fail_slot(i, /*timed_out=*/true);
+        fail_slot(i, /*timed_out=*/true, /*graceful=*/false);
       }
     }
     for (std::size_t i = 0; i < slots.size(); ++i) {
@@ -390,7 +383,7 @@ PoolStats create_worker_pool_ft(iwim::ProcessContext& coordinator, iwim::Process
       // Unknown sources are stale: a crash from a worker this pool already
       // resolved (or another pool's) must not corrupt the accounting.
       if (it != slot_by_worker.end() && slots[it->second].state == Slot::State::Running) {
-        fail_slot(it->second, /*timed_out=*/false);
+        fail_slot(it->second, /*timed_out=*/false, /*graceful=*/false);
       }
     } else if (occurrence->event == ProtocolEvents::death_worker) {
       const auto it = slot_by_worker.find(occurrence->source);
@@ -408,6 +401,7 @@ PoolStats create_worker_pool_ft(iwim::ProcessContext& coordinator, iwim::Process
       for (Slot& s : slots) {
         if (s.state == Slot::State::Running) s.worker->kill();
       }
+      stats.faults += ledger.counters();
       stats.faults.degraded = true;
       stats.master_terminated = true;
       stats.workers_created = slots.size();
@@ -426,6 +420,7 @@ PoolStats create_worker_pool_ft(iwim::ProcessContext& coordinator, iwim::Process
   runtime.disconnect_source(tap_stream);
   drain_tap();
 
+  stats.faults += ledger.counters();
   stats.workers_created = slots.size();
   stats.rendezvous_wait_seconds = waited;
   // Line 50: MES + raise(a_rendezvous); the manner returns.

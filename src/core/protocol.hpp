@@ -66,8 +66,9 @@ struct ProtocolStats {
   /// Fault-tolerance ledger (crashes handled, retries, respawns, slots
   /// abandoned); all-zero when the retry policy is off and nothing failed.
   fault::FaultCounters faults;
-  /// Elastic-fleet ledger (churn events applied, units re-leased); all-zero
-  /// without a churn plan.
+  /// Churn events applied (joins, leaves, crashes); all-zero without a
+  /// churn plan.  A unit a leave or crash took away is re-leased as a retry
+  /// in `faults`.
   fleet::FleetCounters fleet;
   /// run_main_program's overall deadline expired before the protocol ended.
   bool timed_out = false;
@@ -77,7 +78,9 @@ struct ProtocolStats {
 struct PoolStats {
   std::size_t workers_created = 0;
   double rendezvous_wait_seconds = 0.0;
+  /// Crash events and timeouts seen here, plus the pool's LeaseLedger counts.
   fault::FaultCounters faults;
+  /// Churn events the pool applied.
   fleet::FleetCounters fleet;
   /// The master terminated mid-pool; the pool aborted instead of waiting for
   /// deaths that can no longer be acknowledged.

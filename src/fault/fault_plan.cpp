@@ -26,8 +26,9 @@ std::chrono::milliseconds RetryPolicy::backoff_for(std::size_t attempt) const {
   return std::chrono::milliseconds(static_cast<std::int64_t>(std::llround(ms)));
 }
 
-double RetryPolicy::backoff_seconds_for(std::size_t attempt) const {
-  return static_cast<double>(backoff_for(attempt).count()) / 1e3;
+double RetryPolicy::deadline_seconds(double expected_compute_seconds) const {
+  return std::max(std::chrono::duration<double>(task_deadline).count(),
+                  deadline_cost_factor * expected_compute_seconds);
 }
 
 FaultPlanConfig parse_fault_spec(const std::string& spec) {
@@ -145,6 +146,22 @@ void fault_counters_to_json(obs::JsonWriter& w, const FaultCounters& c) {
   w.kv("abandoned", static_cast<std::uint64_t>(c.abandoned));
   w.kv("degraded", c.degraded);
   w.end_object();
+}
+
+std::optional<std::chrono::milliseconds> LeaseLedger::lost(std::size_t attempt, bool graceful) {
+  const std::size_t max_attempts = std::max<std::size_t>(1, policy_.max_attempts);
+  if (attempt >= max_attempts || counters_.retries >= policy_.respawn_budget) {
+    abandon();
+    return std::nullopt;
+  }
+  counters_.retries += 1;
+  counters_.respawns += 1;
+  return graceful ? std::chrono::milliseconds(0) : policy_.backoff_for(attempt);
+}
+
+void LeaseLedger::abandon() {
+  counters_.abandoned += 1;
+  counters_.degraded = true;
 }
 
 }  // namespace mg::fault

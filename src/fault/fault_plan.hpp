@@ -12,12 +12,14 @@
 // RetryPolicy is the one recovery contract mirrored by both paths: a
 // per-task deadline (wall-clock for the threaded runtime, cost-model-derived
 // for the simulator), capped exponential backoff between re-dispatches, a
-// per-slot attempt cap, and a pool-wide respawn budget after which the pool
-// degrades gracefully instead of hanging.
+// per-unit attempt cap, and a shared respawn budget after which the owner
+// degrades gracefully instead of hanging.  LeaseLedger applies it: every
+// site that can lose a dispatched unit asks one ledger what to do next.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace mg::obs {
@@ -46,10 +48,11 @@ struct RetryPolicy {
   std::chrono::milliseconds task_deadline{0};
   /// Simulator: deadline >= factor * expected compute time for the grid.
   double deadline_cost_factor = 4.0;
-  /// Dispatch attempts per work unit, including the first.
+  /// Dispatch attempts per work unit, including the first (0 acts as 1).
   std::size_t max_attempts = 3;
-  /// Pool-wide cap on respawned workers; once spent, further lost work is
-  /// abandoned and the pool degrades instead of hanging.
+  /// Cap on re-dispatches shared by every unit of one ledger (one FT pool,
+  /// one service job, one simulated run); once spent, further lost work is
+  /// abandoned and its owner degrades instead of hanging.
   std::size_t respawn_budget = static_cast<std::size_t>(-1);
   std::chrono::milliseconds backoff_initial{10};
   double backoff_multiplier = 2.0;
@@ -58,10 +61,11 @@ struct RetryPolicy {
   /// Capped exponential backoff before re-dispatch number `attempt` (the
   /// first retry is attempt 1).
   std::chrono::milliseconds backoff_for(std::size_t attempt) const;
-  double backoff_seconds_for(std::size_t attempt) const;
 
-  /// True when any fault-tolerance machinery (deadline or retry) is wanted.
-  bool enabled() const { return task_deadline.count() > 0 || max_attempts > 1; }
+  /// Simulator: seconds after dispatch at which a silent loss is detected —
+  /// `deadline_cost_factor` x the expected compute, floored by
+  /// `task_deadline`, so slow-but-alive hosts are never declared lost.
+  double deadline_seconds(double expected_compute_seconds) const;
 };
 
 /// Injection probabilities; all default to "no faults".
@@ -149,5 +153,31 @@ struct FaultCounters {
 
 /// Serialises the counters as one JSON object value (append after a key()).
 void fault_counters_to_json(obs::JsonWriter& w, const FaultCounters& c);
+
+/// The one lost-lease rule.  A lease is one dispatch of a work unit to one
+/// worker.  When a lease is lost, its owner — the FT pool, a service job, a
+/// simulated run; one ledger each — asks the ledger whether the unit goes
+/// out again and after how long.  The ledger owns the attempt cap, the
+/// shared respawn budget, the backoff schedule and the recovery counters.
+/// It has no clock and no per-unit table: each owner keeps its units'
+/// attempt counts, detects losses its own way, and adds the wait to its own
+/// clock.  Not thread-safe; the owner serialises calls.
+class LeaseLedger {
+ public:
+  explicit LeaseLedger(RetryPolicy policy) : policy_(policy) {}
+
+  /// Dispatch `attempt` (1 = the first) of one unit was lost.  Returns the
+  /// wait before the unit goes out again (zero after a graceful leave), or
+  /// nullopt: the unit is abandoned and its owner computes it locally.
+  std::optional<std::chrono::milliseconds> lost(std::size_t attempt, bool graceful);
+  /// Abandons a unit that cannot go out again (no copy of it survived).
+  void abandon();
+  /// The recovery counters: retries, respawns, abandoned, degraded.
+  const FaultCounters& counters() const { return counters_; }
+
+ private:
+  RetryPolicy policy_;
+  FaultCounters counters_;
+};
 
 }  // namespace mg::fault

@@ -95,14 +95,12 @@ FleetCounters& FleetCounters::operator+=(const FleetCounters& other) {
   joins += other.joins;
   leaves += other.leaves;
   crashes += other.crashes;
-  steals += other.steals;
-  releases += other.releases;
   duplicates += other.duplicates;
   return *this;
 }
 
 bool FleetCounters::any() const {
-  return joins || leaves || crashes || steals || releases || duplicates;
+  return joins || leaves || crashes || duplicates;
 }
 
 void fleet_counters_to_json(obs::JsonWriter& w, const FleetCounters& c) {
@@ -110,8 +108,6 @@ void fleet_counters_to_json(obs::JsonWriter& w, const FleetCounters& c) {
   w.kv("joins", static_cast<std::uint64_t>(c.joins));
   w.kv("leaves", static_cast<std::uint64_t>(c.leaves));
   w.kv("crashes", static_cast<std::uint64_t>(c.crashes));
-  w.kv("steals", static_cast<std::uint64_t>(c.steals));
-  w.kv("releases", static_cast<std::uint64_t>(c.releases));
   w.kv("duplicates", static_cast<std::uint64_t>(c.duplicates));
   w.end_object();
 }
@@ -121,20 +117,15 @@ void add_fleet_metrics(const FleetCounters& c) {
     obs::Counter& joins;
     obs::Counter& leaves;
     obs::Counter& crashes;
-    obs::Counter& steals;
-    obs::Counter& releases;
     obs::Counter& duplicates;
   };
   static FleetMetrics m{
-      obs::registry().counter("fleet.joins"),      obs::registry().counter("fleet.leaves"),
-      obs::registry().counter("fleet.crashes"),    obs::registry().counter("fleet.steals"),
-      obs::registry().counter("fleet.releases"),   obs::registry().counter("fleet.duplicates"),
+      obs::registry().counter("fleet.joins"),   obs::registry().counter("fleet.leaves"),
+      obs::registry().counter("fleet.crashes"), obs::registry().counter("fleet.duplicates"),
   };
   if (c.joins) m.joins.add(c.joins);
   if (c.leaves) m.leaves.add(c.leaves);
   if (c.crashes) m.crashes.add(c.crashes);
-  if (c.steals) m.steals.add(c.steals);
-  if (c.releases) m.releases.add(c.releases);
   if (c.duplicates) m.duplicates.add(c.duplicates);
 }
 

@@ -11,13 +11,13 @@
 // identical for one seed.
 //
 // FleetCounters is the one accounting contract: joins/leaves/crashes record
-// fleet membership changes, steals count work units rebalanced away from a
-// loaded lane, releases count speculative re-issues of a unit past its soft
-// deadline, and duplicates count speculative-loser results that arrived
-// after a winner and were discarded.  The invariant carried over from the
-// fault layer: however many releases and duplicates occur, every work unit
-// is *combined* exactly once, so results stay bit-identical to the
-// sequential fault-free solve and telemetry never double-counts a unit.
+// fleet membership changes, and duplicates count late or repeated Results
+// the TCP endpoint dropped by retired-seq dedup.  A unit a leave or crash
+// took away is re-leased by its owner's fault::LeaseLedger and counted as a
+// fault-ledger retry.  The invariant carried over from the fault layer:
+// however much the fleet churns, every work unit is *combined* exactly
+// once, so results stay bit-identical to the sequential fault-free solve
+// and telemetry never double-counts a unit.
 #pragma once
 
 #include <cstddef>
@@ -90,9 +90,7 @@ struct FleetCounters {
   std::size_t joins = 0;       ///< workers accepted into the lease set
   std::size_t leaves = 0;      ///< graceful departures
   std::size_t crashes = 0;     ///< abrupt deaths handled
-  std::size_t steals = 0;      ///< units rebalanced off a loaded lane
-  std::size_t releases = 0;    ///< speculative re-leases past soft deadline
-  std::size_t duplicates = 0;  ///< speculative-loser results discarded
+  std::size_t duplicates = 0;  ///< late or repeated Results dropped by dedup
 
   FleetCounters& operator+=(const FleetCounters& other);
   bool any() const;
@@ -102,8 +100,8 @@ struct FleetCounters {
 void fleet_counters_to_json(obs::JsonWriter& w, const FleetCounters& c);
 
 /// Mirrors the counters into the process-global obs registry as
-/// fleet.joins / fleet.leaves / fleet.crashes / fleet.steals /
-/// fleet.releases / fleet.duplicates (monotonic adds).
+/// fleet.joins / fleet.leaves / fleet.crashes / fleet.duplicates
+/// (monotonic adds).
 void add_fleet_metrics(const FleetCounters& c);
 
 }  // namespace mg::fleet

@@ -58,7 +58,9 @@ struct FrameHeader {
   // prefix, Result may be a telemetry envelope, GetStats/StatsReport added.
   // v3: the Work payload lost the kernel policy and inner-thread count, and
   // the SubmitJob payload lost the same two fields.
-  static constexpr std::uint16_t kVersion = 3;
+  // v4: the StatsReport payload's fleet block shrank from six counters to
+  // four (joins, leaves, crashes, duplicates).
+  static constexpr std::uint16_t kVersion = 4;
   static constexpr std::size_t kWireSize = 28;
 
   std::uint16_t version = kVersion;

@@ -91,7 +91,8 @@ struct SolveEngine::Job {
   std::vector<transport::GridRunRecord> records;
   std::size_t outstanding = 0;  ///< terms not yet delivered/dropped/skipped
   std::size_t terms_done = 0;
-  fault::FaultCounters faults;
+  fault::FaultCounters faults;  ///< injections and detections seen by the lanes
+  fault::LeaseLedger ledger;    ///< decides every lost attempt, on the job's own budget
   std::string error;
   std::optional<grid::Field> combined;
   std::string report_json;
@@ -102,7 +103,8 @@ struct SolveEngine::Job {
   double queue_wait_seconds = 0.0;
   double run_seconds = 0.0;
 
-  Job(std::uint64_t id_, const JobSpec& spec_) : id(id_), spec(spec_) {
+  Job(std::uint64_t id_, const JobSpec& spec_, const fault::RetryPolicy& retry)
+      : id(id_), spec(spec_), ledger(retry) {
     program.root = spec_.root;
     program.level = spec_.level;
     program.le_tol = spec_.le_tol;
@@ -157,7 +159,7 @@ JobTicket SolveEngine::submit(const JobSpec& spec) {
     return ticket;
   }
 
-  auto job = std::make_shared<Job>(0, spec);
+  auto job = std::make_shared<Job>(0, spec, config_.retry);
   {
     std::lock_guard<std::mutex> lock(jobs_mutex_);
     if (down_) {
@@ -277,21 +279,23 @@ void SolveEngine::execute_task(Job& job, const TaskRef& task) {
       job.metrics.histogram("job.task_seconds", obs::default_latency_buckets());
   support::Stopwatch task_watch;
 
-  const std::size_t max_attempts = std::max<std::size_t>(1, config_.retry.max_attempts);
   std::optional<mw::ResultItem> result;
-  bool fell_back = false;
 
-  for (std::size_t attempt = 0; attempt < max_attempts && !result; ++attempt) {
+  for (std::size_t attempt = 1; !result; ++attempt) {
     if (job.cancel.load(std::memory_order_acquire)) {
       account_skipped(job, 1);
       return;
     }
-    if (attempt > 0) {
-      std::this_thread::sleep_for(config_.retry.backoff_for(attempt));
+    if (attempt > 1) {
+      // The previous attempt was lost: the job's ledger says whether the
+      // term goes out again, and after how long.
+      std::optional<std::chrono::milliseconds> wait;
       {
         std::lock_guard<std::mutex> lock(job.m);
-        ++job.faults.retries;
+        wait = job.ledger.lost(attempt - 1, /*graceful=*/false);
       }
+      if (!wait) break;
+      std::this_thread::sleep_for(*wait);
       job.metrics.counter("job.retries").add();
       svc_metrics().task_retries.add();
       std::lock_guard<std::mutex> lock(counters_mutex_);
@@ -358,12 +362,11 @@ void SolveEngine::execute_task(Job& job, const TaskRef& task) {
   }
 
   if (!result) {
-    // Attempts exhausted (remote transport down, or a fault spec hostile
-    // enough to consume every try): compute locally.  Same kernel, same
-    // bits — the tenant degrades to in-process compute, never to a wrong
-    // answer or a hang.
+    // The ledger abandoned the term (remote transport down, or a fault spec
+    // hostile enough to spend the attempts or the budget): compute locally.
+    // Same kernel, same bits — the tenant degrades to in-process compute,
+    // never to a wrong answer or a hang.
     result = mw::execute_work_item(item);
-    fell_back = true;
     job.metrics.counter("job.local_fallbacks").add();
     svc_metrics().remote_fallbacks.add();
     {
@@ -371,7 +374,6 @@ void SolveEngine::execute_task(Job& job, const TaskRef& task) {
       ++counters_.remote_fallbacks;
     }
   }
-  (void)fell_back;
 
   const double task_seconds = task_watch.elapsed_seconds();
   job_task_seconds.observe(task_seconds);
@@ -456,6 +458,8 @@ void SolveEngine::finalize(Job& job) {
 
   {
     std::lock_guard<std::mutex> lock(job.m);
+    fault::FaultCounters faults = job.faults;
+    faults += job.ledger.counters();
     job.state = final_state;
     job.run_seconds =
         job.started ? seconds_between(job.started_at, steady::now()) : 0.0;
@@ -478,7 +482,7 @@ void SolveEngine::finalize(Job& job) {
     report.derived().kv("state", to_string(job.state));
     report.derived().kv("terms_total", static_cast<std::uint64_t>(job.terms.size()));
     report.derived().kv("terms_done", static_cast<std::uint64_t>(job.terms_done));
-    report.derived().kv("retries", static_cast<std::uint64_t>(job.faults.retries));
+    report.derived().kv("retries", static_cast<std::uint64_t>(faults.retries));
     report.derived().kv("queue_wait_s", job.queue_wait_seconds);
     report.derived().kv("run_s", job.run_seconds);
     if (!job.error.empty()) report.derived().kv("error", job.error);
@@ -497,7 +501,7 @@ void SolveEngine::finalize(Job& job) {
     }
     report.derived().end_array();
     report.derived().end_object();
-    if (job.faults.any()) fault::fault_counters_to_json(report.faults(), job.faults);
+    if (faults.any()) fault::fault_counters_to_json(report.faults(), faults);
     job.report_json = report.json(job.metrics.snapshot());
   }
 
@@ -535,7 +539,7 @@ JobStatusInfo SolveEngine::status_locked(const Job& job) {
   info.weight = job.spec.weight;
   info.terms_total = job.terms.size();
   info.terms_done = job.terms_done;
-  info.retries = job.faults.retries;
+  info.retries = job.ledger.counters().retries;
   info.queue_wait_seconds = job.queue_wait_seconds;
   info.run_seconds = is_terminal(job.state) || !job.started
                          ? job.run_seconds

@@ -52,8 +52,11 @@ struct EngineConfig {
   /// (not owned; must outlive the engine).  Null = subsolve in the lane.
   net::RemoteEndpoint* remote = nullptr;
   /// Re-dispatch policy for failed attempts (remote transport failures and
-  /// job-scoped injected faults).  Once attempts are exhausted the lane
-  /// computes the term locally — graceful degradation, still bit-identical.
+  /// job-scoped injected faults).  Each job applies it through its own
+  /// fault::LeaseLedger, so the respawn budget caps the retries of one job,
+  /// not of the engine: one tenant cannot spend another's budget.  Once the
+  /// ledger abandons a term the lane computes it locally — graceful
+  /// degradation, still bit-identical.
   fault::RetryPolicy retry;
   /// Spec validation caps (a hostile SubmitJob must not allocate the moon).
   int max_root = 6;
@@ -118,8 +121,8 @@ class SolveEngine {
   SchedulerCounters scheduler_counters() const;
   /// Fleet ledger: lane joins/leaves from resize(), plus the RemoteEndpoint's
   /// channel joins/leaves/crashes/duplicates when lanes lease TCP workers.
-  /// Steals and releases stay 0 here: a lost lease fails back to the lane,
-  /// whose attempt loop re-submits it (counted as task_retries).
+  /// A lease lost with its channel fails back to the lane, whose attempt
+  /// loop re-submits it (counted as task_retries).
   fleet::FleetCounters fleet_counters() const;
 
   // ---- live-stats probes (GetStats; see svc/stats.hpp) ----

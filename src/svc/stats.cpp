@@ -173,8 +173,6 @@ std::vector<std::uint8_t> encode_service_stats(const ServiceStats& s) {
   w.write_u64(s.fleet.joins);
   w.write_u64(s.fleet.leaves);
   w.write_u64(s.fleet.crashes);
-  w.write_u64(s.fleet.steals);
-  w.write_u64(s.fleet.releases);
   w.write_u64(s.fleet.duplicates);
 
   w.write_u64(s.tenants.size());
@@ -234,8 +232,6 @@ ServiceStats decode_service_stats(const std::vector<std::uint8_t>& bytes) {
   s.fleet.joins = r.read_u64();
   s.fleet.leaves = r.read_u64();
   s.fleet.crashes = r.read_u64();
-  s.fleet.steals = r.read_u64();
-  s.fleet.releases = r.read_u64();
   s.fleet.duplicates = r.read_u64();
 
   const std::uint64_t n_tenants = r.read_u64();
@@ -274,8 +270,6 @@ std::string service_stats_json(const ServiceStats& s) {
   w.kv("joins", static_cast<std::uint64_t>(s.fleet.joins));
   w.kv("leaves", static_cast<std::uint64_t>(s.fleet.leaves));
   w.kv("crashes", static_cast<std::uint64_t>(s.fleet.crashes));
-  w.kv("steals", static_cast<std::uint64_t>(s.fleet.steals));
-  w.kv("releases", static_cast<std::uint64_t>(s.fleet.releases));
   w.kv("duplicates", static_cast<std::uint64_t>(s.fleet.duplicates));
   w.end_object();
 
@@ -391,12 +385,8 @@ std::string service_stats_prometheus(const ServiceStats& s) {
                s.fleet.joins);
   prom_counter(out, "svc_fleet_leaves", "Graceful fleet departures.", s.fleet.leaves);
   prom_counter(out, "svc_fleet_crashes", "Abrupt fleet deaths handled.", s.fleet.crashes);
-  prom_counter(out, "svc_fleet_steals", "Work units stolen off a loaded lane.",
-               s.fleet.steals);
-  prom_counter(out, "svc_fleet_releases", "Work units re-leased (churn or past deadline).",
-               s.fleet.releases);
-  prom_counter(out, "svc_fleet_duplicates", "Speculative-loser results discarded.",
-               s.fleet.duplicates);
+  prom_counter(out, "svc_fleet_duplicates",
+               "Late or repeated Results dropped by retired-seq dedup.", s.fleet.duplicates);
 
   // Per-tenant gauges, labelled by job id (+ tag when the client set one).
   out += "# HELP svc_tenant_terms_done Terms delivered for a live job.\n";

@@ -1,12 +1,14 @@
 // Tests for the fault-tolerance layer: the seeded FaultPlan, the shared
-// RetryPolicy, the fault-tolerant worker pool (crash / hang / corruption
-// recovery, respawn budget, graceful degradation), the simulator mirror,
-// the deadline-robust timed waits, and the run-report faults section.
+// RetryPolicy and the LeaseLedger that applies it, the fault-tolerant
+// worker pool (crash / hang / corruption recovery, respawn budget, graceful
+// degradation), the simulator mirror, the deadline-robust timed waits, and
+// the run-report faults section.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cmath>
 #include <thread>
+#include <vector>
 
 #include "cluster/cluster_sim.hpp"
 #include "cluster/cost_model.hpp"
@@ -84,6 +86,88 @@ TEST(RetryPolicy, BackoffIsCappedExponential) {
   EXPECT_EQ(policy.backoff_for(3).count(), 40);
   EXPECT_EQ(policy.backoff_for(4).count(), 70);  // capped
   EXPECT_EQ(policy.backoff_for(9).count(), 70);
+}
+
+TEST(RetryPolicy, DeadlineIsTheCostBoundFlooredByTheTaskDeadline) {
+  fault::RetryPolicy policy;
+  policy.deadline_cost_factor = 4.0;
+  EXPECT_DOUBLE_EQ(policy.deadline_seconds(2.0), 8.0);
+  policy.task_deadline = std::chrono::milliseconds(10000);
+  EXPECT_DOUBLE_EQ(policy.deadline_seconds(2.0), 10.0);
+}
+
+// ---- LeaseLedger: the one lost-lease rule --------------------------------------------
+
+enum class LedgerAnswer { Backoff, Now, Abandon };
+
+struct LedgerStep {
+  std::size_t attempt;  ///< the lost dispatch of one unit (1 = its first)
+  bool graceful;
+  LedgerAnswer expect;  ///< Backoff means backoff_for(attempt)
+};
+
+struct LedgerCase {
+  const char* name;
+  std::size_t max_attempts;
+  std::size_t respawn_budget;
+  std::vector<LedgerStep> steps;
+};
+
+TEST(LeaseLedger, AnswersEveryLostLeaseByTheRule) {
+  constexpr std::size_t kUnlimited = static_cast<std::size_t>(-1);
+  using A = LedgerAnswer;
+  const std::vector<LedgerCase> cases = {
+      {"three attempts back off twice, then abandon", 3, kUnlimited,
+       {{1, false, A::Backoff}, {2, false, A::Backoff}, {3, false, A::Abandon}}},
+      {"a graceful loss waits 0 but spends an attempt", 2, kUnlimited,
+       {{1, true, A::Now}, {2, true, A::Abandon}}},
+      {"a graceful loss spends the budget", 3, 1, {{1, true, A::Now}, {1, false, A::Abandon}}},
+      {"a budget of 2 is shared across units", 3, 2,
+       {{1, false, A::Backoff}, {1, false, A::Backoff}, {1, false, A::Abandon},
+        {2, false, A::Abandon}}},
+      {"budget 0 abandons the first loss", 3, 0, {{1, false, A::Abandon}}},
+      {"max_attempts 0 behaves as 1", 0, kUnlimited,
+       {{1, false, A::Abandon}, {1, true, A::Abandon}}},
+  };
+  for (const LedgerCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    fault::RetryPolicy policy;
+    policy.max_attempts = c.max_attempts;
+    policy.respawn_budget = c.respawn_budget;
+    fault::LeaseLedger ledger(policy);
+    std::size_t retries = 0;
+    std::size_t abandoned = 0;
+    for (const LedgerStep& step : c.steps) {
+      const auto wait = ledger.lost(step.attempt, step.graceful);
+      if (step.expect == A::Abandon) {
+        EXPECT_FALSE(wait.has_value()) << "attempt " << step.attempt;
+        ++abandoned;
+        continue;
+      }
+      ASSERT_TRUE(wait.has_value()) << "attempt " << step.attempt;
+      const auto want = step.expect == A::Now ? std::chrono::milliseconds(0)
+                                              : policy.backoff_for(step.attempt);
+      EXPECT_EQ(wait->count(), want.count()) << "attempt " << step.attempt;
+      ++retries;
+    }
+    const fault::FaultCounters& f = ledger.counters();
+    EXPECT_EQ(f.retries, retries);
+    EXPECT_EQ(f.respawns, retries);
+    EXPECT_EQ(f.abandoned, abandoned);
+    EXPECT_EQ(f.degraded, abandoned > 0);
+    EXPECT_EQ(f.crash_events + f.timeouts, 0u) << "detection stays with the owner";
+  }
+}
+
+TEST(LeaseLedger, AbandonCountsWithoutSpendingTheBudget) {
+  fault::RetryPolicy policy;
+  policy.respawn_budget = 1;
+  fault::LeaseLedger ledger(policy);
+  ledger.abandon();  // a unit with no copy left to send
+  EXPECT_EQ(ledger.counters().abandoned, 1u);
+  EXPECT_TRUE(ledger.counters().degraded);
+  EXPECT_TRUE(ledger.lost(1, /*graceful=*/false).has_value());
+  EXPECT_EQ(ledger.counters().retries, 1u);
 }
 
 // ---- deadline-robust timed waits (Port::read_for / EventMemory::await_for) -----------

@@ -100,12 +100,12 @@ TEST(FleetCounters, AccumulateAndReportAny) {
   EXPECT_FALSE(a.any());
   fleet::FleetCounters b;
   b.joins = 2;
-  b.steals = 1;
+  b.crashes = 1;
   b.duplicates = 3;
   a += b;
   a += b;
   EXPECT_EQ(a.joins, 4u);
-  EXPECT_EQ(a.steals, 2u);
+  EXPECT_EQ(a.crashes, 2u);
   EXPECT_EQ(a.duplicates, 6u);
   EXPECT_TRUE(a.any());
 }
@@ -171,7 +171,7 @@ TEST(ChurnPool, LeaveAndCrashEventsReLeaseWithoutLosingAUnit) {
   EXPECT_EQ(run.total, 2 * (7 * 8 / 2));  // 2 * sum(0..7): every unit exactly once
   EXPECT_EQ(run.stats.fleet.leaves, 2u);
   EXPECT_EQ(run.stats.fleet.crashes, 1u);
-  EXPECT_EQ(run.stats.fleet.releases, 3u) << "each killed lease re-issued exactly once";
+  EXPECT_EQ(run.stats.faults.retries, 3u) << "each killed lease re-issued exactly once";
   EXPECT_EQ(run.stats.faults.retries, run.stats.faults.respawns);
 }
 
@@ -195,25 +195,38 @@ TEST(ChurnSolve, ThreadsChurnKeepsTheSolveBitExact) {
   EXPECT_EQ(conc.solve.combined.max_diff(seq.combined), 0.0);
   EXPECT_LE(conc.protocol.fleet.leaves, 2u);
   EXPECT_LE(conc.protocol.fleet.crashes, 1u);
-  EXPECT_EQ(conc.protocol.fleet.steals, 0u) << "threads substrate does not steal";
   EXPECT_FALSE(conc.protocol.timed_out);
 }
 
 // ---- the virtual-time elastic simulator ----------------------------------------------
 
-TEST(ChurnSim, ElasticRunIsDeterministicAndCompletesEveryTermOnce) {
-  const cluster::AthlonCostModel cost;
-  const cluster::SimConfig config;
+/// The level-8 storm of the simulator tests.  The level-8 event horizon (the
+/// last term's completion time, before the constant collect/prolongation
+/// overheads) is well under a virtual second, so the storm must land very
+/// early to fire before the run drains.
+fleet::ChurnPlanConfig level8_storm() {
   fleet::ChurnPlanConfig churn;
   churn.seed = 2004;
   churn.joins = 3;
   churn.leaves = 2;
   churn.crashes = 2;
-  // The level-8 event horizon (the last term's completion time, before the
-  // constant collect/prolongation overheads) is well under a virtual second,
-  // so the storm must land very early to fire before the run drains.
   churn.start_seconds = 0.05;
   churn.spread_seconds = 0.2;
+  return churn;
+}
+
+/// Exactly-once completion: the sim's analogue of bit-identity.
+void expect_each_term_once(const cluster::ChurnSimResult& run) {
+  ASSERT_EQ(run.completion_order.size(), run.terms_total);
+  std::vector<std::size_t> sorted = run.completion_order;
+  std::sort(sorted.begin(), sorted.end());
+  for (std::size_t i = 0; i < sorted.size(); ++i) EXPECT_EQ(sorted[i], i);
+}
+
+TEST(ChurnSim, ElasticRunIsDeterministicAndCompletesEveryTermOnce) {
+  const cluster::AthlonCostModel cost;
+  const cluster::SimConfig config;
+  const fleet::ChurnPlanConfig churn = level8_storm();
 
   const auto a = cluster::simulate_churn_run(2, 8, 1e-3, cost, config, churn);
   const auto b = cluster::simulate_churn_run(2, 8, 1e-3, cost, config, churn);
@@ -221,19 +234,40 @@ TEST(ChurnSim, ElasticRunIsDeterministicAndCompletesEveryTermOnce) {
   EXPECT_DOUBLE_EQ(a.concurrent_seconds, b.concurrent_seconds);
   EXPECT_EQ(a.completion_order, b.completion_order);
   EXPECT_EQ(a.fleet.joins, b.fleet.joins);
-  EXPECT_EQ(a.fleet.releases, b.fleet.releases);
+  EXPECT_EQ(a.faults.retries, b.faults.retries);
 
-  // Exactly-once completion: the sim's analogue of bit-identity.
-  ASSERT_EQ(a.completion_order.size(), a.terms_total);
-  std::vector<std::size_t> sorted = a.completion_order;
-  std::sort(sorted.begin(), sorted.end());
-  for (std::size_t i = 0; i < sorted.size(); ++i) EXPECT_EQ(sorted[i], i);
-
+  expect_each_term_once(a);
   EXPECT_EQ(a.fleet.joins, churn.joins);
   EXPECT_EQ(a.fleet.leaves + a.fleet.crashes, churn.leaves + churn.crashes);
   EXPECT_GT(a.peak_machines, 0);
   EXPECT_GT(a.weighted_machines, 0.0);
   EXPECT_FALSE(a.machines.times.empty());
+}
+
+TEST(ChurnSim, EachLostLeaseIsOneLedgerRetry) {
+  // The storm lands while level-8 terms are still in flight, so every leave
+  // and crash takes a busy host's lease.
+  const cluster::AthlonCostModel cost;
+  const cluster::SimConfig config;
+  const auto run = cluster::simulate_churn_run(2, 8, 1e-3, cost, config, level8_storm());
+  ASSERT_EQ(run.fleet.leaves + run.fleet.crashes, 4u);
+  EXPECT_EQ(run.faults.retries, run.fleet.leaves + run.fleet.crashes);
+  EXPECT_EQ(run.faults.timeouts, run.fleet.crashes) << "a crash is found at its deadline";
+  EXPECT_EQ(run.faults.abandoned, 0u);
+  EXPECT_FALSE(run.faults.degraded);
+  expect_each_term_once(run);
+}
+
+TEST(ChurnSim, SpentBudgetAbandonsTheLeaseToTheMaster) {
+  const cluster::AthlonCostModel cost;
+  cluster::SimConfig config;
+  config.retry.respawn_budget = 0;
+  const auto run = cluster::simulate_churn_run(2, 8, 1e-3, cost, config, level8_storm());
+  ASSERT_EQ(run.fleet.leaves + run.fleet.crashes, 4u);
+  EXPECT_EQ(run.faults.retries, 0u);
+  EXPECT_EQ(run.faults.abandoned, run.fleet.leaves + run.fleet.crashes);
+  EXPECT_TRUE(run.faults.degraded);
+  expect_each_term_once(run);
 }
 
 TEST(ChurnSim, NoChurnDegeneratesToAFixedFleet) {

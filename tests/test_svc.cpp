@@ -406,6 +406,30 @@ TEST(SvcEngine, JobScopedFaultsRetryAndStayBitIdentical) {
   EXPECT_EQ(cresult.combined_nodes, sequential_nodes(2, 2, 1e-3));
 }
 
+TEST(SvcEngine, RespawnBudgetCapsTheRetriesOfOneJob) {
+  // Every attempt crashes, so each of the level-3 job's 7 terms ends in the
+  // lane's local fallback; the job's budget decides how many retries the
+  // lanes spend before that.
+  for (const std::size_t budget : {std::size_t{0}, std::size_t{2}}) {
+    svc::EngineConfig config;
+    config.lanes = 2;
+    config.retry.respawn_budget = budget;
+    svc::SolveEngine engine(config);
+    svc::JobSpec spec;
+    spec.root = 2;
+    spec.level = 3;
+    spec.fault_spec = "seed=1,crash=1.0";
+    const svc::JobTicket ticket = engine.submit(spec);
+    ASSERT_TRUE(ticket.accepted) << ticket.reason;
+    ASSERT_TRUE(engine.wait_terminal(ticket.job_id, 60s));
+    const svc::JobResultData result = engine.result(ticket.job_id);
+    ASSERT_EQ(result.state, svc::JobState::Done) << result.error;
+    EXPECT_EQ(result.combined_nodes, sequential_nodes(2, 3, 1e-3));
+    EXPECT_EQ(engine.counters().task_retries, budget) << "respawn_budget " << budget;
+    EXPECT_EQ(engine.counters().remote_fallbacks, 7u) << "respawn_budget " << budget;
+  }
+}
+
 TEST(SvcEngine, RemoteFleetIsBitIdenticalToo) {
   // In-process TCP fleet: two worker threads serve the endpoint the engine's
   // lanes lease (the forked-process version lives in the tier-2 soak).
@@ -696,8 +720,6 @@ svc::ServiceStats sample_stats() {
   s.fleet.joins = 6;
   s.fleet.leaves = 2;
   s.fleet.crashes = 1;
-  s.fleet.steals = 4;
-  s.fleet.releases = 3;
   s.fleet.duplicates = 1;
   svc::JobStatusInfo tenant;
   tenant.job_id = 3;
@@ -737,7 +759,6 @@ TEST(SvcStats, CodecRoundTripsEveryField) {
   EXPECT_EQ(s.server.pings, 7u);
   EXPECT_EQ(s.fleet.joins, 6u);
   EXPECT_EQ(s.fleet.crashes, 1u);
-  EXPECT_EQ(s.fleet.steals, 4u);
   EXPECT_EQ(s.fleet.duplicates, 1u);
   ASSERT_EQ(s.tenants.size(), 1u);
   EXPECT_EQ(s.tenants[0].job_id, 3u);
@@ -768,12 +789,10 @@ TEST(SvcStats, JsonAndPrometheusRenderings) {
   EXPECT_NE(json.find("\"tag\":\"tenant-a\""), std::string::npos);
   EXPECT_NE(json.find("\"task_seconds\":{"), std::string::npos);
   EXPECT_NE(json.find("\"fleet\":{"), std::string::npos);
-  EXPECT_NE(json.find("\"steals\":4"), std::string::npos);
 
   const std::string prom = svc::service_stats_prometheus(s);
   EXPECT_NE(prom.find("svc_busy_lanes 2"), std::string::npos);
   EXPECT_NE(prom.find("svc_fleet_joins 6"), std::string::npos);
-  EXPECT_NE(prom.find("svc_fleet_steals 4"), std::string::npos);
   EXPECT_NE(prom.find("svc_tasks_executed 116"), std::string::npos);
   EXPECT_NE(prom.find("svc_tenant_terms_done{job=\"3\",tag=\"tenant-a\",state=\"running\"} 5"),
             std::string::npos);
