@@ -31,6 +31,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/json_writer.hpp"
@@ -41,10 +42,15 @@
 
 namespace {
 
-bool flag_value(const char* arg, const char* name, const char*& value) {
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0) return false;
-  value = arg + n;
+int bad_value(const char* what, const char* value, const char* want) {
+  std::fprintf(stderr, "bad %s'%s' (want %s)\n", what, value, want);
+  return 2;
+}
+
+bool parse_int(const char* s, int& out) {
+  long n = 0;
+  if (!mg::examples::cli_detail::parse_long(s, n) || !std::in_range<int>(n)) return false;
+  out = static_cast<int>(n);
   return true;
 }
 
@@ -66,35 +72,38 @@ int main(int argc, char** argv) {
   std::string report_dir;
   int positional = 0;
 
+  using examples::cli_detail::parse_count;
+  using examples::cli_detail::parse_double;
+  using examples::cli_detail::starts_with;
   for (int i = 1; i < argc; ++i) {
     const char* v = nullptr;
-    if (flag_value(argv[i], "--connect=", v)) {
+    if (starts_with(argv[i], "--connect=", v)) {
       if (!examples::parse_host_port(v, connect_host, connect_port)) {
         std::fprintf(stderr, "bad --connect spec '%s' (want HOST:PORT)\n", v);
         return 2;
       }
-    } else if (flag_value(argv[i], "--jobs=", v)) {
-      jobs = std::atol(v);
-    } else if (flag_value(argv[i], "--priority=", v)) {
-      spec.priority = static_cast<std::int32_t>(std::atol(v));
-    } else if (flag_value(argv[i], "--weight=", v)) {
-      spec.weight = std::atof(v);
-    } else if (flag_value(argv[i], "--tag=", v)) {
+    } else if (starts_with(argv[i], "--jobs=", v)) {
+      if (!parse_count(v, jobs)) return bad_value("--jobs=", v, "a positive integer");
+    } else if (starts_with(argv[i], "--priority=", v)) {
+      if (!parse_int(v, spec.priority)) return bad_value("--priority=", v, "an integer");
+    } else if (starts_with(argv[i], "--weight=", v)) {
+      if (!parse_double(v, spec.weight)) return bad_value("--weight=", v, "a number");
+    } else if (starts_with(argv[i], "--tag=", v)) {
       spec.tag = v;
-    } else if (flag_value(argv[i], "--faults=", v)) {
+    } else if (starts_with(argv[i], "--faults=", v)) {
       spec.fault_spec = v;
-    } else if (flag_value(argv[i], "--pipeline=", v)) {
-      const long n = std::atol(v);
-      if (n < 1 || n > 64) {
-        std::fprintf(stderr, "bad --pipeline '%s' (want 1..64)\n", v);
-        return 2;
+    } else if (starts_with(argv[i], "--pipeline=", v)) {
+      if (!parse_count(v, spec.pipeline_depth) || spec.pipeline_depth < 1 ||
+          spec.pipeline_depth > 64) {
+        return bad_value("--pipeline ", v, "1..64");
       }
-      spec.pipeline_depth = static_cast<std::uint32_t>(n);
-    } else if (flag_value(argv[i], "--cancel-after-ms=", v)) {
-      cancel_after_ms = std::atol(v);
-    } else if (flag_value(argv[i], "--timeout-ms=", v)) {
-      timeout_ms = std::atol(v);
-    } else if (flag_value(argv[i], "--report-dir=", v)) {
+    } else if (starts_with(argv[i], "--cancel-after-ms=", v)) {
+      if (!parse_count(v, cancel_after_ms)) {
+        return bad_value("--cancel-after-ms=", v, "a non-negative integer");
+      }
+    } else if (starts_with(argv[i], "--timeout-ms=", v)) {
+      if (!parse_count(v, timeout_ms)) return bad_value("--timeout-ms=", v, "a non-negative integer");
+    } else if (starts_with(argv[i], "--report-dir=", v)) {
       report_dir = v;
     } else if (std::strcmp(argv[i], "--verify") == 0) {
       verify = true;
@@ -102,7 +111,7 @@ int main(int argc, char** argv) {
       ping = true;
     } else if (std::strcmp(argv[i], "--stats") == 0) {
       stats = true;
-    } else if (flag_value(argv[i], "--stats-format=", v)) {
+    } else if (starts_with(argv[i], "--stats-format=", v)) {
       stats_format = v;
       if (stats_format != "json" && stats_format != "prom") {
         std::fprintf(stderr, "bad --stats-format '%s' (want json or prom)\n", v);
@@ -112,14 +121,17 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
       return 2;
     } else if (positional == 0) {
-      spec.root = std::atoi(argv[i]);
+      if (!parse_int(argv[i], spec.root)) return bad_value("root ", argv[i], "an integer");
       ++positional;
     } else if (positional == 1) {
-      spec.level = std::atoi(argv[i]);
+      if (!parse_int(argv[i], spec.level)) return bad_value("level ", argv[i], "an integer");
       ++positional;
     } else if (positional == 2) {
-      spec.le_tol = std::atof(argv[i]);
+      if (!parse_double(argv[i], spec.le_tol)) return bad_value("le_tol ", argv[i], "a number");
       ++positional;
+    } else {
+      std::fprintf(stderr, "unexpected extra argument '%s'\n", argv[i]);
+      return 2;
     }
   }
   if (connect_port == 0) {

@@ -27,7 +27,6 @@
 // first, so scripts can scrape the ephemeral port.
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -46,11 +45,9 @@ namespace {
 std::sig_atomic_t g_stop = 0;
 void on_signal(int) { g_stop = 1; }
 
-bool flag_value(const char* arg, const char* name, const char*& value) {
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0) return false;
-  value = arg + n;
-  return true;
+int bad_count(const char* flag, const char* value) {
+  std::fprintf(stderr, "bad %s'%s' (want a non-negative integer)\n", flag, value);
+  return 2;
 }
 
 }  // namespace
@@ -71,36 +68,37 @@ int main(int argc, char** argv) {
   std::string report_path;
   std::string trace_path;
 
+  using examples::cli_detail::parse_count;
+  using examples::cli_detail::starts_with;
   for (int i = 1; i < argc; ++i) {
     const char* v = nullptr;
-    if (flag_value(argv[i], "--listen=", v)) {
+    if (starts_with(argv[i], "--listen=", v)) {
       if (!examples::parse_host_port(v, listen_host, listen_port)) {
         std::fprintf(stderr, "bad --listen spec '%s' (want HOST:PORT)\n", v);
         return 2;
       }
-    } else if (flag_value(argv[i], "--lanes=", v)) {
-      lanes = static_cast<std::size_t>(std::atol(v));
-    } else if (flag_value(argv[i], "--workers=", v)) {
-      workers = static_cast<std::size_t>(std::atol(v));
-    } else if (flag_value(argv[i], "--pipeline=", v)) {
-      pipeline = std::atol(v);
-      if (pipeline < 1 || pipeline > 64) {
+    } else if (starts_with(argv[i], "--lanes=", v)) {
+      if (!parse_count(v, lanes)) return bad_count("--lanes=", v);
+    } else if (starts_with(argv[i], "--workers=", v)) {
+      if (!parse_count(v, workers)) return bad_count("--workers=", v);
+    } else if (starts_with(argv[i], "--pipeline=", v)) {
+      if (!parse_count(v, pipeline) || pipeline < 1 || pipeline > 64) {
         std::fprintf(stderr, "bad --pipeline '%s' (want 1..64)\n", v);
         return 2;
       }
-    } else if (flag_value(argv[i], "--max-running=", v)) {
-      max_running = static_cast<std::size_t>(std::atol(v));
-    } else if (flag_value(argv[i], "--max-queued=", v)) {
-      max_queued = static_cast<std::size_t>(std::atol(v));
-    } else if (flag_value(argv[i], "--idle-timeout-ms=", v)) {
-      idle_timeout_ms = std::atol(v);
-    } else if (flag_value(argv[i], "--run-seconds=", v)) {
-      run_seconds = std::atol(v);
-    } else if (flag_value(argv[i], "--stats-interval=", v)) {
-      stats_interval = std::atol(v);
-    } else if (flag_value(argv[i], "--report=", v)) {
+    } else if (starts_with(argv[i], "--max-running=", v)) {
+      if (!parse_count(v, max_running)) return bad_count("--max-running=", v);
+    } else if (starts_with(argv[i], "--max-queued=", v)) {
+      if (!parse_count(v, max_queued)) return bad_count("--max-queued=", v);
+    } else if (starts_with(argv[i], "--idle-timeout-ms=", v)) {
+      if (!parse_count(v, idle_timeout_ms)) return bad_count("--idle-timeout-ms=", v);
+    } else if (starts_with(argv[i], "--run-seconds=", v)) {
+      if (!parse_count(v, run_seconds)) return bad_count("--run-seconds=", v);
+    } else if (starts_with(argv[i], "--stats-interval=", v)) {
+      if (!parse_count(v, stats_interval)) return bad_count("--stats-interval=", v);
+    } else if (starts_with(argv[i], "--report=", v)) {
       report_path = v;
-    } else if (flag_value(argv[i], "--trace=", v)) {
+    } else if (starts_with(argv[i], "--trace=", v)) {
       trace_path = v;
     } else {
       std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);

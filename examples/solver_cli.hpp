@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace mg::examples {
 
@@ -82,6 +83,15 @@ inline bool parse_double(const char* s, double& out) {
   char* end = nullptr;
   out = std::strtod(s, &end);
   return end != s && *end == '\0';
+}
+
+/// A non-negative integer that fits `T`, as a count or a duration must be.
+template <typename T>
+bool parse_count(const char* s, T& out) {
+  long n = 0;
+  if (!parse_long(s, n) || n < 0 || !std::in_range<T>(n)) return false;
+  out = static_cast<T>(n);
+  return true;
 }
 
 }  // namespace cli_detail

@@ -1,7 +1,6 @@
 #include "net/remote.hpp"
 
 #include <poll.h>
-#include <sys/uio.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -10,6 +9,7 @@
 #include <exception>
 #include <thread>
 
+#include "net/framed_channel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "support/bytes.hpp"
@@ -149,15 +149,9 @@ struct RemoteEndpoint::Trip {
 
 struct RemoteEndpoint::Channel {
   std::uint64_t id = 0;
-  Socket sock;
-  FrameDecoder decoder;
+  FramedChannel link;
   bool hello_seen = false;
   std::uint64_t worker_pid = 0;
-  /// Per-connection write queue: one buffer per frame header and one per
-  /// payload (never concatenated), flushed with a scatter-gather sendmsg so
-  /// back-to-back small frames coalesce into one syscall.
-  std::deque<std::vector<std::uint8_t>> outbox;
-  std::size_t out_off = 0;  ///< bytes of outbox.front() already sent
   /// Leases on the wire, keyed by seq (ascending = dispatch order).  Up to
   /// pipeline_depth entries; completion is matched per seq, in any order.
   std::map<std::uint64_t, std::shared_ptr<Trip>> in_flight;
@@ -167,9 +161,8 @@ struct RemoteEndpoint::Channel {
   obs::ClockOffsetEstimator offset;
   std::string track;
 
-  Channel(std::uint64_t id_, Socket sock_, std::size_t max_payload)
-      : id(id_), sock(std::move(sock_)), decoder(max_payload),
-        track("tcp.ch" + std::to_string(id_)) {}
+  Channel(std::uint64_t id_, EventLoop& loop, Socket sock, std::size_t max_payload)
+      : id(id_), link(loop, std::move(sock), max_payload), track("tcp.ch" + std::to_string(id_)) {}
 };
 
 RemoteEndpoint::RemoteEndpoint(TcpListener listener, RemoteEndpointConfig config)
@@ -205,7 +198,7 @@ void RemoteEndpoint::on_acceptable() {
     if (!s.valid()) return;
     const std::uint64_t id = next_channel_id_++;
     const int fd = s.fd();
-    channels_.emplace(id, std::make_unique<Channel>(id, std::move(s), config_.max_payload));
+    channels_.emplace(id, std::make_unique<Channel>(id, loop_, std::move(s), config_.max_payload));
     loop_.watch(fd, POLLIN, [this, id](short revents) { on_channel_io(id, revents); });
   }
 }
@@ -214,52 +207,14 @@ void RemoteEndpoint::on_channel_io(std::uint64_t id, short revents) {
   const auto it = channels_.find(id);
   if (it == channels_.end()) return;
   Channel& ch = *it->second;
-
-  if (revents & (POLLERR | POLLNVAL)) {
-    close_channel(id, "socket error");
-    return;
-  }
-
-  if (revents & POLLOUT) {
-    try {
-      flush_channel(ch);
-    } catch (const SocketError& e) {
-      close_channel(id, e.what());
-      return;
-    }
-  }
-
-  if (revents & (POLLIN | POLLHUP)) {
-    std::uint8_t buf[64 * 1024];
-    for (;;) {
-      std::ptrdiff_t r;
-      try {
-        r = ch.sock.recv_some(buf, sizeof buf);
-      } catch (const SocketError& e) {
-        close_channel(id, e.what());
-        return;
-      }
-      if (r < 0) break;  // drained
-      if (r == 0) {      // peer closed
-        close_channel(id, "peer disconnected");
-        return;
-      }
-      counters_->bump(counters_->bytes_received, net_metrics().bytes_received,
-                      static_cast<std::uint64_t>(r));
-      ch.decoder.feed(buf, static_cast<std::size_t>(r));
-      try {
-        while (auto frame = ch.decoder.next()) {
-          counters_->bump(counters_->frames_received, net_metrics().frames_received);
-          handle_frame(ch, std::move(*frame));
-          if (channels_.find(id) == channels_.end()) return;  // handler closed us
-        }
-      } catch (const FrameError& e) {
-        counters_->bump(counters_->crc_errors, net_metrics().crc_errors);
-        close_channel(id, std::string("corrupt stream: ") + e.what());
-        return;
-      }
-    }
-  }
+  const FramedChannel::Served served = ch.link.serve(revents, [this, &ch, id](Frame frame) {
+    counters_->bump(counters_->frames_received, net_metrics().frames_received);
+    handle_frame(ch, std::move(frame));
+    return channels_.count(id) != 0;  // false: the handler closed the channel
+  });
+  counters_->bump(counters_->bytes_received, net_metrics().bytes_received, served.bytes_read);
+  if (served.corrupt) counters_->bump(counters_->crc_errors, net_metrics().crc_errors);
+  if (served.close_reason) close_channel(id, *served.close_reason);
 }
 
 void RemoteEndpoint::handle_frame(Channel& ch, Frame frame) {
@@ -376,7 +331,7 @@ void RemoteEndpoint::close_channel(std::uint64_t id, const std::string& reason) 
   const auto it = channels_.find(id);
   if (it == channels_.end()) return;
   Channel& ch = *it->second;
-  loop_.unwatch(ch.sock.fd());
+  loop_.unwatch(ch.link.fd());
   if (ch.hello_seen) {
     connected_.fetch_sub(1, std::memory_order_acq_rel);
     {
@@ -459,7 +414,7 @@ void RemoteEndpoint::dispatch(Channel& ch, std::shared_ptr<Trip> trip) {
       std::vector<std::uint8_t> prefix(bytes.begin(),
                                        bytes.begin() + static_cast<std::ptrdiff_t>(bytes.size() / 2));
       try {
-        enqueue_bytes(ch, std::move(prefix));
+        enqueue_frame(ch, std::move(prefix), {});
       } catch (const SocketError&) {
       }
       close_channel(ch.id, "injected truncation");
@@ -499,51 +454,7 @@ void RemoteEndpoint::enqueue_frame(Channel& ch, std::vector<std::uint8_t> header
   counters_->bump(counters_->frames_sent, net_metrics().frames_sent);
   counters_->bump(counters_->bytes_sent, net_metrics().bytes_sent,
                   header.size() + payload.size());
-  ch.outbox.push_back(std::move(header));
-  if (!payload.empty()) ch.outbox.push_back(std::move(payload));
-  flush_channel(ch);
-}
-
-void RemoteEndpoint::enqueue_bytes(Channel& ch, std::vector<std::uint8_t> bytes) {
-  counters_->bump(counters_->frames_sent, net_metrics().frames_sent);
-  counters_->bump(counters_->bytes_sent, net_metrics().bytes_sent, bytes.size());
-  if (!bytes.empty()) ch.outbox.push_back(std::move(bytes));
-  flush_channel(ch);
-}
-
-void RemoteEndpoint::flush_channel(Channel& ch) {
-  // Scatter-gather flush: every queued buffer (frame headers and payloads
-  // alike) rides one sendmsg, so consecutive small frames coalesce into a
-  // single syscall and payload bytes are never copied into a joined buffer.
-  constexpr int kMaxIov = 16;
-  while (!ch.outbox.empty()) {
-    ::iovec iov[kMaxIov];
-    int iovcnt = 0;
-    std::size_t skip = ch.out_off;
-    for (const auto& buf : ch.outbox) {
-      if (iovcnt == kMaxIov) break;
-      iov[iovcnt].iov_base = const_cast<std::uint8_t*>(buf.data()) + skip;
-      iov[iovcnt].iov_len = buf.size() - skip;
-      skip = 0;
-      ++iovcnt;
-    }
-    const std::ptrdiff_t r = ch.sock.send_vec(iov, iovcnt);
-    if (r < 0) break;  // kernel buffer full: wait for POLLOUT
-    std::size_t left = static_cast<std::size_t>(r);
-    while (left > 0) {
-      const std::size_t avail = ch.outbox.front().size() - ch.out_off;
-      if (left >= avail) {
-        left -= avail;
-        ch.outbox.pop_front();
-        ch.out_off = 0;
-      } else {
-        ch.out_off += left;
-        left = 0;
-      }
-    }
-    if (r == 0) break;  // defensive: never spin on a zero-byte send
-  }
-  loop_.modify(ch.sock.fd(), ch.outbox.empty() ? POLLIN : (POLLIN | POLLOUT));
+  ch.link.send(std::move(header), std::move(payload));
 }
 
 void RemoteEndpoint::fail_trip(const std::shared_ptr<Trip>& trip, const std::string& error) {

@@ -161,8 +161,6 @@ class RemoteEndpoint {
   void dispatch(Channel& ch, std::shared_ptr<Trip> trip);
   void enqueue_frame(Channel& ch, std::vector<std::uint8_t> header,
                      std::vector<std::uint8_t> payload);
-  void enqueue_bytes(Channel& ch, std::vector<std::uint8_t> bytes);
-  void flush_channel(Channel& ch);
   void fail_trip(const std::shared_ptr<Trip>& trip, const std::string& error);
   void complete_trip(const std::shared_ptr<Trip>& trip, std::vector<std::uint8_t> payload);
   void retire_seq(std::uint64_t seq);

@@ -62,16 +62,6 @@ void Socket::set_nodelay(bool on) {
   }
 }
 
-std::ptrdiff_t Socket::send_some(const void* data, std::size_t n) {
-  for (;;) {
-    const ssize_t r = ::send(fd_, data, n, MSG_NOSIGNAL);
-    if (r >= 0) return r;
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return -1;
-    throw_errno("send");
-  }
-}
-
 std::ptrdiff_t Socket::send_vec(const ::iovec* iov, int iovcnt) {
   msghdr msg{};
   msg.msg_iov = const_cast<::iovec*>(iov);
@@ -96,40 +86,30 @@ std::ptrdiff_t Socket::recv_some(void* data, std::size_t n) {
 }
 
 bool send_all(Socket& s, const void* data, std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  std::size_t sent = 0;
-  while (sent < n) {
-    try {
-      const std::ptrdiff_t r = s.send_some(p + sent, n - sent);
-      if (r < 0) {  // blocking socket: would-block should not happen; back off
-        pollfd pfd{s.fd(), POLLOUT, 0};
-        ::poll(&pfd, 1, 100);
-        continue;
-      }
-      sent += static_cast<std::size_t>(r);
-    } catch (const SocketError&) {
-      return false;
+  ::iovec iov{const_cast<void*>(data), n};
+  try {
+    while (iov.iov_len > 0) {
+      const std::ptrdiff_t r = s.send_vec(&iov, 1);
+      if (r < 0) return false;  // would-block: not a blocking socket
+      iov.iov_base = static_cast<std::uint8_t*>(iov.iov_base) + r;
+      iov.iov_len -= static_cast<std::size_t>(r);
     }
+  } catch (const SocketError&) {
+    return false;
   }
   return true;
 }
 
 bool recv_exact(Socket& s, void* data, std::size_t n) {
   auto* p = static_cast<std::uint8_t*>(data);
-  std::size_t got = 0;
-  while (got < n) {
-    try {
+  try {
+    for (std::size_t got = 0; got < n;) {
       const std::ptrdiff_t r = s.recv_some(p + got, n - got);
-      if (r == 0) return false;  // EOF mid-message
-      if (r < 0) {
-        pollfd pfd{s.fd(), POLLIN, 0};
-        ::poll(&pfd, 1, 100);
-        continue;
-      }
+      if (r <= 0) return false;  // EOF mid-message (or would-block: not a blocking socket)
       got += static_cast<std::size_t>(r);
-    } catch (const SocketError&) {
-      return false;
     }
+  } catch (const SocketError&) {
+    return false;
   }
   return true;
 }

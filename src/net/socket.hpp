@@ -1,12 +1,12 @@
 // Thin RAII layer over POSIX TCP sockets.
 //
 // Everything above this file speaks frames; everything below it is the
-// kernel.  Two usage modes coexist: the master's event loop drives
-// non-blocking sockets (send_some / recv_some report would-block), while the
-// worker processes use the simple blocking helpers (send_all / recv_exact) —
-// a worker serves one request at a time, so blocking I/O is the honest
-// expression of its state machine.  All sends use MSG_NOSIGNAL: a peer that
-// vanished must surface as an error code, never as SIGPIPE.
+// kernel.  Two usage modes coexist: event loops drive non-blocking sockets
+// through net::FramedChannel (send_vec / recv_some report would-block), while
+// workers and clients use the blocking helpers (send_all / recv_exact) on
+// blocking sockets — they serve one request at a time, so blocking I/O is the
+// honest expression of their state machine.  All sends use MSG_NOSIGNAL: a
+// peer that vanished must surface as an error code, never as SIGPIPE.
 #pragma once
 
 #include <chrono>
@@ -43,13 +43,9 @@ class Socket {
   void set_nonblocking(bool on);
   void set_nodelay(bool on);  ///< TCP_NODELAY: frames are latency-sensitive
 
-  /// Sends up to n bytes.  Returns bytes written (may be 0 under pressure),
-  /// -1 on would-block; throws SocketError on a hard error (incl. EPIPE).
-  std::ptrdiff_t send_some(const void* data, std::size_t n);
-
   /// Scatter-gather send (sendmsg, so MSG_NOSIGNAL still applies — writev
-  /// takes no flags).  Same contract as send_some: bytes written, -1 on
-  /// would-block, throws on hard errors.
+  /// takes no flags).  Returns bytes written (may be 0 under pressure), -1 on
+  /// would-block; throws SocketError on a hard error (incl. EPIPE).
   std::ptrdiff_t send_vec(const ::iovec* iov, int iovcnt);
 
   /// Receives up to n bytes.  Returns bytes read, 0 on orderly EOF, -1 on
@@ -60,9 +56,9 @@ class Socket {
   int fd_ = -1;
 };
 
-/// Blocking send of exactly n bytes; false when the peer is gone.
+/// Sends exactly n bytes on a blocking socket; false when the peer is gone.
 bool send_all(Socket& s, const void* data, std::size_t n);
-/// Blocking receive of exactly n bytes; false on EOF or error.
+/// Receives exactly n bytes on a blocking socket; false on EOF or error.
 bool recv_exact(Socket& s, void* data, std::size_t n);
 
 /// Blocking connect to host:port with a timeout.  Returns an invalid Socket

@@ -1,5 +1,7 @@
 #include "svc/job.hpp"
 
+#include <limits>
+
 #include "support/bytes.hpp"
 
 namespace mg::svc {
@@ -21,6 +23,14 @@ const char* to_string(JobState s) {
 
 bool is_terminal(JobState s) {
   return s == JobState::Done || s == JobState::Failed || s == JobState::Cancelled;
+}
+
+std::uint64_t combined_field_bytes(int root, int level) {
+  const long long n = static_cast<long long>(root) + level;
+  if (n < 0) return 0;
+  if (n > 30) return std::numeric_limits<std::uint64_t>::max();  // 2^62 * 8 overflows
+  const std::uint64_t side = (std::uint64_t{1} << n) + 1;
+  return side * side * sizeof(double);
 }
 
 namespace {

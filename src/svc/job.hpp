@@ -90,6 +90,10 @@ struct JobResultData {
   std::string error;
 };
 
+/// Bytes of the combined field a spec's result carries: (2^(root+level)+1)^2
+/// doubles.  Saturates at UINT64_MAX; 0 when root + level is negative.
+std::uint64_t combined_field_bytes(int root, int level);
+
 // ---- wire codec (payloads of the svc frames) ----
 
 std::vector<std::uint8_t> encode_job_spec(const JobSpec& spec);

@@ -2,10 +2,9 @@
 
 #include <poll.h>
 
-#include <algorithm>
 #include <utility>
-#include <vector>
 
+#include "net/framed_channel.hpp"
 #include "obs/metrics.hpp"
 #include "support/log.hpp"
 #include "svc/job.hpp"
@@ -15,26 +14,19 @@ namespace mg::svc {
 
 namespace {
 
+// Fleet-wide mirrors of every server's JobServerCounters.
 struct ServerMetrics {
-  obs::Counter& sessions_opened;
-  obs::Counter& sessions_closed;
-  obs::Counter& idle_closed;
-  obs::Counter& protocol_errors;
-  obs::Counter& frames_received;
-  obs::Counter& frames_sent;
-  obs::Counter& pings;
+  obs::Counter& sessions_opened = obs::registry().counter("svc.server.sessions_opened");
+  obs::Counter& sessions_closed = obs::registry().counter("svc.server.sessions_closed");
+  obs::Counter& idle_closed = obs::registry().counter("svc.server.idle_closed");
+  obs::Counter& protocol_errors = obs::registry().counter("svc.server.protocol_errors");
+  obs::Counter& frames_received = obs::registry().counter("svc.server.frames_received");
+  obs::Counter& frames_sent = obs::registry().counter("svc.server.frames_sent");
+  obs::Counter& pings = obs::registry().counter("svc.server.pings");
 };
 
 ServerMetrics& server_metrics() {
-  static ServerMetrics m{
-      obs::registry().counter("svc.server.sessions_opened"),
-      obs::registry().counter("svc.server.sessions_closed"),
-      obs::registry().counter("svc.server.idle_closed"),
-      obs::registry().counter("svc.server.protocol_errors"),
-      obs::registry().counter("svc.server.frames_received"),
-      obs::registry().counter("svc.server.frames_sent"),
-      obs::registry().counter("svc.server.pings"),
-  };
+  static ServerMetrics m;
   return m;
 }
 
@@ -42,212 +34,182 @@ ServerMetrics& server_metrics() {
 
 struct JobServer::Session {
   std::uint64_t id = 0;
-  net::Socket socket;
-  net::FrameDecoder decoder;
-  std::thread thread;
-  /// Jobs this session submitted.  While any of them is still non-terminal
-  /// the session counts as active — a client that submits a long job and
-  /// only polls at the end must not be cut off by the idle timer.  Written
-  /// and read only by the session's own thread.
+  net::FramedChannel link;
+  /// Submitted jobs not yet seen terminal: while any is live the idle timer
+  /// spares the session, so a client may go quiet until its job is done.
   std::vector<std::uint64_t> jobs;
+  std::chrono::steady_clock::time_point last_frame_at = std::chrono::steady_clock::now();
+  std::uint64_t idle_timer = 0;
+  bool closing = false;  ///< Bye answered; closes once the reply has left
 
-  Session(std::uint64_t id_, net::Socket socket_, std::size_t max_payload)
-      : id(id_), socket(std::move(socket_)), decoder(max_payload) {}
+  Session(std::uint64_t id_, net::EventLoop& loop, net::Socket sock, std::size_t max_payload)
+      : id(id_), link(loop, std::move(sock), max_payload) {}
 };
 
 JobServer::JobServer(JobServerConfig config)
-    : config_(config),
-      engine_(config.engine),
-      listener_(config.host, config.port),
+    : config_(std::move(config)),
+      engine_(config_.engine),
+      listener_(config_.host, config_.port),
       port_(listener_.port()) {
   listener_.set_nonblocking(true);
-  accept_thread_ = std::thread([this] { accept_main(); });
+  loop_.start();
+  loop_.post([this] { watch_listener(); });
 }
 
 JobServer::~JobServer() { shutdown(); }
 
-void JobServer::accept_main() {
-  while (!down_.load(std::memory_order_acquire)) {
-    pollfd pfd{listener_.fd(), POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, 100);
-    if (rc <= 0) continue;
-    net::Socket s = listener_.accept();
-    if (!s.valid()) continue;
-    s.set_nodelay(true);
-    auto session = [&] {
-      std::lock_guard<std::mutex> lock(sessions_mutex_);
-      auto sess = std::make_shared<Session>(next_session_id_++, std::move(s),
-                                            config_.max_payload);
-      sessions_.emplace(sess->id, sess);
-      return sess;
-    }();
-    server_metrics().sessions_opened.add();
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.sessions_opened;
+void JobServer::watch_listener() {
+  if (listener_.valid()) loop_.watch(listener_.fd(), POLLIN, [this](short) { on_acceptable(); });
+}
+
+void JobServer::on_acceptable() {
+  for (;;) {
+    net::Socket s;
+    try {
+      s = listener_.accept();  // non-blocking, TCP_NODELAY
+    } catch (const net::SocketError& e) {
+      // Out of fds or buffers: pause rather than spin on a readable listener.
+      support::log_warn("svc: accept failed: ", e.what());
+      loop_.unwatch(listener_.fd());
+      loop_.post_after(std::chrono::milliseconds(100), [this] { watch_listener(); });
+      return;
     }
-    session->thread = std::thread([this, session] { session_main(session); });
+    if (!s.valid()) return;
+    const std::uint64_t id = next_session_id_++;
+    const int fd = s.fd();
+    auto session = std::make_unique<Session>(id, loop_, std::move(s), config_.max_payload);
+    if (config_.idle_timeout.count() > 0) arm_idle_timer(*session);
+    sessions_.emplace(id, std::move(session));
+    loop_.watch(fd, POLLIN, [this, id](short revents) { on_session_io(id, revents); });
+    bump(&JobServerCounters::sessions_opened, server_metrics().sessions_opened);
   }
 }
 
-void JobServer::session_main(std::shared_ptr<Session> session) {
-  const bool idle_enabled = config_.idle_timeout.count() > 0;
-  auto last_frame_at = std::chrono::steady_clock::now();
-  bool idle_kill = false;
-
-  try {
-    std::vector<std::uint8_t> buf(64 * 1024);
-    bool open = true;
-    while (open && !down_.load(std::memory_order_acquire)) {
-      // Wait for bytes, but never longer than the remaining idle budget —
-      // the poll timeout *is* the idle-timeout mechanism.
-      int wait_ms = 200;
-      if (idle_enabled) {
-        const auto idle_for = std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - last_frame_at);
-        const auto left = config_.idle_timeout - idle_for;
-        if (left.count() <= 0) {
-          // An in-flight job counts as session activity: refresh the idle
-          // clock instead of closing under the client's feet.
-          bool job_running = false;
-          for (const std::uint64_t job_id : session->jobs) {
-            const JobStatusInfo info = engine_.status(job_id);
-            if (info.known && !is_terminal(info.state)) {
-              job_running = true;
-              break;
-            }
-          }
-          if (job_running) {
-            last_frame_at = std::chrono::steady_clock::now();
-            continue;
-          }
-          idle_kill = true;
-          break;
-        }
-        wait_ms = static_cast<int>(std::min<std::int64_t>(left.count(), 200));
-      }
-      pollfd pfd{session->socket.fd(), POLLIN, 0};
-      const int rc = ::poll(&pfd, 1, wait_ms);
-      if (rc < 0) break;
-      if (rc == 0) continue;  // timeout tick; loop re-checks idle budget
-
-      const std::ptrdiff_t n = session->socket.recv_some(buf.data(), buf.size());
-      if (n == 0) break;   // orderly EOF
-      if (n < 0) continue; // spurious wakeup
-      session->decoder.feed(buf.data(), static_cast<std::size_t>(n));
-      while (auto frame = session->decoder.next()) {
-        last_frame_at = std::chrono::steady_clock::now();
-        server_metrics().frames_received.add();
-        {
-          std::lock_guard<std::mutex> lock(counters_mutex_);
-          ++counters_.frames_received;
-        }
-        if (!serve_frame(*session, *frame)) {
-          open = false;
-          break;
-        }
-      }
-    }
-  } catch (const net::FrameError& e) {
-    support::log_warn("svc: session ", session->id, " framing error: ", e.what());
-    server_metrics().protocol_errors.add();
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.protocol_errors;
-  } catch (const std::exception& e) {
-    support::log_warn("svc: session ", session->id, " error: ", e.what());
-    server_metrics().protocol_errors.add();
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.protocol_errors;
+void JobServer::on_session_io(std::uint64_t id, short revents) {
+  const auto it = sessions_.find(id);
+  if (it == sessions_.end()) return;
+  Session& session = *it->second;
+  const net::FramedChannel::Served served = session.link.serve(
+      revents, [this, &session](net::Frame frame) { return serve_frame(session, std::move(frame)); });
+  if (served.close_reason) {
+    close_session(id, served.corrupt ? *served.close_reason : std::string());
+  } else if (sessions_.count(id) != 0 && session.closing && session.link.flushed()) {
+    close_session(id);
   }
-
-  if (idle_kill) {
-    server_metrics().idle_closed.add();
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.idle_closed;
-  }
-  server_metrics().sessions_closed.add();
-  {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.sessions_closed;
-  }
-  // Cleanup ownership handshake: if the server is not shutting down, this
-  // thread removes its own record (detaching itself) and closes the socket.
-  // Under shutdown it touches neither — shutdown() owns the close and the
-  // join, so the fd is never closed from two threads.
-  bool self_cleanup = false;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mutex_);
-    if (!down_.load(std::memory_order_acquire)) {
-      const auto it = sessions_.find(session->id);
-      if (it != sessions_.end()) {
-        it->second->thread.detach();
-        sessions_.erase(it);
-        self_cleanup = true;
-      }
-    }
-  }
-  if (self_cleanup) session->socket.close();
 }
 
-bool JobServer::serve_frame(Session& session, const net::Frame& frame) {
+bool JobServer::serve_frame(Session& session, net::Frame frame) {
   using net::FrameType;
+  if (session.closing) return false;  // nothing after a Bye is served
+  session.last_frame_at = std::chrono::steady_clock::now();
+  bump(&JobServerCounters::frames_received, server_metrics().frames_received);
   const std::uint64_t seq = frame.header.seq;
-  switch (frame.header.type) {
-    case FrameType::SubmitJob: {
-      const JobSpec spec = decode_job_spec(frame.payload);  // throws -> fatal
-      const JobTicket ticket = engine_.submit(spec);
-      if (ticket.accepted) session.jobs.push_back(ticket.job_id);
-      return send_frame(session, FrameType::JobAccepted, seq, encode_job_ticket(ticket));
-    }
-    case FrameType::JobStatus: {
-      const std::uint64_t id = decode_job_ref(frame.payload);
-      return send_frame(session, FrameType::JobStatus, seq,
-                        encode_job_status(engine_.status(id)));
-    }
-    case FrameType::JobResult: {
-      const std::uint64_t id = decode_job_ref(frame.payload);
-      return send_frame(session, FrameType::JobResult, seq,
-                        encode_job_result(engine_.result(id)));
-    }
-    case FrameType::CancelJob: {
-      const std::uint64_t id = decode_job_ref(frame.payload);
-      return send_frame(session, FrameType::JobStatus, seq,
-                        encode_job_status(engine_.cancel(id)));
-    }
-    case FrameType::GetStats:
-      return send_frame(session, FrameType::StatsReport, seq,
-                        encode_service_stats(stats()));
-    case FrameType::Ping: {
-      server_metrics().pings.add();
-      {
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        ++counters_.pings;
+  try {
+    switch (frame.header.type) {
+      case FrameType::SubmitJob: {
+        const JobSpec spec = decode_job_spec(frame.payload);
+        JobTicket ticket;
+        if (const std::uint64_t bytes = combined_field_bytes(spec.root, spec.level);
+            bytes > config_.max_payload) {
+          ticket.reason = "result too large: " + std::to_string(bytes) + " bytes, over the " +
+                          std::to_string(config_.max_payload) + "-byte frame cap";
+        } else {
+          ticket = engine_.submit(spec);
+          if (ticket.accepted) session.jobs.push_back(ticket.job_id);
+        }
+        reply(session, FrameType::JobAccepted, seq, encode_job_ticket(ticket));
+        break;
       }
-      return send_frame(session, FrameType::Pong, seq, frame.payload);
+      case FrameType::JobStatus:
+        reply(session, FrameType::JobStatus, seq,
+              encode_job_status(engine_.status(decode_job_ref(frame.payload))));
+        break;
+      case FrameType::JobResult:
+        reply(session, FrameType::JobResult, seq,
+              encode_job_result(engine_.result(decode_job_ref(frame.payload))));
+        break;
+      case FrameType::CancelJob:
+        reply(session, FrameType::JobStatus, seq,
+              encode_job_status(engine_.cancel(decode_job_ref(frame.payload))));
+        break;
+      case FrameType::GetStats:
+        reply(session, FrameType::StatsReport, seq, encode_service_stats(stats()));
+        break;
+      case FrameType::Ping:
+        bump(&JobServerCounters::pings, server_metrics().pings);
+        reply(session, FrameType::Pong, seq, std::move(frame.payload));
+        break;
+      case FrameType::Bye:
+        reply(session, FrameType::Bye, seq, {});
+        session.closing = true;  // on_session_io closes once the ack has left
+        return false;
+      default:
+        // Worker-transport types or a stray Pong: a protocol violation.
+        close_session(session.id, std::string("unexpected ") + net::to_string(frame.header.type));
+        return false;
     }
-    case FrameType::Bye:
-      send_frame(session, FrameType::Bye, seq, {});
-      return false;
-    default:
-      // A frame type this endpoint does not serve (worker-transport types,
-      // or a stray Pong) is a protocol violation: close.
-      server_metrics().protocol_errors.add();
-      {
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        ++counters_.protocol_errors;
-      }
-      return false;
+  } catch (const net::SocketError&) {
+    close_session(session.id);  // the peer left before its reply went out
+    return false;
+  } catch (const std::exception& e) {
+    close_session(session.id, e.what());  // undecodable payload
+    return false;
   }
+  return true;
 }
 
-bool JobServer::send_frame(Session& session, net::FrameType type, std::uint64_t seq,
-                           const std::vector<std::uint8_t>& payload) {
-  const std::vector<std::uint8_t> bytes = net::encode_frame(type, seq, payload);
-  if (!net::send_all(session.socket, bytes.data(), bytes.size())) return false;
-  server_metrics().frames_sent.add();
+void JobServer::reply(Session& session, net::FrameType type, std::uint64_t seq,
+                      std::vector<std::uint8_t> payload) {
+  std::vector<std::uint8_t> header =
+      net::encode_frame_header(type, seq, payload.data(), payload.size());
+  session.link.send(std::move(header), std::move(payload));
+  bump(&JobServerCounters::frames_sent, server_metrics().frames_sent);
+}
+
+void JobServer::arm_idle_timer(Session& session) {
+  const auto left = session.last_frame_at + config_.idle_timeout - std::chrono::steady_clock::now();
+  const std::uint64_t id = session.id;
+  session.idle_timer = loop_.post_after(std::chrono::ceil<std::chrono::milliseconds>(left),
+                                        [this, id] { on_idle_timer(id); });
+}
+
+void JobServer::on_idle_timer(std::uint64_t id) {
+  const auto it = sessions_.find(id);
+  if (it == sessions_.end()) return;
+  Session& session = *it->second;
+  const auto now = std::chrono::steady_clock::now();
+  if (now - session.last_frame_at >= config_.idle_timeout) {
+    std::erase_if(session.jobs, [this](std::uint64_t job) {
+      const JobStatusInfo info = engine_.status(job);
+      return !info.known || is_terminal(info.state);
+    });
+    if (session.jobs.empty() && session.link.flushed()) {
+      bump(&JobServerCounters::idle_closed, server_metrics().idle_closed);
+      close_session(id);
+      return;
+    }
+    session.last_frame_at = now;  // a live job or a reply still leaving is activity
+  }
+  arm_idle_timer(session);
+}
+
+void JobServer::close_session(std::uint64_t id, const std::string& protocol_error) {
+  const auto it = sessions_.find(id);
+  if (it == sessions_.end()) return;
+  if (!protocol_error.empty()) {
+    support::log_warn("svc: session ", id, " protocol error: ", protocol_error);
+    bump(&JobServerCounters::protocol_errors, server_metrics().protocol_errors);
+  }
+  loop_.unwatch(it->second->link.fd());
+  loop_.cancel_timer(it->second->idle_timer);
+  sessions_.erase(it);  // closes the socket
+  bump(&JobServerCounters::sessions_closed, server_metrics().sessions_closed);
+}
+
+void JobServer::bump(std::uint64_t JobServerCounters::*field, obs::Counter& mirror) {
+  mirror.add();
   std::lock_guard<std::mutex> lock(counters_mutex_);
-  ++counters_.frames_sent;
-  return true;
+  ++(counters_.*field);
 }
 
 JobServerCounters JobServer::counters() const {
@@ -279,20 +241,13 @@ ServiceStats JobServer::stats() const {
 }
 
 void JobServer::shutdown() {
-  bool was_down = down_.exchange(true, std::memory_order_acq_rel);
-  if (!was_down) {
-    if (accept_thread_.joinable()) accept_thread_.join();
-    listener_.close();
-  }
-  // Closing the sockets kicks session threads out of poll/recv; then join.
-  std::map<std::uint64_t, std::shared_ptr<Session>> sessions;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mutex_);
-    sessions.swap(sessions_);
-  }
-  for (auto& [id, session] : sessions) session->socket.close();
-  for (auto& [id, session] : sessions) {
-    if (session->thread.joinable()) session->thread.join();
+  if (!down_.exchange(true, std::memory_order_acq_rel)) {
+    loop_.post([this] {
+      loop_.unwatch(listener_.fd());
+      listener_.close();
+      while (!sessions_.empty()) close_session(sessions_.begin()->first);
+    });
+    loop_.stop();  // runs the close-all above before the loop thread exits
   }
   engine_.shutdown();
 }

@@ -1,18 +1,21 @@
 // JobServer — the network face of the solve service.
 //
-// Accepts client connections on the same CRC-framed codec the worker
-// transport uses (net/frame.hpp) and serves the job API frames: SubmitJob /
-// JobStatus / JobResult / CancelJob, plus Ping keepalives.  One session
-// thread per connection — clients are few and their requests are small, so
-// blocking I/O per session is the honest state machine (the compute heavy
-// lifting happens on the engine's lanes, never on a session thread).
+// Serves the job API frames (SubmitJob / JobStatus / JobResult / CancelJob /
+// GetStats, plus Ping keepalives) on the CRC-framed codec of the worker
+// transport.  The listener and every session are watches on one
+// net::EventLoop thread, each session a net::FramedChannel like
+// RemoteEndpoint's worker channels, so the thread count does not grow with
+// the clients.  A request's engine calls take short locks and never wait.
 //
 // Protocol rules a session enforces:
 //  * every request frame gets exactly one reply frame with the same seq;
 //  * a FrameError (bad magic/CRC) or an undecodable payload is connection-
 //    fatal — framing cannot resynchronise, so the session closes;
+//  * a SubmitJob whose combined field does not fit in one `max_payload`
+//    frame is rejected before the engine sees it: it could not be delivered;
 //  * a connection idle longer than `idle_timeout` is closed by the server
-//    (any frame, Ping included, refreshes the clock);
+//    (any frame refreshes the clock; a submitted job until it is terminal,
+//    or a reply still leaving, counts as activity);
 //  * Bye closes the session after an acknowledging Bye reply.
 #pragma once
 
@@ -22,10 +25,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 
+#include "net/event_loop.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
+#include "obs/metrics.hpp"
 #include "svc/engine.hpp"
 
 namespace mg::svc {
@@ -73,19 +77,29 @@ class JobServer {
   /// StatsReport).  Safe to call concurrently with everything else.
   ServiceStats stats() const;
 
-  /// Stops accepting, closes every session, shuts the engine down.
-  /// Idempotent; also run by the destructor.
+  /// Closes the listener and every session on the loop thread, stops the
+  /// loop and shuts the engine down.  Idempotent; also run by the destructor.
   void shutdown();
 
  private:
   struct Session;
 
-  void accept_main();
-  void session_main(std::shared_ptr<Session> session);
-  /// Serves one request frame; false = close the session (Bye or error).
-  bool serve_frame(Session& session, const net::Frame& frame);
-  bool send_frame(Session& session, net::FrameType type, std::uint64_t seq,
-                  const std::vector<std::uint8_t>& payload);
+  // ---- loop thread ----
+  void watch_listener();
+  void on_acceptable();
+  void on_session_io(std::uint64_t id, short revents);
+  /// Serves one request frame; false = stop reading (Bye, or closed).
+  bool serve_frame(Session& session, net::Frame frame);
+  /// Queues one reply; throws net::SocketError when the peer is gone.
+  void reply(Session& session, net::FrameType type, std::uint64_t seq,
+             std::vector<std::uint8_t> payload);
+  /// Fires at the session's idle deadline, last_frame_at + idle_timeout.
+  void arm_idle_timer(Session& session);
+  void on_idle_timer(std::uint64_t id);
+  /// Drops the session; a non-empty `protocol_error` is logged and counted.
+  void close_session(std::uint64_t id, const std::string& protocol_error = {});
+
+  void bump(std::uint64_t JobServerCounters::*field, obs::Counter& mirror);
 
   JobServerConfig config_;
   const std::chrono::steady_clock::time_point started_at_ =
@@ -93,16 +107,16 @@ class JobServer {
   SolveEngine engine_;
   net::TcpListener listener_;
   std::uint16_t port_ = 0;
-
   std::atomic<bool> down_{false};
-  std::thread accept_thread_;
-
-  mutable std::mutex sessions_mutex_;
-  std::map<std::uint64_t, std::shared_ptr<Session>> sessions_;
-  std::uint64_t next_session_id_ = 1;
 
   mutable std::mutex counters_mutex_;
   JobServerCounters counters_;
+
+  // ---- loop-thread state ----
+  std::map<std::uint64_t, std::unique_ptr<Session>> sessions_;
+  std::uint64_t next_session_id_ = 1;
+  /// Declared last: its thread runs callbacks that use every member above.
+  net::EventLoop loop_;
 };
 
 }  // namespace mg::svc

@@ -7,6 +7,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
+#include <filesystem>
+#include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -142,6 +146,18 @@ TEST(SvcJobCodec, TicketStatusAndResultRoundTrip) {
   EXPECT_EQ(r.report_json, result.report_json);
 
   EXPECT_EQ(svc::decode_job_ref(svc::encode_job_ref(99)), 99u);
+}
+
+TEST(SvcJobCodec, CombinedFieldBytesIsTheFinestGridInDoubles) {
+  EXPECT_EQ(svc::combined_field_bytes(2, 3), 33u * 33u * 8u);
+  EXPECT_EQ(svc::combined_field_bytes(2, 7), 513u * 513u * 8u);
+  // Level 10 fits in one default frame; level 11 does not.
+  EXPECT_EQ(svc::combined_field_bytes(2, 10), 4097ull * 4097ull * 8ull);
+  EXPECT_LE(svc::combined_field_bytes(2, 10), net::FrameDecoder::kDefaultMaxPayload);
+  EXPECT_EQ(svc::combined_field_bytes(2, 11), 8193ull * 8193ull * 8ull);
+  EXPECT_GT(svc::combined_field_bytes(2, 11), net::FrameDecoder::kDefaultMaxPayload);
+  EXPECT_EQ(svc::combined_field_bytes(6, 1'000'000), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(svc::combined_field_bytes(-5, 2), 0u);
 }
 
 TEST(SvcJobCodec, RejectsTruncationTrailingBytesAndBadState) {
@@ -847,6 +863,138 @@ TEST(SvcServer, GetStatsOverTheWireSeesTenantsAndProgress) {
 
   client.close();
   server.shutdown();
+}
+
+// ---- one event loop for every session -----------------------------------------------
+
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+// Reads frames off a blocking socket until the peer closes it.
+std::vector<net::Frame> read_frames_until_eof(net::Socket& socket) {
+  net::FrameDecoder decoder;
+  std::vector<net::Frame> frames;
+  std::vector<std::uint8_t> buf(64 * 1024);
+  for (;;) {
+    const std::ptrdiff_t n = socket.recv_some(buf.data(), buf.size());
+    if (n <= 0) return frames;
+    decoder.feed(buf.data(), static_cast<std::size_t>(n));
+    while (auto frame = decoder.next()) frames.push_back(std::move(*frame));
+  }
+}
+
+TEST(SvcServer, ThreadCountDoesNotGrowWithSessions) {
+  svc::JobServerConfig config;
+  config.engine.lanes = 1;
+  svc::JobServer server(config);
+  std::vector<std::unique_ptr<svc::JobClient>> clients;
+  clients.push_back(std::make_unique<svc::JobClient>("127.0.0.1", server.port()));
+  clients.back()->ping();
+  const std::size_t with_one = thread_count();
+  for (int i = 0; i < 8; ++i) {
+    clients.push_back(std::make_unique<svc::JobClient>("127.0.0.1", server.port()));
+    clients.back()->ping();
+  }
+  EXPECT_EQ(thread_count(), with_one);
+  EXPECT_EQ(server.counters().sessions_opened, 9u);
+}
+
+TEST(SvcServer, ABadClientClosesOnlyItsOwnSession) {
+  svc::JobServerConfig config;
+  config.engine.lanes = 2;
+  svc::JobServer server(config);
+  net::Socket corrupt = net::connect_tcp("127.0.0.1", server.port(), 2000ms);
+  net::Socket truncated = net::connect_tcp("127.0.0.1", server.port(), 2000ms);
+  ASSERT_TRUE(corrupt.valid());
+  ASSERT_TRUE(truncated.valid());
+  svc::JobClient good("127.0.0.1", server.port());
+  EXPECT_GT(good.ping().count(), 0);
+  const std::uint64_t errors_before = server.counters().protocol_errors;
+
+  // A payload byte flipped after the CRCs were computed.
+  auto bad = net::encode_frame(net::FrameType::Ping, 1, std::vector<std::uint8_t>{1, 2, 3, 4});
+  bad.back() ^= 0xff;
+  ASSERT_TRUE(net::send_all(corrupt, bad.data(), bad.size()));
+  // A well-framed SubmitJob whose payload is cut short.
+  svc::JobSpec spec;
+  spec.root = 2;
+  spec.level = 3;
+  auto spec_bytes = svc::encode_job_spec(spec);
+  spec_bytes.resize(spec_bytes.size() / 2);
+  const auto cut = net::encode_frame(net::FrameType::SubmitJob, 1, spec_bytes);
+  ASSERT_TRUE(net::send_all(truncated, cut.data(), cut.size()));
+
+  std::uint8_t buf[64];
+  EXPECT_FALSE(net::recv_exact(corrupt, buf, sizeof buf));  // EOF: closed on us
+  EXPECT_FALSE(net::recv_exact(truncated, buf, sizeof buf));
+  EXPECT_EQ(server.counters().protocol_errors, errors_before + 2);
+
+  EXPECT_GT(good.ping().count(), 0);
+  const svc::JobTicket ticket = good.submit(spec);
+  ASSERT_TRUE(ticket.accepted) << ticket.reason;
+  EXPECT_EQ(good.wait_terminal(ticket.job_id, 60'000ms).state, svc::JobState::Done);
+  const std::vector<double> got = good.result(ticket.job_id).combined_nodes;
+  const std::vector<double> want = sequential_nodes(2, 3, 1e-3);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0);
+}
+
+TEST(SvcServer, LargeResultAndByeAckLeaveBeforeTheSessionCloses) {
+  // A level-7 result (513^2 doubles, 2.1 MB) is more than one sendmsg takes,
+  // so it crosses the session outbox in pieces; the Bye pipelined behind it
+  // is answered, and the session closes only after both replies have left.
+  svc::JobServerConfig config;
+  config.engine.lanes = 4;
+  svc::JobServer server(config);
+  svc::JobClient client("127.0.0.1", server.port());
+  svc::JobSpec spec;
+  spec.root = 2;
+  spec.level = 7;
+  const svc::JobTicket ticket = client.submit(spec);
+  ASSERT_TRUE(ticket.accepted) << ticket.reason;
+  ASSERT_EQ(client.wait_terminal(ticket.job_id, 120'000ms).state, svc::JobState::Done);
+
+  net::Socket raw = net::connect_tcp("127.0.0.1", server.port(), 2000ms);
+  ASSERT_TRUE(raw.valid());
+  std::vector<std::uint8_t> requests =
+      net::encode_frame(net::FrameType::JobResult, 7, svc::encode_job_ref(ticket.job_id));
+  const auto bye = net::encode_frame(net::FrameType::Bye, 8, {});
+  requests.insert(requests.end(), bye.begin(), bye.end());
+  ASSERT_TRUE(net::send_all(raw, requests.data(), requests.size()));
+
+  const std::vector<net::Frame> replies = read_frames_until_eof(raw);
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(replies[0].header.type, net::FrameType::JobResult);
+  EXPECT_EQ(replies[0].header.seq, 7u);
+  EXPECT_EQ(replies[1].header.type, net::FrameType::Bye);
+  EXPECT_EQ(replies[1].header.seq, 8u);
+  const svc::JobResultData result = svc::decode_job_result(replies[0].payload);
+  const std::vector<double> want = sequential_nodes(2, 7, 1e-3);
+  ASSERT_EQ(result.combined_nodes.size(), 513u * 513u);
+  ASSERT_EQ(want.size(), result.combined_nodes.size());
+  EXPECT_EQ(std::memcmp(result.combined_nodes.data(), want.data(), want.size() * sizeof(double)),
+            0);
+}
+
+TEST(SvcServer, RejectsAJobWhoseResultCannotBeDelivered) {
+  svc::JobServerConfig config;
+  config.engine.lanes = 1;
+  svc::JobServer server(config);
+  svc::JobClient client("127.0.0.1", server.port());
+  // Root 2, level 11: 8193^2 doubles, 537 MB, over the 256 MiB frame cap.
+  svc::JobSpec huge;
+  huge.root = 2;
+  huge.level = 11;
+  const svc::JobTicket ticket = client.submit(huge);
+  EXPECT_FALSE(ticket.accepted);
+  EXPECT_NE(ticket.reason.find("result too large"), std::string::npos) << ticket.reason;
+  EXPECT_EQ(server.engine().counters().accepted, 0u);
+  EXPECT_EQ(server.engine().counters().submitted, 0u);
 }
 
 // ---- solver CLI (satellite: strict --connect/--workers validation) ------------------
