@@ -12,8 +12,8 @@
 //                           the global data structure directly.  Run with
 //                           the REAL threaded runtime at a small level, and
 //                           checked for identical numerical results.
-//  F. Stage solver        — banded LU vs BiCGSTAB+ILU(0) vs BiCGSTAB+Jacobi
-//                           in the real subsolve kernel.
+//  F. Stage solver        — banded LU vs BiCGSTAB+ILU(0) in the real
+//                           subsolve kernel.
 //  G. Advection scheme    — central (2nd order) vs upwind (1st order)
 //                           accuracy against the analytic solution.
 // Usage: ablation [--report=PATH] — the report captures every section's
@@ -247,8 +247,8 @@ void ablation_stage_solver(ReportSink& sink) {
   sink.begin_section("stage_solver");
   std::printf("\n--- F. stage solver in subsolve (real kernel, grid G(2;3,3), tol 1e-4) ---\n");
   const grid::Grid2D g(2, 3, 3);
-  for (auto kind : {transport::StageSolverKind::BandedLU, transport::StageSolverKind::BiCgStabIlu0,
-                    transport::StageSolverKind::BiCgStabJacobi}) {
+  for (auto kind :
+       {transport::StageSolverKind::BandedLU, transport::StageSolverKind::BiCgStabIlu0}) {
     transport::SubsolveConfig config;
     config.le_tol = 1e-4;
     config.system.solver = kind;

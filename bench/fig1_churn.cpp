@@ -14,7 +14,8 @@
 //
 // Usage: fig1_churn [--level L] [--tol T] [--churn=SPEC] [--out=PATH]
 //                   [--label=S] [--timestamp=S] [--report=PATH]
-// An unknown flag or a flag missing its value exits 2 with the usage line.
+// An unknown flag, a flag missing its value, a malformed level or a
+// non-positive tolerance exits 2 with the usage line.
 //
 // The default output path is BENCH_churn.json in the working directory; the
 // committed copy at the repo root is a bench trajectory
@@ -23,14 +24,13 @@
 // fleet counters.  Virtual time is deterministic per seed, so unlike the
 // wall-clock benches this trajectory should be stable across machines.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <string>
 
 #include "bench/bench_trajectory.hpp"
 #include "cluster/cluster_sim.hpp"
 #include "cluster/cost_model.hpp"
+#include "examples/solver_cli.hpp"
 #include "fault/fault_plan.hpp"
 #include "fleet/churn.hpp"
 #include "obs/metrics.hpp"
@@ -46,6 +46,7 @@ constexpr const char* kUsage =
 }  // namespace
 
 int main(int argc, char** argv) {
+  using namespace mg::examples::cli_detail;
   // Level 18 gives 37 terms over the paper's 31 worker hosts, so the work
   // queue outlasts the first wave and churn finds busy hosts; the churn
   // window covers the early, fleet-saturated part of the run.
@@ -58,20 +59,27 @@ int main(int argc, char** argv) {
   std::string report_path;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strcmp(arg, "--level") == 0 && i + 1 < argc) {
-      level = std::atoi(argv[++i]);
-    } else if (std::strcmp(arg, "--tol") == 0 && i + 1 < argc) {
-      tol = std::atof(argv[++i]);
-    } else if (std::strncmp(arg, "--churn=", 8) == 0) {
-      churn_spec = arg + 8;
-    } else if (std::strncmp(arg, "--out=", 6) == 0) {
-      out_path = arg + 6;
-    } else if (std::strncmp(arg, "--label=", 8) == 0) {
-      label = arg + 8;
-    } else if (std::strncmp(arg, "--timestamp=", 12) == 0) {
-      timestamp = arg + 12;
-    } else if (std::strncmp(arg, "--report=", 9) == 0) {
-      report_path = arg + 9;
+    const char* v = nullptr;
+    if (flag_value(argc, argv, i, "--level", v)) {
+      if (!parse_count(v, level)) {
+        std::fprintf(stderr, "fig1_churn: bad --level '%s' (want a level >= 0)\n%s", v, kUsage);
+        return 2;
+      }
+    } else if (flag_value(argc, argv, i, "--tol", v)) {
+      if (!parse_double(v, tol) || !(tol > 0.0)) {
+        std::fprintf(stderr, "fig1_churn: bad --tol '%s' (want a number > 0)\n%s", v, kUsage);
+        return 2;
+      }
+    } else if (starts_with(arg, "--churn=", v)) {
+      churn_spec = v;
+    } else if (starts_with(arg, "--out=", v)) {
+      out_path = v;
+    } else if (starts_with(arg, "--label=", v)) {
+      label = v;
+    } else if (starts_with(arg, "--timestamp=", v)) {
+      timestamp = v;
+    } else if (starts_with(arg, "--report=", v)) {
+      report_path = v;
     } else {
       std::fprintf(stderr, "fig1_churn: unknown flag or missing value '%s'\n%s", arg, kUsage);
       return 2;

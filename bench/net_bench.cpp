@@ -25,6 +25,8 @@
 // Usage: net_bench [--out=PATH] [--workers N] [--clients N] [--tasks N]
 //                  [--payload BYTES] [--service-us N] [--delay-ms N]
 //                  [--reps N] [--label=S] [--timestamp=S]
+// An unknown flag, a missing value, a malformed number or a zero worker,
+// client, task or rep count exits 2 with the usage line.
 //
 // The default output path is BENCH_net.json in the working directory; the
 // committed copy at the repo root is this tool's output on the dev
@@ -40,12 +42,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_trajectory.hpp"
+#include "examples/solver_cli.hpp"
 #include "fault/fault_plan.hpp"
 #include "net/remote.hpp"
 #include "net/socket.hpp"
@@ -56,6 +58,11 @@ namespace {
 
 using namespace mg;
 using namespace std::chrono_literals;
+
+constexpr const char* kUsage =
+    "usage: net_bench [--out=PATH] [--workers N] [--clients N] [--tasks N]\n"
+    "                 [--payload BYTES] [--service-us N] [--delay-ms N]\n"
+    "                 [--reps N] [--label=S] [--timestamp=S]\n";
 
 struct DepthTiming {
   double wall_seconds = 0.0;
@@ -168,20 +175,39 @@ int main(int argc, char** argv) {
   int service_us = 30;
   int delay_ms = 1;
   int reps = 3;
+  using namespace examples::cli_detail;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--out=", 6) == 0) out_path = argv[i] + 6;
-    if (std::strncmp(argv[i], "--label=", 8) == 0) label = argv[i] + 8;
-    if (std::strncmp(argv[i], "--timestamp=", 12) == 0) timestamp = argv[i] + 12;
-    if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc)
-      workers = static_cast<std::size_t>(std::atol(argv[++i]));
-    if (std::strcmp(argv[i], "--clients") == 0 && i + 1 < argc) clients = std::atoi(argv[++i]);
-    if (std::strcmp(argv[i], "--tasks") == 0 && i + 1 < argc) tasks = std::atoi(argv[++i]);
-    if (std::strcmp(argv[i], "--payload") == 0 && i + 1 < argc)
-      payload_bytes = static_cast<std::size_t>(std::atol(argv[++i]));
-    if (std::strcmp(argv[i], "--service-us") == 0 && i + 1 < argc)
-      service_us = std::atoi(argv[++i]);
-    if (std::strcmp(argv[i], "--delay-ms") == 0 && i + 1 < argc) delay_ms = std::atoi(argv[++i]);
-    if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) reps = std::atoi(argv[++i]);
+    const char* arg = argv[i];
+    const char* v = nullptr;
+    bool ok = true;
+    if (starts_with(arg, "--out=", v)) {
+      out_path = v;
+    } else if (starts_with(arg, "--label=", v)) {
+      label = v;
+    } else if (starts_with(arg, "--timestamp=", v)) {
+      timestamp = v;
+    } else if (flag_value(argc, argv, i, "--workers", v)) {
+      ok = parse_positive(v, workers);
+    } else if (flag_value(argc, argv, i, "--clients", v)) {
+      ok = parse_positive(v, clients);
+    } else if (flag_value(argc, argv, i, "--tasks", v)) {
+      ok = parse_positive(v, tasks);
+    } else if (flag_value(argc, argv, i, "--payload", v)) {
+      ok = parse_count(v, payload_bytes);
+    } else if (flag_value(argc, argv, i, "--service-us", v)) {
+      ok = parse_count(v, service_us);
+    } else if (flag_value(argc, argv, i, "--delay-ms", v)) {
+      ok = parse_count(v, delay_ms);
+    } else if (flag_value(argc, argv, i, "--reps", v)) {
+      ok = parse_positive(v, reps);
+    } else {
+      std::fprintf(stderr, "net_bench: unknown flag or missing value '%s'\n%s", arg, kUsage);
+      return 2;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "net_bench: bad value '%s' for %s\n%s", v, arg, kUsage);
+      return 2;
+    }
   }
 
   obs::RunReport report("net_bench");

@@ -1,8 +1,8 @@
-// Perf smoke for the subsolve hot path: times prepare_stage on its three
-// cache paths (rebuild / refresh / hit), runs subsolve per solver kind and
-// level with the metrics registry capturing the assemble/factor/solve
-// decomposition, and compares warm- vs cold-started Krylov iteration
-// counts.  Each level L of the subsolve table has the square G(2;L,L) and
+// Perf smoke for the subsolve hot path: times prepare_stage on its two
+// cache paths (refresh / hit), runs subsolve per solver kind and level with
+// the metrics registry capturing the assemble/factor/solve decomposition,
+// and counts the warm-started Krylov iterations.  Each level L of the
+// subsolve table has the square G(2;L,L) and
 // the mirror pair G(2;L,0) / G(2;0,L); the banded solver factors along a
 // grid's short axis, so a mirror pair should cost the same per step (the
 // "mirror_pair" object compares the largest one; the two grids take
@@ -13,8 +13,9 @@
 // Usage: perf_smoke [--out=PATH] [--max-level L | --level=L] [--reps N]
 //                   [--label=S] [--timestamp=S]
 //
-// Any other argument is an error (exit 2), so a stale flag in a script
-// fails instead of quietly running the defaults.
+// Any other argument, a missing value, or a malformed or zero number is an
+// error (exit 2), so a stale flag in a script fails instead of quietly
+// running the defaults.
 //
 // The default output path is BENCH_subsolve.json in the working directory;
 // the committed copy at the repo root is this tool's output on the dev
@@ -24,11 +25,10 @@
 // says which tree produced it.  Timings are wall-clock and machine-
 // dependent; the report is a smoke record, not a calibrated benchmark.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "bench/bench_trajectory.hpp"
+#include "examples/solver_cli.hpp"
 #include "grid/grid2d.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -55,16 +55,9 @@ double prepare_seconds(transport::TransportSystem& system, int reps, bool altern
   return clock.elapsed_seconds() / reps;
 }
 
-transport::TransportSystem make_system(const grid::Grid2D& g, bool cache_stage) {
-  transport::SystemOptions options;
-  options.cache_stage = cache_stage;
-  return transport::TransportSystem(g, transport::TransportProblem{}, options);
-}
-
-std::uint64_t bicgstab_iterations(const grid::Grid2D& g, bool warm_start) {
+std::uint64_t bicgstab_iterations(const grid::Grid2D& g) {
   transport::SubsolveConfig config;
   config.system.solver = transport::StageSolverKind::BiCgStabIlu0;
-  config.system.warm_start = warm_start;
   obs::registry().reset();
   transport::subsolve(g, config);
   return obs::registry().snapshot().counter_or("linalg.bicgstab_iterations");
@@ -73,6 +66,7 @@ std::uint64_t bicgstab_iterations(const grid::Grid2D& g, bool warm_start) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using namespace examples::cli_detail;
   std::string out_path = "BENCH_subsolve.json";
   std::string label = "dev";
   std::string timestamp;
@@ -80,20 +74,25 @@ int main(int argc, char** argv) {
   int reps = 200;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--out=", 6) == 0) {
-      out_path = arg + 6;
-    } else if (std::strncmp(arg, "--label=", 8) == 0) {
-      label = arg + 8;
-    } else if (std::strncmp(arg, "--timestamp=", 12) == 0) {
-      timestamp = arg + 12;
-    } else if (std::strncmp(arg, "--level=", 8) == 0) {
-      max_level = std::atoi(arg + 8);
-    } else if (std::strcmp(arg, "--max-level") == 0 && i + 1 < argc) {
-      max_level = std::atoi(argv[++i]);
-    } else if (std::strcmp(arg, "--reps") == 0 && i + 1 < argc) {
-      reps = std::atoi(argv[++i]);
+    const char* v = nullptr;
+    bool ok = true;
+    if (starts_with(arg, "--out=", v)) {
+      out_path = v;
+    } else if (starts_with(arg, "--label=", v)) {
+      label = v;
+    } else if (starts_with(arg, "--timestamp=", v)) {
+      timestamp = v;
+    } else if (starts_with(arg, "--level=", v) || flag_value(argc, argv, i, "--max-level", v)) {
+      ok = parse_positive(v, max_level);
+    } else if (flag_value(argc, argv, i, "--reps", v)) {
+      ok = parse_positive(v, reps);
     } else {
       std::fprintf(stderr, "perf_smoke: unknown flag or missing value '%s'\n%s", arg, kUsage);
+      return 2;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "perf_smoke: bad value '%s' for %s (want a positive integer)\n%s", v,
+                   arg, kUsage);
       return 2;
     }
   }
@@ -105,46 +104,39 @@ int main(int argc, char** argv) {
   report.config().end_object();
   report.derived().begin_object();
 
-  // --- prepare_stage: rebuild-every-step vs refresh vs hit ----------------------
+  // --- prepare_stage: refresh vs hit --------------------------------------------
   {
     const grid::Grid2D g(2, 4, 4);
-    auto rebuild_system = make_system(g, /*cache_stage=*/false);
-    auto cached_system = make_system(g, /*cache_stage=*/true);
-    const double rebuild = prepare_seconds(rebuild_system, reps, /*alternate=*/false);
-    const double refresh = prepare_seconds(cached_system, reps, /*alternate=*/true);
-    const double hit = prepare_seconds(cached_system, reps, /*alternate=*/false);
-    const double hit_speedup = hit > 0.0 ? rebuild / hit : 0.0;
-    const double refresh_speedup = refresh > 0.0 ? rebuild / refresh : 0.0;
+    transport::TransportSystem system(g, transport::TransportProblem{});
+    const double refresh = prepare_seconds(system, reps, /*alternate=*/true);
+    const double hit = prepare_seconds(system, reps, /*alternate=*/false);
+    const double hit_speedup = hit > 0.0 ? refresh / hit : 0.0;
     std::printf("prepare_stage on G(2;4,4), banded LU, %d reps:\n", reps);
-    std::printf("  rebuild %.3g us  refresh %.3g us (%.1fx)  hit %.3g us (%.1fx)\n",
-                rebuild * 1e6, refresh * 1e6, refresh_speedup, hit * 1e6, hit_speedup);
+    std::printf("  refresh %.3g us  hit %.3g us (%.1fx)\n", refresh * 1e6, hit * 1e6,
+                hit_speedup);
     report.derived().key("prepare_stage").begin_object();
     report.derived().kv("grid", "G(2;4,4)").kv("solver", "banded-lu");
-    report.derived().kv("rebuild_seconds", rebuild);
     report.derived().kv("refresh_seconds", refresh);
     report.derived().kv("hit_seconds", hit);
-    report.derived().kv("refresh_speedup", refresh_speedup);
     report.derived().kv("hit_speedup", hit_speedup);
     report.derived().end_object();
   }
 
-  // --- warm vs cold Krylov starts ----------------------------------------------
+  // --- warm-started Krylov iterations --------------------------------------------
   {
     const grid::Grid2D g(2, 3, 3);
-    const std::uint64_t cold = bicgstab_iterations(g, /*warm_start=*/false);
-    const std::uint64_t warm = bicgstab_iterations(g, /*warm_start=*/true);
-    std::printf("bicgstab iterations on G(2;3,3), ilu0: cold %llu warm %llu\n",
-                static_cast<unsigned long long>(cold), static_cast<unsigned long long>(warm));
+    const std::uint64_t warm = bicgstab_iterations(g);
+    std::printf("bicgstab iterations on G(2;3,3), ilu0, warm-started: %llu\n",
+                static_cast<unsigned long long>(warm));
     report.derived().key("warm_start").begin_object();
     report.derived().kv("grid", "G(2;3,3)").kv("solver", "bicgstab+ilu0");
-    report.derived().kv("cold_iterations", cold).kv("warm_iterations", warm);
+    report.derived().kv("warm_iterations", warm);
     report.derived().end_object();
   }
 
   // --- subsolve per solver kind and level, with the stage decomposition ---------
   const transport::StageSolverKind kinds[] = {transport::StageSolverKind::BandedLU,
-                                              transport::StageSolverKind::BiCgStabIlu0,
-                                              transport::StageSolverKind::BiCgStabJacobi};
+                                              transport::StageSolverKind::BiCgStabIlu0};
   // Seconds per accepted step of the banded-LU subsolves of G(2;max_level,0)
   // and of its mirror G(2;0,max_level).
   double mirror_wide = 0.0;

@@ -9,6 +9,8 @@
 //
 // Usage: svc_bench [--out=PATH] [--jobs N] [--lanes N] [--level L] [--reps N]
 //                  [--label=S] [--timestamp=S]
+// An unknown flag, a missing value, a malformed number or a zero job, lane
+// or rep count exits 2 with the usage line.
 //
 // The default output path is BENCH_svc.json in the working directory; the
 // committed copy at the repo root is this tool's output on the dev
@@ -19,11 +21,11 @@
 // dependent; the report is a smoke record, not a calibrated benchmark.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/bench_trajectory.hpp"
+#include "examples/solver_cli.hpp"
 #include "obs/report.hpp"
 #include "support/stopwatch.hpp"
 #include "svc/engine.hpp"
@@ -32,6 +34,10 @@
 namespace {
 
 using namespace mg;
+
+constexpr const char* kUsage =
+    "usage: svc_bench [--out=PATH] [--jobs N] [--lanes N] [--level L] [--reps N]\n"
+    "                 [--label=S] [--timestamp=S]\n";
 
 struct BatchTiming {
   double wall_seconds = 0.0;
@@ -101,9 +107,9 @@ BatchTiming run_batch(int jobs, std::size_t lanes, int level, bool concurrent, i
   return best;
 }
 
-/// Pure scheduler cost: one thread draining next_task()/task_finished() for
-/// `jobs` tenants of `tasks_per_job` unit tasks — no solves, just the
-/// priority + weighted-fair pick under the lock.
+/// Pure scheduler cost: one thread draining next_task() for `jobs` tenants
+/// of `tasks_per_job` unit tasks — no solves, just the priority +
+/// weighted-fair pick under the lock.
 double scheduler_pick_seconds(int jobs, int tasks_per_job) {
   svc::AdmissionConfig admission;
   admission.max_running = static_cast<std::size_t>(jobs);
@@ -120,10 +126,7 @@ double scheduler_pick_seconds(int jobs, int tasks_per_job) {
   }
   const int picks = jobs * tasks_per_job;
   support::Stopwatch clock;
-  for (int i = 0; i < picks; ++i) {
-    const auto task = scheduler.next_task();
-    scheduler.task_finished(task->job);
-  }
+  for (int i = 0; i < picks; ++i) scheduler.next_task();
   const double per_pick = clock.elapsed_seconds() / picks;
   for (int j = 0; j < jobs; ++j) scheduler.release_slot(static_cast<std::uint64_t>(j + 1));
   scheduler.stop();
@@ -149,15 +152,33 @@ int main(int argc, char** argv) {
   std::size_t lanes = 8;
   int level = 3;
   int reps = 5;
+  using namespace examples::cli_detail;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--out=", 6) == 0) out_path = argv[i] + 6;
-    if (std::strncmp(argv[i], "--label=", 8) == 0) label = argv[i] + 8;
-    if (std::strncmp(argv[i], "--timestamp=", 12) == 0) timestamp = argv[i] + 12;
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) jobs = std::atoi(argv[++i]);
-    if (std::strcmp(argv[i], "--lanes") == 0 && i + 1 < argc)
-      lanes = static_cast<std::size_t>(std::atol(argv[++i]));
-    if (std::strcmp(argv[i], "--level") == 0 && i + 1 < argc) level = std::atoi(argv[++i]);
-    if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) reps = std::atoi(argv[++i]);
+    const char* arg = argv[i];
+    const char* v = nullptr;
+    bool ok = true;
+    if (starts_with(arg, "--out=", v)) {
+      out_path = v;
+    } else if (starts_with(arg, "--label=", v)) {
+      label = v;
+    } else if (starts_with(arg, "--timestamp=", v)) {
+      timestamp = v;
+    } else if (flag_value(argc, argv, i, "--jobs", v)) {
+      ok = parse_positive(v, jobs);
+    } else if (flag_value(argc, argv, i, "--lanes", v)) {
+      ok = parse_positive(v, lanes);
+    } else if (flag_value(argc, argv, i, "--level", v)) {
+      ok = parse_count(v, level);
+    } else if (flag_value(argc, argv, i, "--reps", v)) {
+      ok = parse_positive(v, reps);
+    } else {
+      std::fprintf(stderr, "svc_bench: unknown flag or missing value '%s'\n%s", arg, kUsage);
+      return 2;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "svc_bench: bad value '%s' for %s\n%s", v, arg, kUsage);
+      return 2;
+    }
   }
 
   obs::RunReport report("svc_bench");

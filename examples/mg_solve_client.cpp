@@ -5,15 +5,12 @@
 // Usage:
 //   mg_solve_client --connect=HOST:PORT [root] [level] [le_tol]
 //                   [--jobs=N] [--priority=P] [--weight=W] [--tag=S]
-//                   [--pipeline=N] [--faults=SPEC] [--cancel-after-ms=N] [--verify]
+//                   [--faults=SPEC] [--cancel-after-ms=N] [--verify]
 //                   [--report-dir=DIR] [--ping] [--timeout-ms=N]
 //                   [--stats] [--stats-format=json|prom]
 //
 // --jobs=N            submit N jobs of this spec (tags suffixed -1..-N) and
 //                     wait for all of them.
-// --pipeline=N        cap how many of the job's tasks the server may have in
-//                     flight at once, 1..64 (default: unlimited).  A tenant-
-//                     side footprint knob; results are bit-identical.
 // --cancel-after-ms=N cancel each job N ms after submission (lifecycle demo).
 // --verify            run solve_sequential locally and require the service's
 //                     combined nodes to be byte-identical.
@@ -92,11 +89,6 @@ int main(int argc, char** argv) {
       spec.tag = v;
     } else if (starts_with(argv[i], "--faults=", v)) {
       spec.fault_spec = v;
-    } else if (starts_with(argv[i], "--pipeline=", v)) {
-      if (!parse_count(v, spec.pipeline_depth) || spec.pipeline_depth < 1 ||
-          spec.pipeline_depth > 64) {
-        return bad_value("--pipeline ", v, "1..64");
-      }
     } else if (starts_with(argv[i], "--cancel-after-ms=", v)) {
       if (!parse_count(v, cancel_after_ms)) {
         return bad_value("--cancel-after-ms=", v, "a non-negative integer");

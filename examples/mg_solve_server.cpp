@@ -11,8 +11,7 @@
 // --workers=N     fork N TCP subsolve worker processes and route every task
 //                 over the wire to them (default 0 = compute in the lanes).
 // --pipeline=N    transport pipeline window per worker channel, 1..64
-//                 (default 4); requires --workers.  Operator-level knob,
-//                 distinct from a job's own pipeline_depth cap.
+//                 (default 4); requires --workers.
 // --run-seconds=N exit after N seconds (soak harnesses); default: run until
 //                 stdin closes or SIGINT/SIGTERM.
 // --report=PATH   write a fleet-wide run report (svc.* metrics) on exit.

@@ -8,7 +8,8 @@
 //    forks a fleet nor binds a listener, so "--connect ... --workers=8"
 //    was silently ignoring the fleet the user asked for;
 //  * the tcp-only flags (--workers / --listen / --net-faults) without
-//    --backend=tcp are errors instead of silently doing nothing;
+//    --backend=tcp are errors instead of silently doing nothing, and so is
+//    --faults with it (remote workers take frame faults, --net-faults);
 //  * --workers=0 (or garbage) is an error: a tcp master with zero forked
 //    workers and nobody joining just hangs at the worker barrier.
 #pragma once
@@ -91,6 +92,24 @@ bool parse_count(const char* s, T& out) {
   long n = 0;
   if (!parse_long(s, n) || n < 0 || !std::in_range<T>(n)) return false;
   out = static_cast<T>(n);
+  return true;
+}
+
+/// A count of at least 1, as a worker, job or repetition count must be.
+template <typename T>
+bool parse_positive(const char* s, T& out) {
+  T n{};
+  if (!parse_count(s, n) || n == 0) return false;
+  out = n;
+  return true;
+}
+
+/// True when argv[i] is `flag` and a value follows it (`--reps N`); `value`
+/// then points at it and `i` has moved onto it.
+inline bool flag_value(int argc, const char* const* argv, int& i, std::string_view flag,
+                       const char*& value) {
+  if (flag != argv[i] || i + 1 >= argc) return false;
+  value = argv[++i];
   return true;
 }
 
@@ -213,6 +232,10 @@ inline SolverCli parse_solver_cli(int argc, const char* const* argv) {
     if (listen_given) return fail("--listen requires --backend=tcp");
     if (pipeline_given) return fail("--pipeline requires --backend=tcp");
     if (!cli.net_fault_spec.empty()) return fail("--net-faults requires --backend=tcp");
+  } else if (!cli.fault_spec.empty()) {
+    // Worker crash/hang/corrupt faults are injected into the threads pool
+    // only; a tcp run would print "fault injection on" and inject nothing.
+    return fail("--faults is for --backend=threads; use --net-faults for tcp frame faults");
   }
 
   return cli;

@@ -24,8 +24,9 @@
 // the concurrent solve under seeded fault injection with the fault-tolerant
 // protocol engaged: crashed/hung workers are respawned and their grids
 // re-dispatched, and the report gains a "faults" section recording every
-// injection, retry, respawn and abandonment.  The solve must still be
-// bit-identical to the sequential program.
+// injection, retry and abandonment.  The solve must still be bit-identical
+// to the sequential program.  Threads backend only; --backend=tcp takes
+// frame faults through --net-faults.
 //
 // --churn=SPEC (e.g. --churn=seed=7,joins=2,leaves=1,crashes=1,spread=0.5)
 // replays a seeded spot-instance schedule against the worker fleet while the
@@ -267,9 +268,9 @@ int main(int argc, char** argv) {
   if (conc.protocol.faults.any()) {
     const auto& f = conc.protocol.faults;
     std::printf("faults: %zu crash / %zu hang / %zu corrupt injected; "
-                "%zu crash events, %zu timeouts, %zu retries, %zu respawns, %zu abandoned%s\n",
+                "%zu crash events, %zu timeouts, %zu retries, %zu abandoned%s\n",
                 f.crashes_injected, f.hangs_injected, f.corruptions_injected, f.crash_events,
-                f.timeouts, f.retries, f.respawns, f.abandoned,
+                f.timeouts, f.retries, f.abandoned,
                 f.degraded ? " (pool degraded)" : "");
   }
 

@@ -112,7 +112,7 @@ struct SimRunResult {
   std::vector<HostUsage> host_usage;  ///< per-host virtual busy/idle
   std::vector<WorkerTimeline> workers;
   /// Injection + recovery ledger of this run (host crashes, dropped/slowed
-  /// transfers, retries, respawns, abandoned slots).
+  /// transfers, retries, abandoned slots).
   fault::FaultCounters faults;
 };
 

@@ -4,8 +4,8 @@
 #include <future>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
 
-#include "core/marshal.hpp"
 #include "core/master.hpp"
 #include "net/remote.hpp"
 #include "obs/metrics.hpp"
@@ -57,20 +57,14 @@ struct SharedGlobalState {
 };
 
 /// Runs one pool: creates `count` workers starting at term index `first`,
-/// charges each with its grid, collects results (ThroughMaster only), and
-/// holds the rendezvous.  With `lpt`, grids go out heaviest-first.
+/// charges each with its grid, heaviest first (lpt_order), collects results
+/// (ThroughMaster only), and holds the rendezvous.
 void run_pool(MasterApi& api, const transport::SubsolveConfig& kernel,
               const std::vector<grid::CombinationTerm>& terms, std::size_t first,
-              std::size_t count, bool lpt, DataPath path, transport::GlobalData& data,
+              std::size_t count, DataPath path, transport::GlobalData& data,
               std::vector<transport::GridRunRecord>& records) {
   api.create_pool();  // master step 3(a)
-  std::vector<std::size_t> order;
-  if (lpt) {
-    order = lpt_order(terms, first, count);
-  } else {
-    order.resize(count);
-    std::iota(order.begin(), order.end(), first);
-  }
+  const std::vector<std::size_t> order = lpt_order(terms, first, count);
   for (std::size_t k : order) {
     api.create_worker();  // steps 3(b)+(c)
     const grid::Grid2D& g = terms[k].grid;
@@ -146,6 +140,41 @@ ConcurrentResult solve_concurrent(const transport::ProgramConfig& program,
                                   const ConcurrentOptions& options) {
   MG_REQUIRE(program.level >= 0);
 
+  RunOptions run_options;
+  run_options.retry = options.retry;
+  run_options.overall_deadline = options.overall_deadline;
+  run_options.churn = options.churn;
+  if (options.churn && options.churn->any() && !run_options.retry) {
+    // Churn rides on the fault-tolerant pool's crash/respawn machinery: a
+    // worker taken away mid-unit must be re-leased, so default to a generous
+    // retry policy rather than stranding its grid.
+    fault::RetryPolicy policy;
+    policy.max_attempts = 1 + options.churn->leaves + options.churn->crashes;
+    policy.backoff_initial = std::chrono::milliseconds(5);
+    run_options.retry = policy;
+  }
+  // Worker faults are injected only by the threads pool's fault-aware
+  // factory; refuse a plan that would be silently dropped or never end.
+  const fault::FaultPlanConfig& faults = options.faults;
+  if (faults.crash > 0 || faults.hang > 0 || faults.corrupt > 0) {
+    if (options.remote != nullptr) {
+      throw std::invalid_argument(
+          "solve_concurrent: worker faults (crash/hang/corrupt) are not injected into remote "
+          "workers; set RemoteEndpointConfig::faults for frame faults instead");
+    }
+    if (!run_options.retry) {
+      throw std::invalid_argument(
+          "solve_concurrent: worker faults (crash/hang/corrupt) need a retry policy");
+    }
+    if (faults.hang > 0 && run_options.retry->task_deadline.count() == 0) {
+      throw std::invalid_argument(
+          "solve_concurrent: hang faults need retry->task_deadline to reap a hung worker");
+    }
+  }
+  // The endpoint never retries a lost lease, so a remote pool is always the
+  // fault-tolerant one: a failed round trip is a crash to respawn.
+  if (options.remote != nullptr && !run_options.retry) run_options.retry = fault::RetryPolicy{};
+
   iwim::RuntimeConfig rt_config;
   rt_config.tasks = options.tasks;
   rt_config.hosts = options.hosts;
@@ -183,13 +212,11 @@ ConcurrentResult solve_concurrent(const transport::ProgramConfig& program,
         if (options.pool_per_family && program.level >= 1) {
           // Family lm = level-1 occupies terms [0, level); lm = level the rest.
           const std::size_t lower = static_cast<std::size_t>(program.level);
-          run_pool(api, kernel, terms, 0, lower, options.lpt_schedule, options.data_path, data,
+          run_pool(api, kernel, terms, 0, lower, options.data_path, data, records);
+          run_pool(api, kernel, terms, lower, terms.size() - lower, options.data_path, data,
                    records);
-          run_pool(api, kernel, terms, lower, terms.size() - lower, options.lpt_schedule,
-                   options.data_path, data, records);
         } else {
-          run_pool(api, kernel, terms, 0, terms.size(), options.lpt_schedule, options.data_path,
-                   data, records);
+          run_pool(api, kernel, terms, 0, terms.size(), options.data_path, data, records);
         }
         api.finished();  // master step 4
         const double subsolve_seconds = phase.elapsed_seconds();
@@ -224,13 +251,8 @@ ConcurrentResult solve_concurrent(const transport::ProgramConfig& program,
   // The worker: a wrapper around subsolve (§5).
   WorkFn work;
   if (options.data_path == DataPath::ThroughMaster) {
-    const bool marshal = options.marshal_through_bytes;
-    work = [marshal](const iwim::Unit& unit) {
-      WorkItem item = unit.as<WorkItem>();
-      if (marshal) item = decode_work_item(encode_work_item(item));  // wire round-trip
-      ResultItem result = execute_work_item(item);
-      if (marshal) result = decode_result_item(encode_result_item(result));
-      return iwim::Unit::of(std::move(result));
+    work = [](const iwim::Unit& unit) {
+      return iwim::Unit::of(execute_work_item(unit.as<WorkItem>()));
     };
   } else {
     work = [shared, &terms](const iwim::Unit& unit) {
@@ -253,22 +275,6 @@ ConcurrentResult solve_concurrent(const transport::ProgramConfig& program,
   ConcurrentResult result{transport::SolveResult{grid::Field(grid::Grid2D(program.root, 0, 0)),
                                                  {}, 0, 0, 0, 0},
                           {}, {}};
-  RunOptions run_options;
-  run_options.retry = options.retry;
-  run_options.overall_deadline = options.overall_deadline;
-  run_options.churn = options.churn;
-  if (options.churn && options.churn->any() && !run_options.retry) {
-    // Churn rides on the fault-tolerant pool's crash/respawn machinery: a
-    // worker taken away mid-unit must be re-leased, so default to a generous
-    // retry policy rather than stranding its grid.
-    fault::RetryPolicy policy;
-    policy.max_attempts = 1 + options.churn->leaves + options.churn->crashes;
-    policy.backoff_initial = std::chrono::milliseconds(5);
-    run_options.retry = policy;
-  }
-  // The endpoint never retries a lost lease, so a remote pool is always the
-  // fault-tolerant one: a failed round trip is a crash to respawn.
-  if (options.remote != nullptr && !run_options.retry) run_options.retry = fault::RetryPolicy{};
   WorkerFactory factory;
   std::shared_ptr<InjectionStats> injections;
   if (options.remote != nullptr) {

@@ -63,26 +63,23 @@ const char* to_string(DataPath p);
 /// `weight`/`load` notion, derived from subsolve_payload_bytes — with the
 /// original index as a deterministic tie-break.  Sending heavy grids first
 /// shrinks the pool's makespan tail when task slots are scarcer than grids.
+/// Every pool dispatches in this order; results are keyed by term index, so
+/// the combined output does not depend on it.
 std::vector<std::size_t> lpt_order(const std::vector<grid::CombinationTerm>& terms,
                                    std::size_t first, std::size_t count);
 
 struct ConcurrentOptions {
   bool pool_per_family = false;  ///< one pool per lm family instead of one pool total
-  /// Dispatch grids in lpt_order (heaviest first) instead of term order.
-  /// Results are keyed by term index, so the combined output is unchanged;
-  /// only the pool's completion profile moves.
-  bool lpt_schedule = true;
   DataPath data_path = DataPath::ThroughMaster;
-  /// Round-trip every work/result unit through the wire codec (core/marshal)
-  /// to emulate the cross-machine transport of a distributed run; results
-  /// must still be bit-identical to the sequential program.
-  bool marshal_through_bytes = false;
   iwim::TaskCompositionSpec tasks = iwim::TaskCompositionSpec::paper_distributed();
   iwim::HostMap hosts = iwim::HostMap::generated(32);
   trace::TraceLog* trace = nullptr;  ///< optional §6-style trace, not owned
-  /// Seeded fault injection into the worker incarnations (crash / hang /
-  /// corrupt probabilities; see FaultPlan).  Only meaningful together with
-  /// `retry` — injected faults without a retry policy would strand grids.
+  /// Seeded fault injection into the threads pool's worker incarnations
+  /// (crash / hang / corrupt probabilities; see FaultPlan).  solve_concurrent
+  /// throws std::invalid_argument for a plan it cannot honour: worker faults
+  /// with `remote` set (remote workers take frame faults from
+  /// RemoteEndpointConfig::faults), worker faults with no retry policy after
+  /// the churn default, and hangs with no retry->task_deadline to reap them.
   fault::FaultPlanConfig faults;
   /// Engages the fault-tolerant protocol when set: crashed/hung workers are
   /// respawned with backoff and their grids re-dispatched; once the attempt

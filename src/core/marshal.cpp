@@ -24,8 +24,6 @@ void write_kernel(ByteWriter& w, const transport::SubsolveConfig& k) {
   w.write_f64(k.system.krylov.rel_tol);
   w.write_f64(k.system.krylov.abs_tol);
   w.write_u64(k.system.krylov.max_iter);
-  w.write_i32(k.system.cache_stage ? 1 : 0);
-  w.write_i32(k.system.warm_start ? 1 : 0);
   w.write_f64(k.le_tol);
   w.write_f64(k.t0);
   w.write_f64(k.t1);
@@ -47,7 +45,7 @@ transport::SubsolveConfig read_kernel(ByteReader& r) {
     throw support::DecodeError("read_kernel: advection scheme out of range");
   }
   const std::int32_t solver = r.read_i32();
-  if (solver < 0 || solver > static_cast<std::int32_t>(transport::StageSolverKind::BiCgStabJacobi)) {
+  if (solver < 0 || solver > static_cast<std::int32_t>(transport::StageSolverKind::BiCgStabIlu0)) {
     throw support::DecodeError("read_kernel: stage solver out of range");
   }
   k.system.scheme = static_cast<transport::AdvectionScheme>(scheme);
@@ -55,8 +53,6 @@ transport::SubsolveConfig read_kernel(ByteReader& r) {
   k.system.krylov.rel_tol = r.read_f64();
   k.system.krylov.abs_tol = r.read_f64();
   k.system.krylov.max_iter = r.read_u64();
-  k.system.cache_stage = r.read_i32() != 0;
-  k.system.warm_start = r.read_i32() != 0;
   k.le_tol = r.read_f64();
   k.t0 = r.read_f64();
   k.t1 = r.read_f64();

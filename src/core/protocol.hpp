@@ -63,8 +63,8 @@ struct ProtocolStats {
   /// death_worker events — pure coordination-layer overhead (§7's third
   /// category).
   double rendezvous_wait_seconds = 0.0;
-  /// Fault-tolerance ledger (crashes handled, retries, respawns, slots
-  /// abandoned); all-zero when the retry policy is off and nothing failed.
+  /// Fault-tolerance ledger (crashes handled, retries, slots abandoned);
+  /// all-zero when the retry policy is off and nothing failed.
   fault::FaultCounters faults;
   /// Churn events applied (joins, leaves, crashes); all-zero without a
   /// churn plan.  A unit a leave or crash took away is re-leased as a retry

@@ -119,7 +119,6 @@ FaultCounters& FaultCounters::operator+=(const FaultCounters& other) {
   crash_events += other.crash_events;
   timeouts += other.timeouts;
   retries += other.retries;
-  respawns += other.respawns;
   abandoned += other.abandoned;
   degraded = degraded || other.degraded;
   return *this;
@@ -128,7 +127,7 @@ FaultCounters& FaultCounters::operator+=(const FaultCounters& other) {
 bool FaultCounters::any() const {
   return crashes_injected || hangs_injected || corruptions_injected || host_crashes_injected ||
          net_drops_injected || net_slowdowns_injected || crash_events || timeouts || retries ||
-         respawns || abandoned || degraded;
+         abandoned || degraded;
 }
 
 void fault_counters_to_json(obs::JsonWriter& w, const FaultCounters& c) {
@@ -142,7 +141,6 @@ void fault_counters_to_json(obs::JsonWriter& w, const FaultCounters& c) {
   w.kv("crash_events", static_cast<std::uint64_t>(c.crash_events));
   w.kv("timeouts", static_cast<std::uint64_t>(c.timeouts));
   w.kv("retries", static_cast<std::uint64_t>(c.retries));
-  w.kv("respawns", static_cast<std::uint64_t>(c.respawns));
   w.kv("abandoned", static_cast<std::uint64_t>(c.abandoned));
   w.kv("degraded", c.degraded);
   w.end_object();
@@ -155,7 +153,6 @@ std::optional<std::chrono::milliseconds> LeaseLedger::lost(std::size_t attempt, 
     return std::nullopt;
   }
   counters_.retries += 1;
-  counters_.respawns += 1;
   return graceful ? std::chrono::milliseconds(0) : policy_.backoff_for(attempt);
 }
 

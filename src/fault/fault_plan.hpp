@@ -143,7 +143,6 @@ struct FaultCounters {
   std::size_t crash_events = 0;     ///< crash_worker occurrences handled
   std::size_t timeouts = 0;         ///< per-task deadlines expired (kills)
   std::size_t retries = 0;          ///< work units re-enqueued
-  std::size_t respawns = 0;         ///< replacement workers spawned
   std::size_t abandoned = 0;        ///< slots given up on (degradation)
   bool degraded = false;            ///< pool finished smaller than requested
 
@@ -172,7 +171,7 @@ class LeaseLedger {
   std::optional<std::chrono::milliseconds> lost(std::size_t attempt, bool graceful);
   /// Abandons a unit that cannot go out again (no copy of it survived).
   void abandon();
-  /// The recovery counters: retries, respawns, abandoned, degraded.
+  /// The recovery counters: retries, abandoned, degraded.
   const FaultCounters& counters() const { return counters_; }
 
  private:

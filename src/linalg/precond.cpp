@@ -7,19 +7,6 @@
 
 namespace mg::linalg {
 
-JacobiPreconditioner::JacobiPreconditioner(const CsrMatrix& a) : inv_diag_(a.diagonal()) {
-  for (double& d : inv_diag_) {
-    if (std::abs(d) < 1e-300) throw std::runtime_error("JacobiPreconditioner: zero diagonal");
-    d = 1.0 / d;
-  }
-}
-
-void JacobiPreconditioner::apply(const Vec& r, Vec& z) const {
-  MG_REQUIRE(r.size() == inv_diag_.size());
-  z.resize(r.size());
-  for (std::size_t i = 0; i < r.size(); ++i) z[i] = r[i] * inv_diag_[i];
-}
-
 Ilu0Preconditioner::Ilu0Preconditioner(const CsrMatrix& a) : lu_(a), diag_(a.rows()) {
   MG_REQUIRE(a.rows() == a.cols());
   const std::size_t n = lu_.rows();
@@ -84,7 +71,6 @@ void Ilu0Preconditioner::apply(const Vec& r, Vec& z) const {
 std::unique_ptr<Preconditioner> make_preconditioner(PrecondKind kind, const CsrMatrix& a) {
   switch (kind) {
     case PrecondKind::Identity: return std::make_unique<IdentityPreconditioner>();
-    case PrecondKind::Jacobi: return std::make_unique<JacobiPreconditioner>(a);
     case PrecondKind::Ilu0: return std::make_unique<Ilu0Preconditioner>(a);
   }
   throw std::logic_error("make_preconditioner: unknown kind");

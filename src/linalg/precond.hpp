@@ -1,9 +1,8 @@
 // Preconditioners for the Krylov solver.
 //
-// Identity (no preconditioning), Jacobi (diagonal), and ILU(0) on the CSR
-// pattern.  ILU(0) is the default for the transport Jacobian: the stage
-// matrix is an M-matrix-like 5-point operator where ILU(0) is both cheap and
-// effective.
+// Identity (no preconditioning) and ILU(0) on the CSR pattern.  ILU(0) is
+// the transport stage solver's preconditioner: the stage matrix is an
+// M-matrix-like 5-point operator where ILU(0) is both cheap and effective.
 #pragma once
 
 #include <memory>
@@ -27,16 +26,6 @@ class IdentityPreconditioner final : public Preconditioner {
   const char* name() const override { return "identity"; }
 };
 
-class JacobiPreconditioner final : public Preconditioner {
- public:
-  explicit JacobiPreconditioner(const CsrMatrix& a);
-  void apply(const Vec& r, Vec& z) const override;
-  const char* name() const override { return "jacobi"; }
-
- private:
-  Vec inv_diag_;
-};
-
 /// Incomplete LU with zero fill-in on the pattern of A.
 class Ilu0Preconditioner final : public Preconditioner {
  public:
@@ -50,7 +39,7 @@ class Ilu0Preconditioner final : public Preconditioner {
 };
 
 /// Factory helper used by solver configuration.
-enum class PrecondKind { Identity, Jacobi, Ilu0 };
+enum class PrecondKind { Identity, Ilu0 };
 
 std::unique_ptr<Preconditioner> make_preconditioner(PrecondKind kind, const CsrMatrix& a);
 

@@ -60,7 +60,9 @@ struct FrameHeader {
   // the SubmitJob payload lost the same two fields.
   // v4: the StatsReport payload's fleet block shrank from six counters to
   // four (joins, leaves, crashes, duplicates).
-  static constexpr std::uint16_t kVersion = 4;
+  // v5: the Work payload lost the stage-cache and warm-start flags, and the
+  // SubmitJob payload lost the per-job pipeline window.
+  static constexpr std::uint16_t kVersion = 5;
   static constexpr std::size_t kWireSize = 28;
 
   std::uint16_t version = kVersion;

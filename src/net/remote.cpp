@@ -168,7 +168,6 @@ struct RemoteEndpoint::Channel {
 RemoteEndpoint::RemoteEndpoint(TcpListener listener, RemoteEndpointConfig config)
     : config_(config),
       listener_(std::move(listener)),
-      loop_(config.poller),
       counters_(std::make_unique<CounterCells>()) {
   MG_REQUIRE(listener_.valid());
   port_ = listener_.port();

@@ -59,9 +59,6 @@ struct RemoteEndpointConfig {
   /// out of order — the pipelining that overlaps wire latency with worker
   /// compute.  Clamped to [1, 64] and fixed at construction.
   std::size_t pipeline_depth = 4;
-  /// Readiness backend for the endpoint's event loop (Auto = epoll on
-  /// Linux, poll elsewhere; MG_NET_POLLER overrides Auto).
-  PollerBackend poller = PollerBackend::Auto;
 };
 
 /// Point-in-time copy of the endpoint's counters (also mirrored into the

@@ -46,7 +46,7 @@ Ros2Stats integrate(OdeSystem& system, Vec& u, const Ros2Options& opts) {
     system.rhs(t + h, u_stage, f1);
     ++stats.rhs_evaluations;
     for (std::size_t i = 0; i < n; ++i) f1[i] -= 2.0 * k1[i];
-    if (opts.warm_start) k2 = k1;  // k1 is the best available guess for k2
+    k2 = k1;  // k1 is the best available guess for k2
     solver->solve(f1, k2);
     ++stats.stage_solves;
 

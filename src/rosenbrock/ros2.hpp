@@ -29,13 +29,6 @@ struct Ros2Options {
   double shrink_limit = 0.3;
   std::size_t max_steps = 1'000'000;
   bool fixed_step = false;  ///< integrate with constant h0 (for order tests)
-  /// Warm-start the stage solves: k1/k2 are kept across steps so an
-  /// iterative StageSolver that honours its incoming x starts from the
-  /// previous step's stage solution, and k2 is seeded from this step's k1
-  /// before the stage-2 solve.  Direct stage solvers ignore the seed, so
-  /// their results are unchanged; iterative solvers converge to the same
-  /// tolerance in (usually) fewer iterations.
-  bool warm_start = false;
 };
 
 struct Ros2Stats {
@@ -47,7 +40,11 @@ struct Ros2Stats {
   double final_h = 0.0;
 };
 
-/// Integrates u from t0 to t1 in place.  Throws std::runtime_error if the
+/// Integrates u from t0 to t1 in place.  The stage solves are warm-started:
+/// k1/k2 are kept across steps, and k2 is seeded from this step's k1 before
+/// the stage-2 solve, so an iterative StageSolver that honours its incoming
+/// x starts next to the answer.  Direct solvers overwrite x, so their
+/// results do not depend on the seed.  Throws std::runtime_error if the
 /// controller under-flows h_min or exceeds max_steps.
 Ros2Stats integrate(OdeSystem& system, Vec& u, const Ros2Options& opts);
 

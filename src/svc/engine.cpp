@@ -142,8 +142,6 @@ JobTicket SolveEngine::submit(const JobSpec& spec) {
     why = "le_tol must be > 0";
   } else if (!(spec.weight > 0.0)) {
     why = "weight must be > 0";
-  } else if (spec.pipeline_depth > 64) {
-    why = "pipeline_depth out of range [0, 64]";
   } else if (!spec.fault_spec.empty()) {
     try {
       (void)fault::parse_fault_spec(spec.fault_spec);
@@ -201,8 +199,7 @@ JobTicket SolveEngine::submit(const JobSpec& spec) {
     std::lock_guard<std::mutex> lock(jobs_mutex_);
     jobs_.emplace(job->id, job);
   }
-  if (!scheduler_.admit(job->id, spec.priority, spec.weight, std::move(tasks), reason,
-                        spec.pipeline_depth)) {
+  if (!scheduler_.admit(job->id, spec.priority, spec.weight, std::move(tasks), reason)) {
     {
       std::lock_guard<std::mutex> lock(jobs_mutex_);
       jobs_.erase(job->id);
@@ -233,10 +230,7 @@ void SolveEngine::lane_main(std::size_t lane_index) {
       const auto it = jobs_.find(task->job);
       if (it != jobs_.end()) job = it->second;
     }
-    if (!job) {
-      scheduler_.task_finished(task->job);
-      continue;
-    }
+    if (!job) continue;
     {
       std::lock_guard<std::mutex> lock(job->m);
       if (!job->started) {
@@ -266,7 +260,6 @@ void SolveEngine::lane_main(std::size_t lane_index) {
       }
     }
     busy_lanes_.fetch_sub(1, std::memory_order_relaxed);
-    scheduler_.task_finished(task->job);
   }
 }
 

@@ -58,7 +58,6 @@ std::vector<std::uint8_t> encode_job_spec(const JobSpec& spec) {
   w.write_f64(spec.weight);
   w.write_string(spec.fault_spec);
   w.write_string(spec.tag);
-  w.write_i32(static_cast<std::int32_t>(spec.pipeline_depth));
   return w.take();
 }
 
@@ -72,11 +71,6 @@ JobSpec decode_job_spec(const std::vector<std::uint8_t>& bytes) {
   spec.weight = r.read_f64();
   spec.fault_spec = r.read_string();
   spec.tag = r.read_string();
-  const std::int32_t pipeline = r.read_i32();
-  if (pipeline < 0 || pipeline > 64) {
-    throw DecodeError("decode_job_spec: pipeline_depth out of range");
-  }
-  spec.pipeline_depth = static_cast<std::uint32_t>(pipeline);
   check_exhausted(r, "decode_job_spec");
   return spec;
 }

@@ -42,12 +42,6 @@ struct JobSpec {
   std::string fault_spec;
   /// Free-form client label, echoed in status and the per-job report.
   std::string tag;
-  /// Per-job pipeline window: how many of this job's tasks may be dispatched
-  /// to the shared fleet concurrently (0 = unlimited, the default).  Caps a
-  /// tenant's instantaneous fleet footprint independently of its fair-share
-  /// weight; distinct from the transport's per-channel window, which the
-  /// server operator sets with --pipeline.  Bit-identical at any value.
-  std::uint32_t pipeline_depth = 0;
 };
 
 /// The server's reply to SubmitJob: admission verdict.  A rejection carries

@@ -33,8 +33,7 @@ SchedMetrics& sched_metrics() {
 FairScheduler::FairScheduler(AdmissionConfig config) : config_(config) {}
 
 bool FairScheduler::admit(std::uint64_t id, std::int32_t priority, double weight,
-                          std::vector<TaskRef> tasks, std::string& reason,
-                          std::uint32_t pipeline_limit) {
+                          std::vector<TaskRef> tasks, std::string& reason) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (stopped_) {
     reason = "scheduler is stopped";
@@ -52,7 +51,6 @@ bool FairScheduler::admit(std::uint64_t id, std::int32_t priority, double weight
   Job job;
   job.priority = priority;
   job.weight = weight > 0.0 ? weight : 1.0;
-  job.pipeline_limit = pipeline_limit;
   job.pending.assign(tasks.begin(), tasks.end());
   jobs_.emplace(id, std::move(job));
   wait_queue_.push_back(id);
@@ -102,7 +100,6 @@ FairScheduler::Job* FairScheduler::pick_job() {
   std::uint64_t best_id = 0;
   for (auto& [id, job] : jobs_) {
     if (!job.running || job.pending.empty()) continue;
-    if (job.pipeline_limit > 0 && job.in_flight >= job.pipeline_limit) continue;
     if (best == nullptr || job.priority > best->priority ||
         (job.priority == best->priority && job.virtual_service < best->virtual_service) ||
         (job.priority == best->priority && job.virtual_service == best->virtual_service &&
@@ -127,22 +124,11 @@ std::optional<TaskRef> FairScheduler::next_task() {
       TaskRef task = job->pending.front();
       job->pending.pop_front();
       job->virtual_service += task.cost / job->weight;
-      ++job->in_flight;
       ++counters_.tasks_picked;
       sched_metrics().tasks_picked.add();
       return task;
     }
     task_ready_.wait(lock);
-  }
-}
-
-void FairScheduler::task_finished(std::uint64_t id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = jobs_.find(id);
-  if (it != jobs_.end() && it->second.in_flight > 0) {
-    --it->second.in_flight;
-    // A finished task can unblock a job parked at its pipeline limit.
-    if (it->second.pipeline_limit > 0 && !it->second.pending.empty()) task_ready_.notify_all();
   }
 }
 

@@ -54,11 +54,8 @@ class FairScheduler {
   /// Admits job `id` with its pending task list, or rejects it (returns
   /// false, sets `reason`) when both admission stages are full.  Admitted
   /// jobs start dispatching immediately if a running slot is free.
-  /// `pipeline_limit` caps how many of the job's tasks may be in flight at
-  /// once (0 = unlimited): pick_job skips a capped job until a lane calls
-  /// task_finished for it.
   bool admit(std::uint64_t id, std::int32_t priority, double weight, std::vector<TaskRef> tasks,
-             std::string& reason, std::uint32_t pipeline_limit = 0);
+             std::string& reason);
 
   /// True while the job holds a running slot (dispatching or in flight).
   bool is_active(std::uint64_t id) const;
@@ -66,10 +63,6 @@ class FairScheduler {
   /// Blocks until a task is runnable, then charges it to its job's fair
   /// share and returns it.  Returns nullopt only after stop().
   std::optional<TaskRef> next_task();
-
-  /// A lane finished executing a task of `id` (success or not).  Pairs 1:1
-  /// with next_task(); release_slot must still follow when the job ends.
-  void task_finished(std::uint64_t id);
 
   /// Drops every not-yet-picked task of `id`; returns how many were pending.
   /// The job keeps its slot until release_slot (in-flight tasks drain first).
@@ -98,8 +91,6 @@ class FairScheduler {
     double weight = 1.0;
     double virtual_service = 0.0;
     std::deque<TaskRef> pending;
-    std::size_t in_flight = 0;
-    std::uint32_t pipeline_limit = 0;  ///< max in_flight; 0 = unlimited
     bool running = false;  ///< holds a running slot (vs waiting)
   };
 

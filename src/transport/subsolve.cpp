@@ -39,7 +39,6 @@ SubsolveResult subsolve(const grid::Grid2D& g, const SubsolveConfig& config) {
   opts.tol = config.le_tol;
   opts.t0 = config.t0;
   opts.t1 = config.t1;
-  opts.warm_start = config.system.warm_start;
 
   ros::Ros2Stats stats = ros::integrate(system, u, opts);
 

@@ -31,7 +31,6 @@ const char* to_string(StageSolverKind k) {
   switch (k) {
     case StageSolverKind::BandedLU: return "banded-lu";
     case StageSolverKind::BiCgStabIlu0: return "bicgstab+ilu0";
-    case StageSolverKind::BiCgStabJacobi: return "bicgstab+jacobi";
   }
   return "?";
 }
@@ -132,15 +131,10 @@ void TransportSystem::rhs(double t, const ros::Vec& u, ros::Vec& f) {
 namespace {
 
 /// Direct stage solver; the band runs along the grid's short axis
-/// (linalg::GridBandedLU), on the rebuild and the cached path alike.
+/// (linalg::GridBandedLU).  The band storage is allocated once; refresh()
+/// fills it.
 class BandedStageSolver final : public ros::StageSolver {
  public:
-  /// Rebuild path: takes a fully formed band and factorises it.
-  explicit BandedStageSolver(linalg::GridBandedLU matrix) : matrix_(std::move(matrix)) {
-    factorize();
-  }
-
-  /// Cached path: allocates the band storage once; refresh() fills it.
   explicit BandedStageSolver(const grid::Grid2D& grid)
       : matrix_(grid.interior_x(), grid.interior_y()) {}
 
@@ -150,7 +144,9 @@ class BandedStageSolver final : public ros::StageSolver {
     support::Stopwatch clock;
     matrix_.assign_shifted_csr(jacobian, 1.0, -gamma_h);
     stage_metrics().assemble_seconds.observe(clock.elapsed_seconds());
-    factorize();
+    clock.reset();
+    matrix_.factorize();
+    stage_metrics().factor_seconds.observe(clock.elapsed_seconds());
   }
 
   void solve(const ros::Vec& rhs, ros::Vec& x) override {
@@ -160,21 +156,13 @@ class BandedStageSolver final : public ros::StageSolver {
   }
 
  private:
-  void factorize() {
-    support::Stopwatch clock;
-    matrix_.factorize();
-    stage_metrics().factor_seconds.observe(clock.elapsed_seconds());
-  }
-
   linalg::GridBandedLU matrix_;
 };
 
 class KrylovStageSolver final : public ros::StageSolver {
  public:
-  KrylovStageSolver(linalg::CsrMatrix matrix, linalg::PrecondKind precond,
-                    linalg::SolveOptions opts, bool warm_start)
-      : matrix_(std::move(matrix)), precond_kind_(precond), opts_(opts),
-        warm_start_(warm_start) {
+  KrylovStageSolver(linalg::CsrMatrix matrix, linalg::SolveOptions opts)
+      : matrix_(std::move(matrix)), opts_(opts) {
     build_preconditioner();
   }
 
@@ -197,8 +185,8 @@ class KrylovStageSolver final : public ros::StageSolver {
   void solve(const ros::Vec& rhs, ros::Vec& x) override {
     // An unexpectedly-sized x never carries a meaningful guess; otherwise the
     // caller's x IS the warm start (under ROS2: last step's k for stage 1,
-    // this step's k1 for stage 2) unless warm starts are disabled.
-    if (!warm_start_ || x.size() != matrix_.rows()) x.assign(matrix_.rows(), 0.0);
+    // this step's k1 for stage 2).
+    if (x.size() != matrix_.rows()) x.assign(matrix_.rows(), 0.0);
     support::Stopwatch clock;
     const auto report = linalg::bicgstab(matrix_, rhs, x, *precond_, opts_, &workspace_);
     stage_metrics().solve_seconds.observe(clock.elapsed_seconds());
@@ -211,15 +199,13 @@ class KrylovStageSolver final : public ros::StageSolver {
  private:
   void build_preconditioner() {
     support::Stopwatch clock;
-    precond_ = linalg::make_preconditioner(precond_kind_, matrix_);
+    precond_ = std::make_unique<linalg::Ilu0Preconditioner>(matrix_);
     stage_metrics().factor_seconds.observe(clock.elapsed_seconds());
   }
 
   linalg::CsrMatrix matrix_;
-  linalg::PrecondKind precond_kind_;
   linalg::SolveOptions opts_;
-  bool warm_start_;
-  std::unique_ptr<linalg::Preconditioner> precond_;
+  std::unique_ptr<linalg::Ilu0Preconditioner> precond_;
   linalg::KrylovWorkspace workspace_;
 };
 
@@ -236,44 +222,13 @@ class SharedStageSolver final : public ros::StageSolver {
   std::shared_ptr<ros::StageSolver> inner_;
 };
 
-linalg::PrecondKind precond_kind_for(StageSolverKind kind) {
-  return kind == StageSolverKind::BiCgStabIlu0 ? linalg::PrecondKind::Ilu0
-                                               : linalg::PrecondKind::Jacobi;
-}
-
 }  // namespace
-
-/// The seed's rebuild-every-step path (cache_stage == false): assemble a
-/// fresh stage matrix and a fresh solver, discarded after the step.  Kept
-/// as the reference the cache is asserted bit-identical against and as the
-/// baseline the prepare_stage benches compare with.
-std::unique_ptr<ros::StageSolver> TransportSystem::rebuild_stage(double gamma_h) {
-  support::Stopwatch assemble_clock;
-  linalg::CsrMatrix stage = linalg::shifted_identity(jacobian_, 1.0, -gamma_h);
-  stage_metrics().assemble_seconds.observe(assemble_clock.elapsed_seconds());
-  switch (options_.solver) {
-    case StageSolverKind::BandedLU:
-      return std::make_unique<BandedStageSolver>(
-          linalg::GridBandedLU::from_csr(stage, grid_.interior_x(), grid_.interior_y()));
-    case StageSolverKind::BiCgStabIlu0:
-    case StageSolverKind::BiCgStabJacobi:
-      return std::make_unique<KrylovStageSolver>(std::move(stage),
-                                                 precond_kind_for(options_.solver),
-                                                 options_.krylov, options_.warm_start);
-  }
-  throw std::logic_error("TransportSystem: unknown solver kind");
-}
 
 std::unique_ptr<ros::StageSolver> TransportSystem::prepare_stage(double /*t*/, const ros::Vec& u,
                                                                  double gamma_h) {
   MG_REQUIRE(u.size() == dimension());
   StageMetrics& metrics = stage_metrics();
   metrics.preparations.add();
-  if (!options_.cache_stage) {
-    ++cache_stats_.misses;
-    metrics.cache_misses.add();
-    return rebuild_stage(gamma_h);
-  }
 
   // Hit: gamma*h is unchanged, reuse matrix, factors and workspace outright.
   if (cache_valid_ && gamma_h == cached_gamma_h_) {
@@ -299,19 +254,15 @@ std::unique_ptr<ros::StageSolver> TransportSystem::prepare_stage(double /*t*/, c
       static_cast<BandedStageSolver&>(*cached_solver_).refresh(jacobian_, gamma_h);
       break;
     }
-    case StageSolverKind::BiCgStabIlu0:
-    case StageSolverKind::BiCgStabJacobi: {
+    case StageSolverKind::BiCgStabIlu0: {
       if (!cached_solver_) {
         // First build goes through shifted_identity once to stamp out the
         // stage pattern (== Jacobian pattern); refresh() then touches only
-        // the value array.  Count the stamp as assembly so cold timings stay
-        // comparable with the rebuild path.
+        // the value array.  The stamp counts as assembly.
         support::Stopwatch assemble_clock;
         linalg::CsrMatrix stage = linalg::shifted_identity(jacobian_, 1.0, -gamma_h);
         stage_metrics().assemble_seconds.observe(assemble_clock.elapsed_seconds());
-        cached_solver_ = std::make_shared<KrylovStageSolver>(
-            std::move(stage), precond_kind_for(options_.solver), options_.krylov,
-            options_.warm_start);
+        cached_solver_ = std::make_shared<KrylovStageSolver>(std::move(stage), options_.krylov);
       } else {
         static_cast<KrylovStageSolver&>(*cached_solver_)
             .refresh(jacobian_, diag_offset_, gamma_h);

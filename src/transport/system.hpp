@@ -5,12 +5,12 @@
 // linear, F(t, u) = J u + g(t), where J is the (constant) 5-point stencil
 // operator and g(t) carries the time-dependent Dirichlet boundary data.  The
 // stage matrix (I - gamma*h*J) shares the Jacobian's sparsity at every step,
-// so by default prepare_stage only refreshes values in place when gamma*h
-// changes and reuses the factorisation outright when it does not — the "A
-// matrix must be built up in the program which takes a lot of time" cost the
-// paper describes survives as the cache_stage=false reference path.  The
-// banded stage solver factors along the grid's short axis
-// (linalg::GridBandedLU), so G(l,m) and its mirror G(m,l) cost the same.
+// so prepare_stage only refreshes values in place when gamma*h changes and
+// reuses the factorisation outright when it does not — bit-identical to the
+// paper's "A matrix must be built up ... again and again", which the tests
+// rebuild as their reference (DESIGN.md §9).  The banded stage solver factors
+// along the grid's short axis (linalg::GridBandedLU), so G(l,m) and its
+// mirror G(m,l) cost the same.
 #pragma once
 
 #include <cstdint>
@@ -29,9 +29,8 @@ namespace mg::transport {
 
 /// How the Rosenbrock stage systems are solved.
 enum class StageSolverKind {
-  BandedLU,       ///< direct band factorisation (default; deterministic)
-  BiCgStabIlu0,   ///< Krylov with ILU(0)
-  BiCgStabJacobi, ///< Krylov with diagonal preconditioning
+  BandedLU,      ///< direct band factorisation (default; deterministic)
+  BiCgStabIlu0,  ///< Krylov with ILU(0), warm-started from the caller's x
 };
 
 const char* to_string(StageSolverKind k);
@@ -39,16 +38,7 @@ const char* to_string(StageSolverKind k);
 struct SystemOptions {
   AdvectionScheme scheme = AdvectionScheme::Central2;
   StageSolverKind solver = StageSolverKind::BandedLU;
-  linalg::SolveOptions krylov;  ///< used by the BiCGSTAB variants
-  /// Cache the stage matrix and its factorisation/preconditioner across
-  /// steps: values are refreshed in place when gamma*h changes and reused
-  /// outright when it does not.  Bit-identical to rebuilding every step
-  /// (DESIGN.md §9); off = the seed's rebuild-every-step reference path.
-  bool cache_stage = true;
-  /// Seed Krylov stage solves from the caller's x (the previous stage's
-  /// solution under ROS2) instead of zero.  Changes iteration counts, never
-  /// the convergence tolerance; no effect on the direct (banded) solver.
-  bool warm_start = true;
+  linalg::SolveOptions krylov;  ///< used by the BiCGSTAB solver
 };
 
 /// Hit/miss/refresh ledger of one TransportSystem's stage cache.  A miss is
@@ -89,8 +79,6 @@ class TransportSystem final : public ros::OdeSystem {
     double bx, by;       ///< boundary node coordinates
   };
 
-  std::unique_ptr<ros::StageSolver> rebuild_stage(double gamma_h);
-
   grid::Grid2D grid_;
   TransportProblem problem_;
   SystemOptions options_;
@@ -98,7 +86,7 @@ class TransportSystem final : public ros::OdeSystem {
   std::vector<BoundaryCoupling> boundary_couplings_;
   std::vector<double> nodal_scratch_;  ///< work array for the limited scheme
 
-  // Stage cache (cache_stage == true): the Jacobian is time-independent, so
+  // Stage cache: the Jacobian is time-independent, so
   // the stage matrix (I - gamma*h*J) shares its sparsity across all steps;
   // only values depend on gamma*h.  diag_offset_ maps rows to the value
   // index of their diagonal so the shift is applied in place.

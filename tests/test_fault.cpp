@@ -7,6 +7,8 @@
 
 #include <chrono>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,11 +17,13 @@
 #include "core/concurrent_solver.hpp"
 #include "core/master.hpp"
 #include "core/protocol.hpp"
+#include "core/remote_worker.hpp"
 #include "core/worker.hpp"
 #include "fault/fault_plan.hpp"
 #include "manifold/event.hpp"
 #include "manifold/port.hpp"
 #include "manifold/runtime.hpp"
+#include "net/remote.hpp"
 #include "obs/report.hpp"
 #include "transport/seq_solver.hpp"
 
@@ -152,7 +156,6 @@ TEST(LeaseLedger, AnswersEveryLostLeaseByTheRule) {
     }
     const fault::FaultCounters& f = ledger.counters();
     EXPECT_EQ(f.retries, retries);
-    EXPECT_EQ(f.respawns, retries);
     EXPECT_EQ(f.abandoned, abandoned);
     EXPECT_EQ(f.degraded, abandoned > 0);
     EXPECT_EQ(f.crash_events + f.timeouts, 0u) << "detection stays with the owner";
@@ -274,8 +277,7 @@ TEST(FaultPool, CrashedWorkersAreRespawnedAndEveryResultArrives) {
   const auto& f = run.stats.faults;
   EXPECT_GT(f.crashes_injected + f.corruptions_injected, 0u);
   EXPECT_EQ(f.crash_events, f.crashes_injected + f.corruptions_injected);
-  EXPECT_EQ(f.retries, f.respawns);
-  EXPECT_EQ(f.respawns, f.crash_events) << "every crash retried, none abandoned";
+  EXPECT_EQ(f.retries, f.crash_events) << "every crash retried, none abandoned";
   EXPECT_FALSE(f.degraded);
 }
 
@@ -291,7 +293,7 @@ TEST(FaultPool, SeededInjectionIsDeterministic) {
   EXPECT_EQ(a.total, b.total);
   EXPECT_EQ(a.stats.faults.crashes_injected, b.stats.faults.crashes_injected);
   EXPECT_EQ(a.stats.faults.crash_events, b.stats.faults.crash_events);
-  EXPECT_EQ(a.stats.faults.respawns, b.stats.faults.respawns);
+  EXPECT_EQ(a.stats.faults.retries, b.stats.faults.retries);
 }
 
 TEST(FaultPool, RespawnBudgetZeroDegradesInsteadOfDeadlocking) {
@@ -306,7 +308,7 @@ TEST(FaultPool, RespawnBudgetZeroDegradesInsteadOfDeadlocking) {
   EXPECT_EQ(run.abandoned, 6u);
   EXPECT_EQ(run.total, 0);
   EXPECT_EQ(run.stats.faults.abandoned, 6u);
-  EXPECT_EQ(run.stats.faults.respawns, 0u);
+  EXPECT_EQ(run.stats.faults.retries, 0u);
   EXPECT_TRUE(run.stats.faults.degraded);
 }
 
@@ -322,7 +324,7 @@ TEST(FaultPool, HungWorkersAreKilledAtTheDeadline) {
   EXPECT_EQ(run.abandoned, 2u);  // both attempts of both slots hang
   const auto& f = run.stats.faults;
   EXPECT_EQ(f.timeouts, 4u);  // 2 slots x 2 attempts
-  EXPECT_EQ(f.respawns, 2u);
+  EXPECT_EQ(f.retries, 2u);
   EXPECT_EQ(f.abandoned, 2u);
   EXPECT_TRUE(f.degraded);
 }
@@ -391,7 +393,6 @@ TEST(FaultSolver, HeavySeededKillsStayBitExactWithTheSequentialProgram) {
       << "seed must kill >= 25% of the pool for this test to mean anything";
   EXPECT_EQ(conc.solve.combined.max_diff(seq.combined), 0.0);
   EXPECT_EQ(f.crash_events, f.crashes_injected + f.corruptions_injected);
-  EXPECT_EQ(f.retries, f.respawns);
   EXPECT_EQ(conc.protocol.workers_created, grid::component_count(program.level));
 }
 
@@ -413,6 +414,53 @@ TEST(FaultSolver, ZeroRespawnBudgetStillCompletesBitExactViaLocalFallback) {
   EXPECT_TRUE(conc.protocol.faults.degraded);
   EXPECT_EQ(conc.protocol.faults.abandoned, grid::component_count(program.level));
   EXPECT_EQ(conc.solve.combined.max_diff(seq.combined), 0.0);
+}
+
+// A plan solve_concurrent cannot honour is refused up front, naming the
+// missing piece, instead of running fault-free or never ending.
+void expect_rejected(const mw::ConcurrentOptions& options, const std::string& names) {
+  transport::ProgramConfig program;
+  program.root = 2;
+  program.level = 3;
+  try {
+    mw::solve_concurrent(program, options);
+    ADD_FAILURE() << "a plan that cannot be honoured was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(names), std::string::npos) << e.what();
+  }
+}
+
+TEST(FaultSolver, WorkerFaultsWithoutARetryPolicyAreRejected) {
+  mw::ConcurrentOptions options;
+  options.faults.seed = 7;
+  options.faults.crash = 0.5;
+  expect_rejected(options, "retry policy");
+}
+
+TEST(FaultSolver, WorkerFaultsOnARemotePoolAreRejected) {
+  // Real workers are connected, so a solve that ignored the plan would run
+  // fault-free rather than wait for a fleet.
+  net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0));
+  std::vector<std::thread> workers;
+  for (int i = 0; i < 2; ++i) {
+    workers.emplace_back([port = endpoint.port()] { mw::run_subsolve_worker("127.0.0.1", port); });
+  }
+  EXPECT_TRUE(endpoint.wait_for_workers(2, std::chrono::seconds(10)));
+  mw::ConcurrentOptions options;
+  options.faults.seed = 7;
+  options.faults.crash = 0.5;
+  options.remote = &endpoint;
+  expect_rejected(options, "RemoteEndpointConfig::faults");
+  endpoint.shutdown();
+  for (auto& t : workers) t.join();
+}
+
+TEST(FaultSolver, HangsWithoutATaskDeadlineAreRejected) {
+  mw::ConcurrentOptions options;
+  options.faults.seed = 7;
+  options.faults.hang = 0.5;
+  options.retry = fault::RetryPolicy{};
+  expect_rejected(options, "task_deadline");
 }
 
 // ---- the simulator mirror ------------------------------------------------------------
@@ -439,7 +487,6 @@ TEST(FaultSim, HostCrashesAreRetriedDeterministically) {
   const auto b = cluster::simulate_run(2, 4, 1e-3, cost, config, 42);
   EXPECT_GT(a.faults.host_crashes_injected, 0u);
   EXPECT_EQ(a.faults.timeouts, a.faults.host_crashes_injected);
-  EXPECT_EQ(a.faults.retries, a.faults.respawns);
   EXPECT_DOUBLE_EQ(a.concurrent_seconds, b.concurrent_seconds);
   EXPECT_EQ(a.faults.host_crashes_injected, b.faults.host_crashes_injected);
   EXPECT_GT(a.concurrent_seconds, plain.concurrent_seconds)

@@ -172,7 +172,6 @@ TEST(ChurnPool, LeaveAndCrashEventsReLeaseWithoutLosingAUnit) {
   EXPECT_EQ(run.stats.fleet.leaves, 2u);
   EXPECT_EQ(run.stats.fleet.crashes, 1u);
   EXPECT_EQ(run.stats.faults.retries, 3u) << "each killed lease re-issued exactly once";
-  EXPECT_EQ(run.stats.faults.retries, run.stats.faults.respawns);
 }
 
 TEST(ChurnSolve, ThreadsChurnKeepsTheSolveBitExact) {

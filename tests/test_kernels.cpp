@@ -192,19 +192,18 @@ TEST(GoldenBits, GridBandedLuOnAWideGrid) {
   EXPECT_GOLDEN(refreshed, 0xcbbe58115ab09f6dULL);
 }
 
+// Pins the ILU(0) apply.  The name is kept so the suite's test list stays
+// stable; there is no Jacobi preconditioner any more.
 TEST(GoldenBits, JacobiAndIlu0Apply) {
   Xoshiro256 rng(47);
-  Fnv1a jacobi_z, ilu_z;
+  Fnv1a ilu_z;
   for (const std::size_t n : {5u, 27u, 141u}) {
     const CsrMatrix a = random_dominant_matrix(n, 0.25, rng);
     const Vec r = random_vec(n, rng);
     Vec z;
-    JacobiPreconditioner(a).apply(r, z);
-    jacobi_z.add(z);
     Ilu0Preconditioner(a).apply(r, z);
     ilu_z.add(z);
   }
-  EXPECT_GOLDEN(jacobi_z, 0xc56042062e193527ULL);
   EXPECT_GOLDEN(ilu_z, 0xf900f1e52cd8e37cULL);
 }
 
@@ -213,10 +212,9 @@ TEST(GoldenBits, BicgstabPerPreconditioner) {
   const std::size_t n = 211;
   const CsrMatrix a = random_dominant_matrix(n, 0.15, rng);
   const Vec b = random_vec(n, rng);
-  const std::uint64_t golden[] = {0x8d5bd26e749d4280ULL, 0x6f999376bcf0827fULL,
-                                   0xad21461cc86c8891ULL};
-  const PrecondKind kinds[] = {PrecondKind::Identity, PrecondKind::Jacobi, PrecondKind::Ilu0};
-  for (std::size_t k = 0; k < 3; ++k) {
+  const std::uint64_t golden[] = {0x8d5bd26e749d4280ULL, 0xad21461cc86c8891ULL};
+  const PrecondKind kinds[] = {PrecondKind::Identity, PrecondKind::Ilu0};
+  for (std::size_t k = 0; k < 2; ++k) {
     const auto precond = make_preconditioner(kinds[k], a);
     Vec x(n, 0.0);
     const SolveReport report = bicgstab(a, b, x, *precond);

@@ -258,25 +258,6 @@ TEST(Banded, MultiplyAfterFactorizeIsRejected) {
 
 // ---- preconditioners ------------------------------------------------------------
 
-TEST(Precond, JacobiInvertsDiagonalMatrix) {
-  CsrBuilder builder(3, 3);
-  builder.add(0, 0, 2.0);
-  builder.add(1, 1, 4.0);
-  builder.add(2, 2, 8.0);
-  const CsrMatrix a = builder.build();
-  JacobiPreconditioner jacobi(a);
-  Vec z;
-  jacobi.apply(Vec{2.0, 4.0, 8.0}, z);
-  EXPECT_EQ(z, (Vec{1.0, 1.0, 1.0}));
-}
-
-TEST(Precond, JacobiRejectsZeroDiagonal) {
-  CsrBuilder builder(2, 2);
-  builder.add(0, 0, 1.0);
-  builder.add(1, 0, 1.0);  // row 1 has no diagonal -> zero
-  EXPECT_THROW(JacobiPreconditioner{builder.build()}, std::runtime_error);
-}
-
 TEST(Precond, Ilu0IsExactForTriangularMatrix) {
   // For a lower-triangular matrix, ILU(0) is an exact factorisation.
   CsrBuilder builder(4, 4);
@@ -307,7 +288,6 @@ TEST(Precond, FactoryProducesAllKinds) {
   builder.add(1, 1, 1.0);
   const CsrMatrix a = builder.build();
   EXPECT_STREQ(make_preconditioner(PrecondKind::Identity, a)->name(), "identity");
-  EXPECT_STREQ(make_preconditioner(PrecondKind::Jacobi, a)->name(), "jacobi");
   EXPECT_STREQ(make_preconditioner(PrecondKind::Ilu0, a)->name(), "ilu0");
 }
 
@@ -346,7 +326,7 @@ struct BicgstabParam {
 // prints the raw bytes, padding included, so the name would change from run
 // to run.
 void PrintTo(const BicgstabParam& param, std::ostream* os) {
-  static const char* const kKindNames[] = {"identity", "jacobi", "ilu0"};
+  static const char* const kKindNames[] = {"identity", "ilu0"};
   *os << kKindNames[static_cast<int>(param.kind)] << "_n" << param.n;
 }
 
@@ -372,10 +352,8 @@ TEST_P(BicgstabRandomSystems, RecoversKnownSolution) {
 INSTANTIATE_TEST_SUITE_P(
     AllPreconditioners, BicgstabRandomSystems,
     ::testing::Values(BicgstabParam{PrecondKind::Identity, 40, 11},
-                      BicgstabParam{PrecondKind::Jacobi, 40, 12},
                       BicgstabParam{PrecondKind::Ilu0, 40, 13},
                       BicgstabParam{PrecondKind::Identity, 100, 14},
-                      BicgstabParam{PrecondKind::Jacobi, 100, 15},
                       BicgstabParam{PrecondKind::Ilu0, 100, 16}));
 
 TEST(Bicgstab, Ilu0NeedsFewerIterationsThanIdentity) {

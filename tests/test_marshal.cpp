@@ -1,7 +1,7 @@
-// Tests for the byte codec and the master/worker unit marshalling, including
-// the end-to-end claim: results remain bit-identical to the sequential run
-// even when every unit crosses a (simulated) wire — plus the property/fuzz
-// suite the real TCP transport demands: a decoder fed hostile bytes (the
+// Tests for the byte codec and the master/worker unit marshalling (the
+// bit-identity of a solve whose units cross the real wire is RemoteSolve.*
+// and PipelinedSolve.* in test_net) — plus the property/fuzz suite the real
+// TCP transport demands: a decoder fed hostile bytes (the
 // frame layer's CRC can miss a coordinated corruption; an attacker-shaped
 // length prefix can't be ruled out) must reject, never crash.
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "support/bytes.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
-#include "transport/seq_solver.hpp"
 #include "transport/subsolve.hpp"
 
 namespace {
@@ -161,12 +160,10 @@ mw::WorkItem random_work_item(support::Xoshiro256& rng) {
   k.problem.sigma = bits_to_double(rng.next());
   k.problem.amplitude = bits_to_double(rng.next());
   k.system.scheme = static_cast<transport::AdvectionScheme>(rng.below(3));
-  k.system.solver = static_cast<transport::StageSolverKind>(rng.below(3));
+  k.system.solver = static_cast<transport::StageSolverKind>(rng.below(2));
   k.system.krylov.rel_tol = rng.uniform(1e-12, 1e-2);
   k.system.krylov.abs_tol = rng.uniform(1e-14, 1e-4);
   k.system.krylov.max_iter = rng.below(10'000);
-  k.system.cache_stage = rng.below(2) == 1;
-  k.system.warm_start = rng.below(2) == 1;
   k.le_tol = bits_to_double(rng.next());
   k.t0 = rng.uniform01();
   k.t1 = rng.uniform(1.0, 2.0);
@@ -433,16 +430,6 @@ TEST(PipelinedStreamFuzz, EnvelopeSizePrefixBeyondThePayloadIsRejected) {
   // u32 size prefix claims ~2 GiB of telemetry; one byte follows it.
   const std::vector<std::uint8_t> payload{0xFF, 0xFF, 0xFF, 0x7F, 0x00};
   EXPECT_THROW(obs::unwrap_result(payload), DecodeError);
-}
-
-TEST(Marshal, SolverThroughWireIsStillBitExact) {
-  transport::ProgramConfig program;
-  program.level = 3;
-  const auto seq = transport::solve_sequential(program);
-  mw::ConcurrentOptions options;
-  options.marshal_through_bytes = true;
-  const auto conc = mw::solve_concurrent(program, options);
-  EXPECT_EQ(conc.solve.combined.max_diff(seq.combined), 0.0);
 }
 
 }  // namespace

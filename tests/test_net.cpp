@@ -136,10 +136,10 @@ TEST(Frame, IncompleteFrameWaitsForMoreBytes) {
 }
 
 TEST(Frame, PreviousProtocolVersionIsRefused) {
-  // A v3 peer still sends six fleet counters in every StatsReport payload;
-  // it must fail at the header, not at a misread stats field.
+  // A v4 peer still sends the stage-cache and warm-start flags in every Work
+  // payload; it must fail at the header, not at a misread kernel field.
   auto bytes = net::encode_frame(net::FrameType::Work, 1, payload_of(8));
-  bytes[4] = 3;
+  bytes[4] = 4;
   bytes[5] = 0;
   const std::uint32_t crc = net::crc32(bytes.data(), 24);
   for (int i = 0; i < 4; ++i) bytes[24 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
@@ -147,9 +147,9 @@ TEST(Frame, PreviousProtocolVersionIsRefused) {
   decoder.feed(bytes.data(), bytes.size());
   try {
     decoder.next();
-    FAIL() << "a v3 frame was accepted";
+    FAIL() << "a v4 frame was accepted";
   } catch (const net::FrameError& e) {
-    EXPECT_NE(std::string(e.what()).find("version 3"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("version 4"), std::string::npos) << e.what();
   }
 }
 

@@ -302,7 +302,6 @@ TEST(NetSoak, DegradedRemotePoolOverFaultyTcpFallsBackToLocalRecompute) {
 
   mw::ConcurrentOptions options;
   options.remote = &endpoint;
-  options.lpt_schedule = true;
   options.retry = fault::RetryPolicy{};
   options.retry->max_attempts = 1;
   options.retry->respawn_budget = 0;

@@ -1,12 +1,13 @@
-// Tests for the subsolve hot-path overhaul: the stage-matrix cache
-// (hit/miss/refresh semantics, bit-identity with the rebuild-every-step
-// reference path), Krylov warm starts, the in-place shifted-assembly
+// Tests for the subsolve hot path: the stage-matrix cache (hit/miss/refresh
+// semantics, bit-identity with a rebuild-every-step reference built here
+// from mg_linalg calls), Krylov warm starts, the in-place shifted-assembly
 // primitive, and the LPT dispatch order.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstddef>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -15,7 +16,10 @@
 #include "net/remote.hpp"
 #include "grid/combination.hpp"
 #include "grid/grid2d.hpp"
+#include "linalg/banded.hpp"
+#include "linalg/bicgstab.hpp"
 #include "linalg/csr.hpp"
+#include "linalg/precond.hpp"
 #include "obs/metrics.hpp"
 #include "rosenbrock/ros2.hpp"
 #include "transport/seq_solver.hpp"
@@ -30,26 +34,96 @@ using transport::SubsolveConfig;
 using transport::SystemOptions;
 using transport::TransportSystem;
 
-SubsolveConfig config_for(StageSolverKind kind, bool cache, bool warm) {
+SubsolveConfig config_for(StageSolverKind kind) {
   SubsolveConfig config;
   config.le_tol = 1e-4;
   config.system.solver = kind;
-  config.system.cache_stage = cache;
-  config.system.warm_start = warm;
   return config;
 }
 
-// ---- bit-identity with the rebuild-every-step reference path ---------------------
+// ---- the rebuild-every-step reference --------------------------------------------
+
+/// The paper's "A matrix must be built up ... again and again": every
+/// preparation assembles a fresh stage matrix and a fresh solver from
+/// mg_linalg calls alone, and rhs comes from a TransportSystem.  It does no
+/// arithmetic of its own, so under any codegen it computes what the stage
+/// cache must reproduce bit for bit.  `cold` starts every Krylov solve from
+/// zero instead of the caller's x.
+class RebuildEveryStep final : public ros::OdeSystem {
+ public:
+  RebuildEveryStep(TransportSystem& system, SystemOptions options, bool cold)
+      : system_(system), options_(options), cold_(cold) {}
+
+  std::size_t dimension() const override { return system_.dimension(); }
+  void rhs(double t, const ros::Vec& u, ros::Vec& f) override { system_.rhs(t, u, f); }
+
+  std::unique_ptr<ros::StageSolver> prepare_stage(double, const ros::Vec&,
+                                                  double gamma_h) override {
+    linalg::CsrMatrix stage = linalg::shifted_identity(system_.jacobian(), 1.0, -gamma_h);
+    if (options_.solver == StageSolverKind::BandedLU) {
+      const grid::Grid2D& g = system_.grid();
+      auto lu = linalg::GridBandedLU::from_csr(stage, g.interior_x(), g.interior_y());
+      lu.factorize();
+      return std::make_unique<Banded>(std::move(lu));
+    }
+    return std::make_unique<Krylov>(std::move(stage), options_.krylov, cold_);
+  }
+
+ private:
+  struct Banded final : ros::StageSolver {
+    explicit Banded(linalg::GridBandedLU factors) : lu(std::move(factors)) {}
+    void solve(const ros::Vec& rhs, ros::Vec& x) override { lu.solve(rhs, x); }
+    linalg::GridBandedLU lu;
+  };
+
+  struct Krylov final : ros::StageSolver {
+    Krylov(linalg::CsrMatrix stage, linalg::SolveOptions options, bool cold_start)
+        : a(std::move(stage)), ilu(a), opts(options), cold(cold_start) {}
+    void solve(const ros::Vec& rhs, ros::Vec& x) override {
+      if (cold || x.size() != a.rows()) x.assign(a.rows(), 0.0);
+      if (!linalg::bicgstab(a, rhs, x, ilu, opts).converged) {
+        throw std::runtime_error("reference BiCGSTAB failed to converge");
+      }
+    }
+    linalg::CsrMatrix a;
+    linalg::Ilu0Preconditioner ilu;
+    linalg::SolveOptions opts;
+    bool cold;
+  };
+
+  TransportSystem& system_;
+  SystemOptions options_;
+  bool cold_;
+};
+
+/// transport::subsolve with the reference in place of the stage cache: the
+/// same initial condition, controller and expansion of the result.
+transport::SubsolveResult reference_subsolve(const grid::Grid2D& g, const SubsolveConfig& config,
+                                             bool cold) {
+  TransportSystem system(g, config.problem, config.system);
+  RebuildEveryStep reference(system, config.system, cold);
+  grid::Field init(g);
+  init.sample([&](double x, double y) { return config.problem.exact(x, y, config.t0); });
+  ros::Vec u = system.restrict_interior(init);
+  ros::Ros2Options opts;
+  opts.tol = config.le_tol;
+  opts.t0 = config.t0;
+  opts.t1 = config.t1;
+  const ros::Ros2Stats stats = ros::integrate(reference, u, opts);
+  return {system.expand(u, config.t1), stats, 0.0};
+}
+
+// ---- bit-identity with the rebuild-every-step reference --------------------------
 
 class StageCacheKinds : public ::testing::TestWithParam<StageSolverKind> {};
 
-// The tentpole's acceptance bar: caching the stage matrix and its factors
+// The stage cache's acceptance bar: caching the stage matrix and its factors
 // must not change a single bit of the trajectory, for any solver kind, over
 // an adaptive run whose step size (and hence gamma*h) genuinely varies.
 TEST_P(StageCacheKinds, CachedRunIsBitIdenticalToRebuildEveryStep) {
   const grid::Grid2D g(2, 3, 2);
-  const auto cached = transport::subsolve(g, config_for(GetParam(), true, true));
-  const auto rebuilt = transport::subsolve(g, config_for(GetParam(), false, true));
+  const auto cached = transport::subsolve(g, config_for(GetParam()));
+  const auto rebuilt = reference_subsolve(g, config_for(GetParam()), /*cold=*/false);
   EXPECT_EQ(cached.solution.max_diff(rebuilt.solution), 0.0);
   EXPECT_EQ(cached.stats.accepted, rebuilt.stats.accepted);
   EXPECT_EQ(cached.stats.rejected, rebuilt.stats.rejected);
@@ -60,27 +134,26 @@ TEST_P(StageCacheKinds, CachedRunIsBitIdenticalToRebuildEveryStep) {
 
 // Warm starting only moves Krylov iteration counts; the accept/reject
 // trajectory is driven by the converged stage solutions, which stay inside
-// the same tolerance, and the direct solver ignores the seed entirely.
+// the same tolerance, and the direct solver ignores the seed entirely.  The
+// warm run is subsolve itself; the cold one is the reference started from
+// zero.
 TEST_P(StageCacheKinds, WarmAndColdStartsBothConvergeToTheBandedReference) {
   const grid::Grid2D g(2, 2, 2);
-  SubsolveConfig banded = config_for(StageSolverKind::BandedLU, true, true);
-  SubsolveConfig warm = config_for(GetParam(), true, true);
-  SubsolveConfig cold = config_for(GetParam(), true, false);
-  warm.system.krylov.rel_tol = cold.system.krylov.rel_tol = 1e-12;
-  const auto reference = transport::subsolve(g, banded);
-  EXPECT_LT(transport::subsolve(g, warm).solution.max_diff(reference.solution), 1e-6);
-  EXPECT_LT(transport::subsolve(g, cold).solution.max_diff(reference.solution), 1e-6);
+  const auto reference = transport::subsolve(g, config_for(StageSolverKind::BandedLU));
+  SubsolveConfig config = config_for(GetParam());
+  config.system.krylov.rel_tol = 1e-12;
+  EXPECT_LT(transport::subsolve(g, config).solution.max_diff(reference.solution), 1e-6);
+  EXPECT_LT(reference_subsolve(g, config, /*cold=*/true).solution.max_diff(reference.solution),
+            1e-6);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, StageCacheKinds,
                          ::testing::Values(StageSolverKind::BandedLU,
-                                           StageSolverKind::BiCgStabIlu0,
-                                           StageSolverKind::BiCgStabJacobi),
+                                           StageSolverKind::BiCgStabIlu0),
                          [](const auto& info) -> std::string {
                            switch (info.param) {
                              case StageSolverKind::BandedLU: return "BandedLU";
                              case StageSolverKind::BiCgStabIlu0: return "BiCgStabIlu0";
-                             case StageSolverKind::BiCgStabJacobi: return "BiCgStabJacobi";
                            }
                            return "Unknown";
                          });
@@ -89,9 +162,7 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, StageCacheKinds,
 
 TEST(StageCache, CountsHitsMissesAndRefreshes) {
   const grid::Grid2D g(2, 2, 2);
-  SystemOptions options;
-  options.cache_stage = true;
-  TransportSystem system(g, transport::TransportProblem{}, options);
+  TransportSystem system(g, transport::TransportProblem{});
   const ros::Vec u(system.dimension(), 0.0);
 
   auto s1 = system.prepare_stage(0.0, u, 1e-3);  // first build: miss
@@ -106,35 +177,17 @@ TEST(StageCache, CountsHitsMissesAndRefreshes) {
   EXPECT_EQ(stats.refreshes, 1u);
 }
 
-TEST(StageCache, DisabledCacheCountsEveryPreparationAsAMiss) {
-  const grid::Grid2D g(2, 2, 2);
-  SystemOptions options;
-  options.cache_stage = false;
-  TransportSystem system(g, transport::TransportProblem{}, options);
-  const ros::Vec u(system.dimension(), 0.0);
-
-  auto s1 = system.prepare_stage(0.0, u, 1e-3);
-  auto s2 = system.prepare_stage(0.0, u, 1e-3);
-
-  const auto& stats = system.stage_cache_stats();
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.refreshes, 0u);
-}
-
 // A refreshed (or reused) cached solver must produce the same bits as a
 // freshly rebuilt one on the same right-hand side, for every solver kind
-// and across a gamma*h change.
+// and across a gamma*h change.  Both start from an empty x, so the seed
+// plays no part.
 TEST_P(StageCacheKinds, CachedSolverMatchesRebuiltSolverBitwise) {
   const grid::Grid2D g(2, 2, 2);
-  SystemOptions cache_on;
-  cache_on.solver = GetParam();
-  cache_on.cache_stage = true;
-  cache_on.warm_start = false;  // isolate the assembly path from the seed
-  SystemOptions cache_off = cache_on;
-  cache_off.cache_stage = false;
-  TransportSystem cached(g, transport::TransportProblem{}, cache_on);
-  TransportSystem rebuilt(g, transport::TransportProblem{}, cache_off);
+  SystemOptions options;
+  options.solver = GetParam();
+  TransportSystem cached(g, transport::TransportProblem{}, options);
+  TransportSystem source(g, transport::TransportProblem{}, options);
+  RebuildEveryStep rebuilt(source, options, /*cold=*/true);
 
   const ros::Vec u(cached.dimension(), 0.0);
   ros::Vec rhs(cached.dimension());
@@ -164,7 +217,7 @@ TEST_P(StageCacheKinds, CachedSolverMatchesRebuiltSolverBitwise) {
 // every preparation lands in exactly one ledger bucket.
 TEST(StageCache, AdaptiveRunRefreshesInPlace) {
   const grid::Grid2D g(2, 3, 3);
-  const auto config = config_for(StageSolverKind::BandedLU, true, true);
+  const auto config = config_for(StageSolverKind::BandedLU);
   obs::registry().reset();
   const auto result = transport::subsolve(g, config);
   const auto snap = obs::registry().snapshot();
@@ -181,9 +234,7 @@ TEST(StageCache, AdaptiveRunRefreshesInPlace) {
 // outright — the cache-hit path the prepare_stage bench measures.
 TEST(StageCache, SaturatedStepSizeReusesFactorsOutright) {
   const grid::Grid2D g(2, 2, 2);
-  SystemOptions options;
-  options.cache_stage = true;
-  TransportSystem system(g, transport::TransportProblem{}, options);
+  TransportSystem system(g, transport::TransportProblem{});
 
   ros::Ros2Options opts;
   opts.t0 = 0.0;
@@ -210,14 +261,17 @@ TEST(StageCache, SaturatedStepSizeReusesFactorsOutright) {
 
 // ---- warm starts -----------------------------------------------------------------
 
+// subsolve warm-starts every Krylov stage solve; the reference run cold is
+// the same integration with every solve started from zero.
 TEST(WarmStart, ReducesBicgstabIterationsAtUnchangedTolerance) {
   const grid::Grid2D g(2, 3, 3);
+  const SubsolveConfig config = config_for(StageSolverKind::BiCgStabIlu0);
   obs::registry().reset();
-  transport::subsolve(g, config_for(StageSolverKind::BiCgStabIlu0, true, false));
+  reference_subsolve(g, config, /*cold=*/true);
   const std::uint64_t cold =
       obs::registry().snapshot().counter_or("linalg.bicgstab_iterations");
   obs::registry().reset();
-  transport::subsolve(g, config_for(StageSolverKind::BiCgStabIlu0, true, true));
+  transport::subsolve(g, config);
   const std::uint64_t warm =
       obs::registry().snapshot().counter_or("linalg.bicgstab_iterations");
   EXPECT_GT(cold, 0u);
@@ -271,14 +325,12 @@ TEST(CsrDiagonal, SinglePassDiagonalMatchesOffsets) {
 // The recompute paths (worker respawn, master-local fallback) construct
 // fresh TransportSystems, so each retry re-seeds its own cache; the result
 // must stay bit-identical to the fault-free sequential program with the
-// full hot-path configuration (cache + warm start + Krylov) engaged.
+// warm-started Krylov solver on the cached path.
 TEST(StageCache, FaultRecomputePathsStayBitExactWithCacheAndWarmStart) {
   transport::ProgramConfig program;
   program.root = 2;
   program.level = 2;
   program.kernel.system.solver = StageSolverKind::BiCgStabIlu0;
-  program.kernel.system.cache_stage = true;
-  program.kernel.system.warm_start = true;
   const auto seq = transport::solve_sequential(program);
 
   mw::ConcurrentOptions options;
@@ -306,7 +358,6 @@ TEST(StageCache, AbandonedSlotsMapBackToTheRightTermsUnderLpt) {
   const auto seq = transport::solve_sequential(program);
 
   mw::ConcurrentOptions options;
-  options.lpt_schedule = true;
   options.faults.seed = 9;
   options.faults.crash = 1.0;  // every incarnation crashes
   options.retry = fault::RetryPolicy{};
@@ -352,19 +403,6 @@ TEST(LptOrder, RespectsTheRequestedWindow) {
   }
 }
 
-TEST(LptOrder, ReorderingDoesNotChangeTheConcurrentResult) {
-  transport::ProgramConfig program;
-  program.root = 2;
-  program.level = 2;
-  mw::ConcurrentOptions in_order;
-  in_order.lpt_schedule = false;
-  mw::ConcurrentOptions heaviest_first;
-  heaviest_first.lpt_schedule = true;
-  const auto a = mw::solve_concurrent(program, in_order);
-  const auto b = mw::solve_concurrent(program, heaviest_first);
-  EXPECT_EQ(a.solve.combined.max_diff(b.solve.combined), 0.0);
-}
-
 // ---- LPT dispatch over the TCP substrate -----------------------------------------
 
 // In-process subsolve workers: run_subsolve_worker on plain threads over
@@ -394,9 +432,7 @@ TEST(LptOrder, TcpCompletionReorderKeepsLptResultBitExact) {
   program.root = 2;
   program.level = 2;
   const auto seq = transport::solve_sequential(program);
-  mw::ConcurrentOptions threaded;
-  threaded.lpt_schedule = true;
-  const auto reference = mw::solve_concurrent(program, threaded);
+  const auto reference = mw::solve_concurrent(program);
 
   fault::FaultPlanConfig fault_config;
   fault_config.seed = 21;
@@ -411,7 +447,6 @@ TEST(LptOrder, TcpCompletionReorderKeepsLptResultBitExact) {
   ASSERT_TRUE(endpoint.wait_for_workers(3, std::chrono::seconds(10)));
 
   mw::ConcurrentOptions options;
-  options.lpt_schedule = true;
   options.remote = &endpoint;
   options.retry = fault::RetryPolicy{};
   const auto remote = mw::solve_concurrent(program, options);
@@ -447,7 +482,6 @@ TEST(LptOrder, TcpDegradedPoolMapsAbandonedSlotsToTheRightTerms) {
   ASSERT_TRUE(endpoint.wait_for_workers(2, std::chrono::seconds(10)));
 
   mw::ConcurrentOptions options;
-  options.lpt_schedule = true;
   options.remote = &endpoint;
   options.retry = fault::RetryPolicy{};
   options.retry->max_attempts = 1;

@@ -228,7 +228,6 @@ TEST(SvcScheduler, StrictPriorityThenWeightedFairness) {
     auto task = sched.next_task();
     ASSERT_TRUE(task.has_value());
     picks.push_back(task->job);
-    sched.task_finished(task->job);
   }
   // First pick breaks the vtime tie by id; then job 2 runs 3x per job-1 pick.
   EXPECT_EQ(picks[0], 1u);
@@ -1063,6 +1062,16 @@ TEST(SolverCli, TcpOnlyFlagsRequireTheTcpBackend) {
   EXPECT_FALSE(parse({"--listen=:7700"}).ok);
   EXPECT_FALSE(parse({"--net-faults=net_drop=0.1"}).ok);
   EXPECT_TRUE(parse({"--faults=crash=0.1"}).ok);  // thread faults are fine
+}
+
+TEST(SolverCli, WorkerFaultsAreThreadsOnlyAndPointTcpAtNetFaults) {
+  // Remote workers never see the worker-fault plan: a tcp run would print
+  // "fault injection on" and inject nothing.
+  const auto err = parse({"--backend=tcp", "--faults=seed=7,crash=0.5"});
+  EXPECT_FALSE(err.ok);
+  EXPECT_NE(err.error.find("--faults"), std::string::npos) << err.error;
+  EXPECT_NE(err.error.find("--net-faults"), std::string::npos) << err.error;
+  EXPECT_TRUE(parse({"--backend=tcp", "--net-faults=seed=7,net_drop=0.1"}).ok);
 }
 
 TEST(SolverCli, RejectsUnknownFlagsBadNumbersAndExtraPositionals) {
