@@ -18,14 +18,15 @@
 //                           accuracy against the analytic solution.
 // Usage: ablation [--report=PATH] — the report captures every section's
 // numbers plus the metrics-registry snapshot (the real-runtime sections E-G
-// also exercise the wall-clock instrumentation).
+// also exercise the wall-clock instrumentation).  Any other argument exits 2
+// with the usage line.
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "cluster/cluster_sim.hpp"
 #include "cluster/cost_model.hpp"
 #include "core/concurrent_solver.hpp"
+#include "examples/solver_cli.hpp"
 #include "obs/report.hpp"
 #include "support/stopwatch.hpp"
 #include "transport/seq_solver.hpp"
@@ -296,7 +297,14 @@ void ablation_advection_scheme(ReportSink& sink) {
 int main(int argc, char** argv) {
   std::string report_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--report=", 9) == 0) report_path = argv[i] + 9;
+    const char* v = nullptr;
+    if (examples::cli_detail::starts_with(argv[i], "--report=", v)) {
+      report_path = v;
+    } else {
+      std::fprintf(stderr, "ablation: unknown flag '%s'\nusage: ablation [--report=PATH]\n",
+                   argv[i]);
+      return 2;
+    }
   }
 
   std::printf("=== Ablation benches (design choices named in the paper) ===\n");

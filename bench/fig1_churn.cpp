@@ -14,8 +14,8 @@
 //
 // Usage: fig1_churn [--level L] [--tol T] [--churn=SPEC] [--out=PATH]
 //                   [--label=S] [--timestamp=S] [--report=PATH]
-// An unknown flag, a flag missing its value, a malformed level or a
-// non-positive tolerance exits 2 with the usage line.
+// An unknown flag, a flag missing its value, a malformed level or one above
+// 37, or a non-positive tolerance exits 2 with the usage line.
 //
 // The default output path is BENCH_churn.json in the working directory; the
 // committed copy at the repo root is a bench trajectory
@@ -61,8 +61,8 @@ int main(int argc, char** argv) {
     const char* arg = argv[i];
     const char* v = nullptr;
     if (flag_value(argc, argv, i, "--level", v)) {
-      if (!parse_count(v, level)) {
-        std::fprintf(stderr, "fig1_churn: bad --level '%s' (want a level >= 0)\n%s", v, kUsage);
+      if (!parse_root2_level(v, level)) {
+        std::fprintf(stderr, "fig1_churn: bad --level '%s' (want a level 0..37)\n%s", v, kUsage);
         return 2;
       }
     } else if (flag_value(argc, argv, i, "--tol", v)) {

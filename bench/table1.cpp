@@ -4,6 +4,9 @@
 // model.  Paper values are printed alongside for comparison.
 //
 // Usage: table1 [--runs N] [--seed S] [--max-level L] [--report=PATH] [--trace=PATH]
+// An unknown flag, a flag missing its value, or a malformed or out-of-range
+// number (a run count below 1, a negative seed, a level outside 0..37) exits
+// 2 with the usage line.
 //
 // --report=PATH writes a machine-readable JSON run report (see
 // src/obs/report.hpp for the schema): the st/ct/m/su rows for both
@@ -12,19 +15,22 @@
 // --trace=PATH writes the simulator's virtual-time schedule (every level and
 // run of both tolerance sweeps) as Chrome trace_event JSON — the same flag
 // the real solver and the solve service take.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "bench/paper_reference.hpp"
 #include "cluster/cluster_sim.hpp"
 #include "cluster/cost_model.hpp"
 #include "cluster/sim_report.hpp"
+#include "examples/solver_cli.hpp"
 #include "obs/report.hpp"
 #include "obs/span.hpp"
 
 namespace {
+
+constexpr const char* kUsage =
+    "usage: table1 [--runs N] [--seed S] [--max-level L] [--report=PATH] [--trace=PATH]\n";
 
 void print_block(const char* title, const std::vector<mg::cluster::TableRow>& rows,
                  const mg::bench::PaperRow* paper, std::size_t paper_count) {
@@ -54,13 +60,29 @@ int main(int argc, char** argv) {
   int max_level = 15;
   std::string report_path;
   std::string trace_path;
+  using namespace mg::examples::cli_detail;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--runs") == 0 && i + 1 < argc) runs = std::atoi(argv[++i]);
-    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
-      seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    if (std::strcmp(argv[i], "--max-level") == 0 && i + 1 < argc) max_level = std::atoi(argv[++i]);
-    if (std::strncmp(argv[i], "--report=", 9) == 0) report_path = argv[i] + 9;
-    if (std::strncmp(argv[i], "--trace=", 8) == 0) trace_path = argv[i] + 8;
+    const char* arg = argv[i];
+    const char* v = nullptr;
+    bool ok = true;
+    if (flag_value(argc, argv, i, "--runs", v)) {
+      ok = parse_positive(v, runs);
+    } else if (flag_value(argc, argv, i, "--seed", v)) {
+      ok = parse_count(v, seed);
+    } else if (flag_value(argc, argv, i, "--max-level", v)) {
+      ok = parse_root2_level(v, max_level);
+    } else if (starts_with(arg, "--report=", v)) {
+      report_path = v;
+    } else if (starts_with(arg, "--trace=", v)) {
+      trace_path = v;
+    } else {
+      std::fprintf(stderr, "table1: unknown flag or missing value '%s'\n%s", arg, kUsage);
+      return 2;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "table1: bad value '%s' for %s\n%s", v, arg, kUsage);
+      return 2;
+    }
   }
 
   const mg::cluster::AthlonCostModel cost;

@@ -104,6 +104,16 @@ bool parse_positive(const char* s, T& out) {
   return true;
 }
 
+/// A sparse-grid level of the root-2 problem the simulated benches run:
+/// 0..37, since Grid2D holds at most 2^39 cells per axis and a deeper level
+/// would fail that precondition mid-run.
+inline bool parse_root2_level(const char* s, int& out) {
+  int n = 0;
+  if (!parse_count(s, n) || n > 37) return false;
+  out = n;
+  return true;
+}
+
 /// True when argv[i] is `flag` and a value follows it (`--reps N`); `value`
 /// then points at it and `i` has moved onto it.
 inline bool flag_value(int argc, const char* const* argv, int& i, std::string_view flag,

@@ -57,12 +57,12 @@ struct SharedGlobalState {
 };
 
 /// Runs one pool: creates `count` workers starting at term index `first`,
-/// charges each with its grid, heaviest first (lpt_order), collects results
-/// (ThroughMaster only), and holds the rendezvous.
+/// charges each with its grid in lpt_order, collects results (ThroughMaster
+/// only) and hands each new one to `fold`, and holds the rendezvous.
 void run_pool(MasterApi& api, const transport::SubsolveConfig& kernel,
               const std::vector<grid::CombinationTerm>& terms, std::size_t first,
               std::size_t count, DataPath path, transport::GlobalData& data,
-              std::vector<transport::GridRunRecord>& records) {
+              std::vector<transport::GridRunRecord>& records, grid::TermOrderFold& fold) {
   api.create_pool();  // master step 3(a)
   const std::vector<std::size_t> order = lpt_order(terms, first, count);
   for (std::size_t k : order) {
@@ -101,6 +101,7 @@ void run_pool(MasterApi& api, const transport::SubsolveConfig& kernel,
           data.store(idx, std::move(r.solution));
           records[idx] = {terms[idx].grid, terms[idx].coefficient, r.stats,
                           local.elapsed_seconds()};
+          fold.add(idx, *data.solutions[idx]);
           ++collected;
           api.context().trace("abandoned slot " + std::to_string(ab.pool_slot) +
                                   " recomputed locally",
@@ -124,6 +125,9 @@ void run_pool(MasterApi& api, const transport::SubsolveConfig& kernel,
         data.store(r.index, std::move(field));
         records[r.index] = {terms[r.index].grid, terms[r.index].coefficient, r.stats,
                             r.elapsed_seconds};
+        // Fold the combination's term-order prefix while the pool still
+        // computes, so only the terms behind the last result stay serial.
+        fold.add(r.index, *data.solutions[r.index]);
         ++collected;
       }
     } catch (...) {
@@ -205,6 +209,10 @@ ConcurrentResult solve_concurrent(const transport::ProgramConfig& program,
         std::vector<transport::GridRunRecord> records(
             terms.size(),
             transport::GridRunRecord{grid::Grid2D(program.root, 0, 0), 0.0, {}, 0.0});
+        // The fold references the components `data` holds; a slot is stored
+        // once (duplicates are discarded first) and never moves, so every
+        // waiting component outlives its addition.
+        grid::TermOrderFold fold(terms, grid::finest_grid(program.root, program.level));
         const double init_seconds = phase.elapsed_seconds();
 
         // The concurrent region: one pool over all grids, or one per family.
@@ -212,11 +220,11 @@ ConcurrentResult solve_concurrent(const transport::ProgramConfig& program,
         if (options.pool_per_family && program.level >= 1) {
           // Family lm = level-1 occupies terms [0, level); lm = level the rest.
           const std::size_t lower = static_cast<std::size_t>(program.level);
-          run_pool(api, kernel, terms, 0, lower, options.data_path, data, records);
+          run_pool(api, kernel, terms, 0, lower, options.data_path, data, records, fold);
           run_pool(api, kernel, terms, lower, terms.size() - lower, options.data_path, data,
-                   records);
+                   records, fold);
         } else {
-          run_pool(api, kernel, terms, 0, terms.size(), options.data_path, data, records);
+          run_pool(api, kernel, terms, 0, terms.size(), options.data_path, data, records, fold);
         }
         api.finished();  // master step 4
         const double subsolve_seconds = phase.elapsed_seconds();
@@ -226,14 +234,15 @@ ConcurrentResult solve_concurrent(const transport::ProgramConfig& program,
           records = shared->records;
         }
 
-        // Step 5: the final sequential computation — prolongation & combine.
+        // Step 5: the final sequential computation — the prolongation and
+        // combine work the collect loop could not fold yet: the terms from
+        // the last-landing result on (every term under SharedGlobal).
         phase.reset();
         MG_ASSERT(data.complete());
-        std::vector<grid::Field> components;
-        components.reserve(data.solutions.size());
-        for (auto& s : data.solutions) components.push_back(std::move(*s));
-        grid::Field combined = grid::combine(data.terms, components,
-                                             grid::finest_grid(program.root, program.level));
+        for (std::size_t k = 0; k < terms.size(); ++k) {
+          if (!fold.has(k)) fold.add(k, *data.solutions[k]);
+        }
+        grid::Field combined = fold.take();
         const double prolongation_seconds = phase.elapsed_seconds();
 
         ctx.trace("prolongation done", "concurrent_solver.cpp", __LINE__);

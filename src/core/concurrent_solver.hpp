@@ -58,13 +58,15 @@ enum class DataPath {
 
 const char* to_string(DataPath p);
 
-/// Longest-processing-time dispatch order for terms [first, first+count):
-/// indices sorted by descending subsolve work weight — the paper's MLINK
-/// `weight`/`load` notion, derived from subsolve_payload_bytes — with the
-/// original index as a deterministic tie-break.  Sending heavy grids first
-/// shrinks the pool's makespan tail when task slots are scarcer than grids.
-/// Every pool dispatches in this order; results are keyed by term index, so
-/// the combined output does not depend on it.
+/// Dispatch order for terms [first, first+count): indices sorted by
+/// descending subsolve_payload_bytes (the marshalled size — the paper's
+/// MLINK `weight`/`load` notion), with the original index as a deterministic
+/// tie-break.  Payload is not subsolve cost: within a family it grows with
+/// anisotropy, so the wide and tall grids go first and the square grid —
+/// the costliest to subsolve, with the widest band — comes mid-pack, last of
+/// the upper family and ahead of the lower one.  Every pool dispatches in
+/// this order; results are keyed by term index, so the combined output does
+/// not depend on it.
 std::vector<std::size_t> lpt_order(const std::vector<grid::CombinationTerm>& terms,
                                    std::size_t first, std::size_t count);
 

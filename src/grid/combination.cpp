@@ -23,15 +23,35 @@ std::vector<CombinationTerm> combination_terms(int root, int level) {
 
 Grid2D finest_grid(int root, int level) { return Grid2D(root, level, level); }
 
+TermOrderFold::TermOrderFold(std::vector<CombinationTerm> terms, const Grid2D& fine)
+    : terms_(std::move(terms)), waiting_(terms_.size(), nullptr), sum_(fine, 0.0) {}
+
+void TermOrderFold::add(std::size_t k, const Field& component) {
+  MG_REQUIRE(!has(k));
+  MG_REQUIRE(component.grid() == terms_[k].grid);
+  waiting_[k] = &component;
+  for (; next_ < terms_.size() && waiting_[next_] != nullptr; ++next_) {
+    prolongate_add(terms_[next_].coefficient, *waiting_[next_], sum_);
+    waiting_[next_] = nullptr;
+  }
+}
+
+bool TermOrderFold::has(std::size_t k) const {
+  MG_REQUIRE(k < terms_.size());
+  return k < next_ || waiting_[k] != nullptr;
+}
+
+Field TermOrderFold::take() {
+  MG_REQUIRE(next_ == terms_.size());
+  return std::move(sum_);
+}
+
 Field combine(const std::vector<CombinationTerm>& terms, const std::vector<Field>& components,
               const Grid2D& fine) {
   MG_REQUIRE(terms.size() == components.size());
-  Field result(fine, 0.0);
-  for (std::size_t k = 0; k < terms.size(); ++k) {
-    MG_REQUIRE(components[k].grid() == terms[k].grid);
-    prolongate_add(terms[k].coefficient, components[k], result);
-  }
-  return result;
+  TermOrderFold fold(terms, fine);
+  for (std::size_t k = 0; k < terms.size(); ++k) fold.add(k, components[k]);
+  return fold.take();
 }
 
 std::size_t component_count(int level) {

@@ -40,9 +40,41 @@ std::vector<CombinationTerm> combination_terms(int root, int level);
 /// The target (finest) grid of the combination: (level, level).
 Grid2D finest_grid(int root, int level);
 
+/// The one summation loop of the combination: accumulates the terms onto the
+/// finest grid strictly in term order (one fused prolongate_add pass per
+/// term), while their components arrive in any order.  Term k is added as
+/// soon as terms 0..k-1 are in, so the sum has the same bits for every
+/// arrival order — which lets a master fold each result as it lands instead
+/// of waiting for the last one.
+class TermOrderFold {
+ public:
+  TermOrderFold(std::vector<CombinationTerm> terms, const Grid2D& fine);
+
+  /// Hands over term k's component, which must live on terms[k].grid, and
+  /// adds every term whose lower-indexed terms are now all in.  A component
+  /// that waits for a lower term is referenced, not copied: it must stay
+  /// alive and unchanged until added.  Each term is handed over once.
+  void add(std::size_t k, const Field& component);
+
+  /// True once term k has been handed over (added or waiting).
+  bool has(std::size_t k) const;
+
+  /// Number of terms added so far (always the prefix 0..added()-1).
+  std::size_t added() const { return next_; }
+
+  /// The combined field; requires every term to have been added.
+  Field take();
+
+ private:
+  std::vector<CombinationTerm> terms_;
+  std::vector<const Field*> waiting_;  ///< handed over, not yet added
+  std::size_t next_ = 0;              ///< the lowest term not yet added
+  Field sum_;
+};
+
 /// Prolongates every component field onto the finest grid and accumulates
-/// with the matching coefficients, one fused pass per term (prolongate_add).
-/// `components[k]` must live on `terms[k].grid`.
+/// with the matching coefficients in term order (a TermOrderFold fed in
+/// order).  `components[k]` must live on `terms[k].grid`.
 Field combine(const std::vector<CombinationTerm>& terms, const std::vector<Field>& components,
               const Grid2D& fine);
 

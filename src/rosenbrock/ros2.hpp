@@ -9,6 +9,13 @@
 // The embedded first-order solution u_n + h*k1 gives the error estimate
 // (h/2)||k1 + k2|| used by the controller; the controller tolerance is the
 // paper's command-line `le_tol` (§3 line 18, §7: 1.0e-3 and 1.0e-4 runs).
+//
+// The controller proposes q = clamp(safety / sqrt(err), shrink_limit,
+// grow_limit) and holds the step (RADAU5's step hysteresis): after an
+// accepted step with q in [1, 1.5], h stays as it is, so gamma*h repeats bit
+// for bit and an OdeSystem that caches its stage solver by gamma*h reuses
+// the factors.  A rejected step, a larger q or a q below 1 rescales h as
+// usual.  A non-finite error estimate is a rejection with q = shrink_limit.
 #pragma once
 
 #include <cstddef>
@@ -35,7 +42,7 @@ struct Ros2Stats {
   std::size_t accepted = 0;
   std::size_t rejected = 0;
   std::size_t rhs_evaluations = 0;
-  std::size_t stage_preparations = 0;  ///< matrix builds/factorisations
+  std::size_t stage_preparations = 0;  ///< prepare_stage calls (cache hit, refresh or miss)
   std::size_t stage_solves = 0;        ///< linear-system solves
   double final_h = 0.0;
 };
@@ -45,7 +52,8 @@ struct Ros2Stats {
 /// the stage-2 solve, so an iterative StageSolver that honours its incoming
 /// x starts next to the answer.  Direct solvers overwrite x, so their
 /// results do not depend on the seed.  Throws std::runtime_error if the
-/// controller under-flows h_min or exceeds max_steps.
+/// controller under-flows h_min (a run whose error estimate stays non-finite
+/// does so after ~20 steps) or exceeds max_steps.
 Ros2Stats integrate(OdeSystem& system, Vec& u, const Ros2Options& opts);
 
 /// The L-stability gamma: 1 + 1/sqrt(2).

@@ -3,8 +3,11 @@
 // paper's nested loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <numeric>
 #include <random>
 
 #include "grid/combination.hpp"
@@ -301,6 +304,60 @@ TEST(Combination, FusedCombineIsBitwiseEqualToProlongatePlusAddScaled) {
                 0);
     }
   }
+}
+
+TEST(Combination, TermOrderFoldMatchesCombineInAnyArrivalOrder) {
+  // A master folds each result as it lands; the fold must add the terms in
+  // term order whatever the arrival order, so every node gets combine's bits.
+  std::mt19937_64 rng(2025);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  const int root = 2;
+  for (int level = 2; level <= 7; ++level) {
+    const auto terms = combination_terms(root, level);
+    std::vector<Field> components;
+    for (const auto& t : terms) {
+      Field f(t.grid);
+      for (double& v : f.data()) v = dist(rng);
+      components.push_back(std::move(f));
+    }
+    const Grid2D fine = finest_grid(root, level);
+    const Field reference = combine(terms, components, fine);
+    std::vector<std::size_t> order(terms.size());
+    std::iota(order.begin(), order.end(), 0);
+    for (int seed = 0; seed < 4; ++seed) {
+      SCOPED_TRACE("level " + std::to_string(level) + " seed " + std::to_string(seed));
+      std::mt19937_64 shuffle(static_cast<std::uint64_t>(seed));
+      std::shuffle(order.begin(), order.end(), shuffle);
+      TermOrderFold fold(terms, fine);
+      for (const std::size_t k : order) {
+        EXPECT_FALSE(fold.has(k));
+        fold.add(k, components[k]);
+        EXPECT_TRUE(fold.has(k));
+        // Only the term-order prefix of what has landed is ever added.
+        std::size_t prefix = 0;
+        while (prefix < terms.size() && fold.has(prefix)) ++prefix;
+        EXPECT_EQ(fold.added(), prefix);
+      }
+      const Field folded = fold.take();
+      ASSERT_EQ(folded.size(), reference.size());
+      EXPECT_EQ(std::memcmp(folded.data().data(), reference.data().data(),
+                            folded.size() * sizeof(double)),
+                0);
+    }
+  }
+}
+
+TEST(Combination, TermOrderFoldTakesEachTermOnceAndOnlyWhenComplete) {
+  const auto terms = combination_terms(2, 2);
+  const Grid2D fine = finest_grid(2, 2);
+  std::vector<Field> components;
+  for (const auto& t : terms) components.emplace_back(t.grid, 1.0);
+  TermOrderFold fold(terms, fine);
+  fold.add(1, components[1]);
+  EXPECT_EQ(fold.added(), 0u);
+  EXPECT_THROW(fold.add(1, components[1]), ContractViolation);
+  EXPECT_THROW(fold.add(2, components[1]), ContractViolation);  // wrong grid
+  EXPECT_THROW(fold.take(), ContractViolation);
 }
 
 TEST(Combination, CombineValidatesComponentGrids) {

@@ -1,10 +1,14 @@
 // Tests for the ROS2 Rosenbrock integrator: order of accuracy, W-method
 // property (order holds with an approximate Jacobian), L-stability on stiff
-// problems, the adaptive controller, and failure modes.
+// problems, the adaptive controller and its step hold, and failure modes.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include "rosenbrock/ode_system.hpp"
 #include "rosenbrock/ros2.hpp"
@@ -70,6 +74,54 @@ class Rotation final : public OdeSystem {
     s->g = gamma_h;
     return s;
   }
+};
+
+/// Drives the controller with scripted error estimates: each preparation
+/// records gamma*h and returns a stage solver whose k1 = k2 = k makes the
+/// step's estimate |h k| / (tol (1 + |u|)) the next scripted value (0, so
+/// the step doubles, once the script runs out).
+class ScriptedError final : public OdeSystem {
+ public:
+  ScriptedError(std::vector<double> errors, double tol) : errors_(std::move(errors)), tol_(tol) {}
+
+  std::size_t dimension() const override { return 1; }
+  void rhs(double, const Vec&, Vec& f) override { f.assign(1, 0.0); }
+
+  std::unique_ptr<StageSolver> prepare_stage(double, const Vec& u, double gamma_h) override {
+    struct Solver final : StageSolver {
+      double k;
+      void solve(const Vec&, Vec& x) override { x.assign(1, k); }
+    };
+    const std::size_t step = gamma_h_seen.size();
+    gamma_h_seen.push_back(gamma_h);
+    const double err = step < errors_.size() ? errors_[step] : 0.0;
+    auto s = std::make_unique<Solver>();
+    s->k = err * tol_ * (1.0 + std::abs(u[0])) / (gamma_h / ros2_gamma());
+    return s;
+  }
+
+  std::vector<double> gamma_h_seen;
+
+ private:
+  std::vector<double> errors_;
+  double tol_;
+};
+
+/// u' = NaN: every error estimate is NaN.
+class NanRhs final : public OdeSystem {
+ public:
+  std::size_t dimension() const override { return 1; }
+  void rhs(double, const Vec&, Vec& f) override {
+    f.assign(1, std::numeric_limits<double>::quiet_NaN());
+  }
+  std::unique_ptr<StageSolver> prepare_stage(double, const Vec&, double) override {
+    struct Solver final : StageSolver {
+      void solve(const Vec& rhs, Vec& x) override { x = rhs; }
+    };
+    ++preparations;
+    return std::make_unique<Solver>();
+  }
+  std::size_t preparations = 0;
 };
 
 double fixed_step_error(OdeSystem& system, Vec u0, double t1, double h, double exact0) {
@@ -258,6 +310,59 @@ TEST(Ros2, ThrowsOnMaxStepsExceeded) {
   opts.fixed_step = true;
   opts.max_steps = 10;
   EXPECT_THROW(integrate(system, u, opts), std::runtime_error);
+}
+
+TEST(Ros2, HoldsTheStepWhenTheProposedGrowthIsSmall) {
+  // The controller proposes q = clamp(0.9 / sqrt(err), 0.3, 2).  An accepted
+  // step with q in [1, 1.5] keeps h, so the next preparation sees the same
+  // gamma*h bits and the stage cache can reuse its factors; a larger q, an
+  // accepted step with q < 1 and a rejection all move h.
+  struct Case {
+    double err;
+    bool held;
+  };
+  const std::vector<Case> script = {
+      {0.669, true},   // q ~ 1.10
+      {0.413, true},   // q ~ 1.40
+      {0.316, false},  // q ~ 1.60
+      {0.669, true},
+      {0.1, false},    // q = 2 (clamped)
+      {0.669, true},
+      {4.0, false},    // rejected, q = 0.45
+      {0.669, true},
+      {0.9, false},    // accepted, q ~ 0.95
+      {0.669, true},
+  };
+  std::vector<double> errors;
+  for (const Case& c : script) errors.push_back(c.err);
+  const double tol = 1e-3;
+  ScriptedError system(errors, tol);
+  Vec u{1.0};
+  Ros2Options opts;
+  opts.tol = tol;
+  opts.h0 = 1e-3;
+  const auto stats = integrate(system, u, opts);
+  EXPECT_EQ(stats.rejected, 1u);
+  ASSERT_GT(system.gamma_h_seen.size(), script.size());
+  for (std::size_t i = 0; i < script.size(); ++i) {
+    SCOPED_TRACE("scripted step " + std::to_string(i) + ", err " + std::to_string(script[i].err));
+    const double before = system.gamma_h_seen[i];
+    const double after = system.gamma_h_seen[i + 1];
+    if (script[i].held) {
+      EXPECT_EQ(std::memcmp(&before, &after, sizeof(double)), 0);
+    } else {
+      EXPECT_NE(before, after);
+    }
+  }
+}
+
+TEST(Ros2, NonFiniteErrorEstimateFailsFast) {
+  // A NaN estimate is a rejection with the largest shrink, so the run ends
+  // at the h_min check after ~20 steps instead of looping to max_steps.
+  NanRhs system;
+  Vec u{1.0};
+  EXPECT_THROW(integrate(system, u, Ros2Options{}), std::runtime_error);
+  EXPECT_LE(system.preparations, 30u);
 }
 
 TEST(Ros2, RejectsInvalidOptions) {

@@ -212,9 +212,11 @@ TEST_P(StageCacheKinds, CachedSolverMatchesRebuiltSolverBitwise) {
   EXPECT_EQ(cached.stage_cache_stats().refreshes, 1u);
 }
 
-// A free-running adaptive solve rescales h every step, so the cache lives
-// on the refresh path: one first build, then in-place value updates — and
-// every preparation lands in exactly one ledger bucket.
+// A free-running adaptive solve still moves h whenever the controller
+// proposes a shrink, a rejection or a growth above the hold band, and each
+// such move refreshes the factors in place: one first build, then refreshes
+// between the hits — and every preparation lands in exactly one ledger
+// bucket.
 TEST(StageCache, AdaptiveRunRefreshesInPlace) {
   const grid::Grid2D g(2, 3, 3);
   const auto config = config_for(StageSolverKind::BandedLU);
@@ -227,6 +229,29 @@ TEST(StageCache, AdaptiveRunRefreshesInPlace) {
   EXPECT_EQ(hits + misses + refreshes, result.stats.stage_preparations);
   EXPECT_EQ(misses, 1u);     // one first build per subsolve
   EXPECT_GT(refreshes, 0u);  // the controller moved h, invalidating the factors
+}
+
+// The ROS2 controller keeps h while the proposed growth is small, so a real
+// solve reuses the factors on most steps: at least 80% of the preparations
+// are hits on every grid of G(2;3), G(2;4) and G(2;5), at both of the
+// paper's tolerances.  (A controller that rescales h every step scores 0.)
+TEST(StageCache, HeldStepSizeHitsOnEveryGridOfARealSolve) {
+  for (const double tol : {1e-3, 1e-4}) {
+    for (int level = 3; level <= 5; ++level) {
+      for (const grid::CombinationTerm& term : grid::combination_terms(2, level)) {
+        SCOPED_TRACE(term.grid.name() + " tol " + std::to_string(tol));
+        SubsolveConfig config;
+        config.le_tol = tol;
+        obs::registry().reset();
+        transport::subsolve(term.grid, config);
+        const double ratio = obs::registry().snapshot().counter_ratio(
+            "linalg.stage_cache.hits",
+            {"linalg.stage_cache.hits", "linalg.stage_cache.misses",
+             "linalg.stage_cache.refreshes"});
+        EXPECT_GE(ratio, 0.8);
+      }
+    }
+  }
 }
 
 // When the step size saturates (here: a fixed-step run; an h_max-limited
