@@ -16,17 +16,16 @@
 //                           subsolve kernel.
 //  G. Advection scheme    — central (2nd order) vs upwind (1st order)
 //                           accuracy against the analytic solution.
-// Usage: ablation [--report=PATH] — the report captures every section's
-// numbers plus the metrics-registry snapshot (the real-runtime sections E-G
-// also exercise the wall-clock instrumentation).  Any other argument exits 2
-// with the usage line.
+// --report=PATH captures every section's numbers plus the metrics-registry
+// snapshot (the real-runtime sections E-G also exercise the wall-clock
+// instrumentation).
 #include <cstdio>
 #include <string>
 
 #include "cluster/cluster_sim.hpp"
 #include "cluster/cost_model.hpp"
 #include "core/concurrent_solver.hpp"
-#include "examples/solver_cli.hpp"
+#include "examples/cli.hpp"
 #include "obs/report.hpp"
 #include "support/stopwatch.hpp"
 #include "transport/seq_solver.hpp"
@@ -296,16 +295,9 @@ void ablation_advection_scheme(ReportSink& sink) {
 
 int main(int argc, char** argv) {
   std::string report_path;
-  for (int i = 1; i < argc; ++i) {
-    const char* v = nullptr;
-    if (examples::cli_detail::starts_with(argv[i], "--report=", v)) {
-      report_path = v;
-    } else {
-      std::fprintf(stderr, "ablation: unknown flag '%s'\nusage: ablation [--report=PATH]\n",
-                   argv[i]);
-      return 2;
-    }
-  }
+  namespace cli = examples::cli;
+  cli::Table("ablation", {cli::text("--report", report_path, "PATH", "write the sections as JSON")})
+      .parse_or_exit(argc, argv);
 
   std::printf("=== Ablation benches (design choices named in the paper) ===\n");
   obs::RunReport report("ablation");

@@ -12,11 +12,6 @@
 // Exactly-once completion is asserted inside the simulator, so a successful
 // run *is* the invariant check.
 //
-// Usage: fig1_churn [--level L] [--tol T] [--churn=SPEC] [--out=PATH]
-//                   [--label=S] [--timestamp=S] [--report=PATH]
-// An unknown flag, a flag missing its value, a malformed level or one above
-// 37, or a non-positive tolerance exits 2 with the usage line.
-//
 // The default output path is BENCH_churn.json in the working directory; the
 // committed copy at the repo root is a bench trajectory
 // (bench/bench_trajectory.hpp) — each run appends one {label, timestamp,
@@ -30,23 +25,14 @@
 #include "bench/bench_trajectory.hpp"
 #include "cluster/cluster_sim.hpp"
 #include "cluster/cost_model.hpp"
-#include "examples/solver_cli.hpp"
+#include "examples/cli.hpp"
 #include "fault/fault_plan.hpp"
 #include "fleet/churn.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "trace/ebb_flow.hpp"
 
-namespace {
-
-constexpr const char* kUsage =
-    "usage: fig1_churn [--level L] [--tol T] [--churn=SPEC] [--out=PATH]\n"
-    "                  [--label=S] [--timestamp=S] [--report=PATH]\n";
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  using namespace mg::examples::cli_detail;
   // Level 18 gives 37 terms over the paper's 31 worker hosts, so the work
   // queue outlasts the first wave and churn finds busy hosts; the churn
   // window covers the early, fleet-saturated part of the run.
@@ -57,41 +43,23 @@ int main(int argc, char** argv) {
   std::string label = "dev";
   std::string timestamp;
   std::string report_path;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* v = nullptr;
-    if (flag_value(argc, argv, i, "--level", v)) {
-      if (!parse_root2_level(v, level)) {
-        std::fprintf(stderr, "fig1_churn: bad --level '%s' (want a level 0..37)\n%s", v, kUsage);
-        return 2;
-      }
-    } else if (flag_value(argc, argv, i, "--tol", v)) {
-      if (!parse_double(v, tol) || !(tol > 0.0)) {
-        std::fprintf(stderr, "fig1_churn: bad --tol '%s' (want a number > 0)\n%s", v, kUsage);
-        return 2;
-      }
-    } else if (starts_with(arg, "--churn=", v)) {
-      churn_spec = v;
-    } else if (starts_with(arg, "--out=", v)) {
-      out_path = v;
-    } else if (starts_with(arg, "--label=", v)) {
-      label = v;
-    } else if (starts_with(arg, "--timestamp=", v)) {
-      timestamp = v;
-    } else if (starts_with(arg, "--report=", v)) {
-      report_path = v;
-    } else {
-      std::fprintf(stderr, "fig1_churn: unknown flag or missing value '%s'\n%s", arg, kUsage);
-      return 2;
-    }
-  }
+  namespace cli = mg::examples::cli;
+  cli::Table table(
+      "fig1_churn",
+      {cli::count("--level", level, cli::kRoot2Levels, "sparse-grid level of the run"),
+       cli::real("--tol", tol, cli::Reals::Positive, "integrator tolerance"),
+       cli::text("--churn", churn_spec, "SPEC", "seeded fleet joins, leaves and crashes"),
+       cli::text("--out", out_path, "PATH", "trajectory to append the entry to"),
+       cli::text("--label", label, "S", "label of the entry"),
+       cli::text("--timestamp", timestamp, "S", "timestamp of the entry (default: now)"),
+       cli::text("--report", report_path, "PATH", "also write the report on its own")});
+  table.parse_or_exit(argc, argv);
 
   mg::fleet::ChurnPlanConfig churn;
   try {
     churn = mg::fleet::parse_churn_spec(churn_spec);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "fig1_churn: bad --churn: %s\n", e.what());
-    return 2;
+    table.fail("bad --churn '" + churn_spec + "' (" + e.what() + ")");
   }
 
   const mg::cluster::AthlonCostModel cost;

@@ -7,11 +7,6 @@
 // Table-1 averages for the two tolerances).  We plot one seeded level-15
 // run at tolerance 1.0e-4.
 //
-// Usage: fig1_ebbflow [--level L] [--tol T] [--seed S] [--report=PATH] [--trace=PATH]
-// An unknown flag, a flag missing its value, a malformed number, a level
-// outside 0..37, a negative seed or a non-positive tolerance exits 2 with the
-// usage line.
-//
 // --report=PATH writes a JSON run report (run summary + ebb-&-flow series +
 // metrics snapshot); --trace=PATH writes the simulator's virtual-time
 // schedule as Chrome trace_event JSON (open in about:tracing / Perfetto) —
@@ -23,47 +18,24 @@
 #include "cluster/cluster_sim.hpp"
 #include "cluster/cost_model.hpp"
 #include "cluster/sim_report.hpp"
-#include "examples/solver_cli.hpp"
+#include "examples/cli.hpp"
 #include "obs/report.hpp"
 #include "obs/span.hpp"
 #include "trace/ebb_flow.hpp"
-
-namespace {
-
-constexpr const char* kUsage =
-    "usage: fig1_ebbflow [--level L] [--tol T] [--seed S] [--report=PATH] [--trace=PATH]\n";
-
-}  // namespace
 
 int main(int argc, char** argv) {
   int level = 15;
   double tol = 1e-4;
   std::uint64_t seed = 2004;
   std::string report_path, trace_path;
-  using namespace mg::examples::cli_detail;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* v = nullptr;
-    bool ok = true;
-    if (flag_value(argc, argv, i, "--level", v)) {
-      ok = parse_root2_level(v, level);
-    } else if (flag_value(argc, argv, i, "--tol", v)) {
-      ok = parse_double(v, tol) && tol > 0.0;
-    } else if (flag_value(argc, argv, i, "--seed", v)) {
-      ok = parse_count(v, seed);
-    } else if (starts_with(arg, "--report=", v)) {
-      report_path = v;
-    } else if (starts_with(arg, "--trace=", v)) {
-      trace_path = v;
-    } else {
-      std::fprintf(stderr, "fig1_ebbflow: unknown flag or missing value '%s'\n%s", arg, kUsage);
-      return 2;
-    }
-    if (!ok) {
-      std::fprintf(stderr, "fig1_ebbflow: bad value '%s' for %s\n%s", v, arg, kUsage);
-      return 2;
-    }
-  }
+  namespace cli = mg::examples::cli;
+  cli::Table("fig1_ebbflow",
+             {cli::count("--level", level, cli::kRoot2Levels, "sparse-grid level of the run"),
+              cli::real("--tol", tol, cli::Reals::Positive, "integrator tolerance"),
+              cli::count("--seed", seed, {}, "seed of the simulated run"),
+              cli::text("--report", report_path, "PATH", "write a JSON run report"),
+              cli::text("--trace", trace_path, "PATH", "write the schedule as a trace")})
+      .parse_or_exit(argc, argv);
 
   const mg::cluster::AthlonCostModel cost;
   mg::cluster::SimConfig config;

@@ -6,11 +6,6 @@
 //
 // Emits the four series in gnuplot-ready columns with the paper reference
 // values alongside.
-//
-// Usage: fig2to5_curves [--runs N] [--max-level L]
-// An unknown flag, a flag missing its value, or a malformed or out-of-range
-// number (a run count below 1, a level outside 0..37) exits 2 with the usage
-// line.
 #include <cmath>
 #include <cstdio>
 #include <vector>
@@ -18,35 +13,16 @@
 #include "bench/paper_reference.hpp"
 #include "cluster/cluster_sim.hpp"
 #include "cluster/cost_model.hpp"
-#include "examples/solver_cli.hpp"
-
-namespace {
-
-constexpr const char* kUsage = "usage: fig2to5_curves [--runs N] [--max-level L]\n";
-
-}  // namespace
+#include "examples/cli.hpp"
 
 int main(int argc, char** argv) {
   int runs = 5;
   int max_level = 15;
-  using namespace mg::examples::cli_detail;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* v = nullptr;
-    bool ok = true;
-    if (flag_value(argc, argv, i, "--runs", v)) {
-      ok = parse_positive(v, runs);
-    } else if (flag_value(argc, argv, i, "--max-level", v)) {
-      ok = parse_root2_level(v, max_level);
-    } else {
-      std::fprintf(stderr, "fig2to5_curves: unknown flag or missing value '%s'\n%s", arg, kUsage);
-      return 2;
-    }
-    if (!ok) {
-      std::fprintf(stderr, "fig2to5_curves: bad value '%s' for %s\n%s", v, arg, kUsage);
-      return 2;
-    }
-  }
+  namespace cli = mg::examples::cli;
+  cli::Table("fig2to5_curves",
+             {cli::count("--runs", runs, {1}, "runs averaged per point"),
+              cli::count("--max-level", max_level, cli::kRoot2Levels, "last level")})
+      .parse_or_exit(argc, argv);
 
   const mg::cluster::AthlonCostModel cost;
   mg::cluster::SimConfig config;

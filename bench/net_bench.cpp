@@ -22,12 +22,6 @@
 // on the *worker machine's* core, so on the single loopback host the core
 // must stay free for the master's loop thread.
 //
-// Usage: net_bench [--out=PATH] [--workers N] [--clients N] [--tasks N]
-//                  [--payload BYTES] [--service-us N] [--delay-ms N]
-//                  [--reps N] [--label=S] [--timestamp=S]
-// An unknown flag, a missing value, a malformed number or a zero worker,
-// client, task or rep count exits 2 with the usage line.
-//
 // The default output path is BENCH_net.json in the working directory; the
 // committed copy at the repo root is this tool's output on the dev
 // container.  The file is a bench *trajectory* (bench/bench_trajectory.hpp):
@@ -47,7 +41,7 @@
 #include <vector>
 
 #include "bench/bench_trajectory.hpp"
-#include "examples/solver_cli.hpp"
+#include "examples/cli.hpp"
 #include "fault/fault_plan.hpp"
 #include "net/remote.hpp"
 #include "net/socket.hpp"
@@ -58,11 +52,6 @@ namespace {
 
 using namespace mg;
 using namespace std::chrono_literals;
-
-constexpr const char* kUsage =
-    "usage: net_bench [--out=PATH] [--workers N] [--clients N] [--tasks N]\n"
-    "                 [--payload BYTES] [--service-us N] [--delay-ms N]\n"
-    "                 [--reps N] [--label=S] [--timestamp=S]\n";
 
 struct DepthTiming {
   double wall_seconds = 0.0;
@@ -175,40 +164,19 @@ int main(int argc, char** argv) {
   int service_us = 30;
   int delay_ms = 1;
   int reps = 3;
-  using namespace examples::cli_detail;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* v = nullptr;
-    bool ok = true;
-    if (starts_with(arg, "--out=", v)) {
-      out_path = v;
-    } else if (starts_with(arg, "--label=", v)) {
-      label = v;
-    } else if (starts_with(arg, "--timestamp=", v)) {
-      timestamp = v;
-    } else if (flag_value(argc, argv, i, "--workers", v)) {
-      ok = parse_positive(v, workers);
-    } else if (flag_value(argc, argv, i, "--clients", v)) {
-      ok = parse_positive(v, clients);
-    } else if (flag_value(argc, argv, i, "--tasks", v)) {
-      ok = parse_positive(v, tasks);
-    } else if (flag_value(argc, argv, i, "--payload", v)) {
-      ok = parse_count(v, payload_bytes);
-    } else if (flag_value(argc, argv, i, "--service-us", v)) {
-      ok = parse_count(v, service_us);
-    } else if (flag_value(argc, argv, i, "--delay-ms", v)) {
-      ok = parse_count(v, delay_ms);
-    } else if (flag_value(argc, argv, i, "--reps", v)) {
-      ok = parse_positive(v, reps);
-    } else {
-      std::fprintf(stderr, "net_bench: unknown flag or missing value '%s'\n%s", arg, kUsage);
-      return 2;
-    }
-    if (!ok) {
-      std::fprintf(stderr, "net_bench: bad value '%s' for %s\n%s", v, arg, kUsage);
-      return 2;
-    }
-  }
+  namespace cli = examples::cli;
+  cli::Table("net_bench",
+             {cli::text("--out", out_path, "PATH", "trajectory to append the entry to"),
+              cli::count("--workers", workers, {1}, "in-process worker threads"),
+              cli::count("--clients", clients, {1}, "client threads sending echo trips"),
+              cli::count("--tasks", tasks, {1}, "echo trips per client"),
+              cli::count("--payload", payload_bytes, {}, "bytes per echo payload"),
+              cli::count("--service-us", service_us, {}, "worker service time per trip (us)"),
+              cli::count("--delay-ms", delay_ms, {}, "emulated link delay per Work frame (ms)"),
+              cli::count("--reps", reps, {1}, "repetitions; the best is kept"),
+              cli::text("--label", label, "S", "label of the entry"),
+              cli::text("--timestamp", timestamp, "S", "timestamp of the entry (default: now)")})
+      .parse_or_exit(argc, argv);
 
   obs::RunReport report("net_bench");
   report.config().begin_object();

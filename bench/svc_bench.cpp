@@ -7,11 +7,6 @@
 // when a lone job cannot fill the lanes; on a single-core container both
 // modes serialize on the CPU and the ratio sits near 1).
 //
-// Usage: svc_bench [--out=PATH] [--jobs N] [--lanes N] [--level L] [--reps N]
-//                  [--label=S] [--timestamp=S]
-// An unknown flag, a missing value, a malformed number or a zero job, lane
-// or rep count exits 2 with the usage line.
-//
 // The default output path is BENCH_svc.json in the working directory; the
 // committed copy at the repo root is this tool's output on the dev
 // container.  The file is a bench *trajectory* (bench/bench_trajectory.hpp):
@@ -25,7 +20,7 @@
 #include <vector>
 
 #include "bench/bench_trajectory.hpp"
-#include "examples/solver_cli.hpp"
+#include "examples/cli.hpp"
 #include "obs/report.hpp"
 #include "support/stopwatch.hpp"
 #include "svc/engine.hpp"
@@ -34,10 +29,6 @@
 namespace {
 
 using namespace mg;
-
-constexpr const char* kUsage =
-    "usage: svc_bench [--out=PATH] [--jobs N] [--lanes N] [--level L] [--reps N]\n"
-    "                 [--label=S] [--timestamp=S]\n";
 
 struct BatchTiming {
   double wall_seconds = 0.0;
@@ -152,34 +143,16 @@ int main(int argc, char** argv) {
   std::size_t lanes = 8;
   int level = 3;
   int reps = 5;
-  using namespace examples::cli_detail;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* v = nullptr;
-    bool ok = true;
-    if (starts_with(arg, "--out=", v)) {
-      out_path = v;
-    } else if (starts_with(arg, "--label=", v)) {
-      label = v;
-    } else if (starts_with(arg, "--timestamp=", v)) {
-      timestamp = v;
-    } else if (flag_value(argc, argv, i, "--jobs", v)) {
-      ok = parse_positive(v, jobs);
-    } else if (flag_value(argc, argv, i, "--lanes", v)) {
-      ok = parse_positive(v, lanes);
-    } else if (flag_value(argc, argv, i, "--level", v)) {
-      ok = parse_count(v, level);
-    } else if (flag_value(argc, argv, i, "--reps", v)) {
-      ok = parse_positive(v, reps);
-    } else {
-      std::fprintf(stderr, "svc_bench: unknown flag or missing value '%s'\n%s", arg, kUsage);
-      return 2;
-    }
-    if (!ok) {
-      std::fprintf(stderr, "svc_bench: bad value '%s' for %s\n%s", v, arg, kUsage);
-      return 2;
-    }
-  }
+  namespace cli = examples::cli;
+  cli::Table("svc_bench",
+             {cli::text("--out", out_path, "PATH", "trajectory to append the entry to"),
+              cli::count("--jobs", jobs, {1}, "jobs per batch"),
+              cli::count("--lanes", lanes, {1}, "lane threads of the engine"),
+              cli::count("--level", level, {}, "sparse-grid level of each job"),
+              cli::count("--reps", reps, {1}, "repetitions; the best is kept"),
+              cli::text("--label", label, "S", "label of the entry"),
+              cli::text("--timestamp", timestamp, "S", "timestamp of the entry (default: now)")})
+      .parse_or_exit(argc, argv);
 
   obs::RunReport report("svc_bench");
   report.config().begin_object();

@@ -3,11 +3,6 @@
 // on the simulated 32-node Athlon cluster with the Athlon-calibrated cost
 // model.  Paper values are printed alongside for comparison.
 //
-// Usage: table1 [--runs N] [--seed S] [--max-level L] [--report=PATH] [--trace=PATH]
-// An unknown flag, a flag missing its value, or a malformed or out-of-range
-// number (a run count below 1, a negative seed, a level outside 0..37) exits
-// 2 with the usage line.
-//
 // --report=PATH writes a machine-readable JSON run report (see
 // src/obs/report.hpp for the schema): the st/ct/m/su rows for both
 // tolerances plus a snapshot of the metrics registry.
@@ -23,14 +18,11 @@
 #include "cluster/cluster_sim.hpp"
 #include "cluster/cost_model.hpp"
 #include "cluster/sim_report.hpp"
-#include "examples/solver_cli.hpp"
+#include "examples/cli.hpp"
 #include "obs/report.hpp"
 #include "obs/span.hpp"
 
 namespace {
-
-constexpr const char* kUsage =
-    "usage: table1 [--runs N] [--seed S] [--max-level L] [--report=PATH] [--trace=PATH]\n";
 
 void print_block(const char* title, const std::vector<mg::cluster::TableRow>& rows,
                  const mg::bench::PaperRow* paper, std::size_t paper_count) {
@@ -60,30 +52,13 @@ int main(int argc, char** argv) {
   int max_level = 15;
   std::string report_path;
   std::string trace_path;
-  using namespace mg::examples::cli_detail;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* v = nullptr;
-    bool ok = true;
-    if (flag_value(argc, argv, i, "--runs", v)) {
-      ok = parse_positive(v, runs);
-    } else if (flag_value(argc, argv, i, "--seed", v)) {
-      ok = parse_count(v, seed);
-    } else if (flag_value(argc, argv, i, "--max-level", v)) {
-      ok = parse_root2_level(v, max_level);
-    } else if (starts_with(arg, "--report=", v)) {
-      report_path = v;
-    } else if (starts_with(arg, "--trace=", v)) {
-      trace_path = v;
-    } else {
-      std::fprintf(stderr, "table1: unknown flag or missing value '%s'\n%s", arg, kUsage);
-      return 2;
-    }
-    if (!ok) {
-      std::fprintf(stderr, "table1: bad value '%s' for %s\n%s", v, arg, kUsage);
-      return 2;
-    }
-  }
+  namespace cli = mg::examples::cli;
+  cli::Table("table1", {cli::count("--runs", runs, {1}, "runs averaged per row"),
+                        cli::count("--seed", seed, {}, "seed of the simulated runs"),
+                        cli::count("--max-level", max_level, cli::kRoot2Levels, "last level"),
+                        cli::text("--report", report_path, "PATH", "write a JSON run report"),
+                        cli::text("--trace", trace_path, "PATH", "write the schedule as a trace")})
+      .parse_or_exit(argc, argv);
 
   const mg::cluster::AthlonCostModel cost;
   mg::cluster::SimConfig config;

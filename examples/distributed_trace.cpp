@@ -7,11 +7,9 @@
 // The run itself uses the real threaded runtime at a small level with the
 // paper's MLINK/CONFIG parameters; the big-level ebb & flow chart comes
 // from the cluster simulator.
-//
-// Usage: distributed_trace [level]
 #include <cstdio>
-#include <cstdlib>
 
+#include "cli.hpp"
 #include "cluster/cluster_sim.hpp"
 #include "cluster/cost_model.hpp"
 #include "core/concurrent_solver.hpp"
@@ -20,7 +18,10 @@
 
 int main(int argc, char** argv) {
   using namespace mg;
-  const int level = argc > 1 ? std::atoi(argv[1]) : 2;
+  int level = 2;
+  namespace cli = examples::cli;
+  cli::Table("distributed_trace", {cli::count("level", level, cli::kRoot2Levels, "run level")})
+      .parse_or_exit(argc, argv);
 
   // Task composition stage (mainprog.mlink) and runtime configuration stage
   // (the CONFIG input file) — §6.

@@ -1,57 +1,22 @@
 // Client CLI for the solve service: submits jobs, polls status, fetches the
 // combined result — and can verify bit-identity against a local sequential
-// run of the same spec (the §6 claim carried over to multi-tenancy).
+// run of the same spec (the §6 claim carried over to multi-tenancy).  The
+// rows below are the usage; a bad argument prints them.
 //
-// Usage:
-//   mg_solve_client --connect=HOST:PORT [root] [level] [le_tol]
-//                   [--jobs=N] [--priority=P] [--weight=W] [--tag=S]
-//                   [--faults=SPEC] [--cancel-after-ms=N] [--verify]
-//                   [--report-dir=DIR] [--ping] [--timeout-ms=N]
-//                   [--stats] [--stats-format=json|prom]
-//
-// --jobs=N            submit N jobs of this spec (tags suffixed -1..-N) and
-//                     wait for all of them.
-// --cancel-after-ms=N cancel each job N ms after submission (lifecycle demo).
-// --verify            run solve_sequential locally and require the service's
-//                     combined nodes to be byte-identical.
-// --report-dir=DIR    write each job's self-contained report to
-//                     DIR/job_<id>.json.
-// --ping              round-trip one Ping first and print the latency.
-// --stats             fetch the server's live service stats and print them to
-//                     stdout (scheduler depth, lane utilization, per-tenant
-//                     queue/running detail, latency histograms).  Without a
-//                     spec this is the whole run; with one, stats print after
-//                     the jobs finish (so the tenant view reflects them).
-// --stats-format=F    stats rendering: json (default) or prom (Prometheus
-//                     text exposition).
+// --stats prints the server's live service stats (scheduler depth, lane
+// utilization, per-tenant queue/running detail, latency histograms).  Without
+// a spec this is the whole run; with one, stats print after the jobs finish
+// (so the tenant view reflects them).
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
+#include "cli.hpp"
 #include "obs/json_writer.hpp"
-#include "solver_cli.hpp"
 #include "svc/client.hpp"
 #include "svc/stats.hpp"
 #include "transport/seq_solver.hpp"
-
-namespace {
-
-int bad_value(const char* what, const char* value, const char* want) {
-  std::fprintf(stderr, "bad %s'%s' (want %s)\n", what, value, want);
-  return 2;
-}
-
-bool parse_int(const char* s, int& out) {
-  long n = 0;
-  if (!mg::examples::cli_detail::parse_long(s, n) || !std::in_range<int>(n)) return false;
-  out = static_cast<int>(n);
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace mg;
@@ -67,73 +32,29 @@ int main(int argc, char** argv) {
   bool stats = false;
   std::string stats_format = "json";
   std::string report_dir;
-  int positional = 0;
 
-  using examples::cli_detail::parse_count;
-  using examples::cli_detail::parse_double;
-  using examples::cli_detail::starts_with;
-  for (int i = 1; i < argc; ++i) {
-    const char* v = nullptr;
-    if (starts_with(argv[i], "--connect=", v)) {
-      if (!examples::parse_host_port(v, connect_host, connect_port)) {
-        std::fprintf(stderr, "bad --connect spec '%s' (want HOST:PORT)\n", v);
-        return 2;
-      }
-    } else if (starts_with(argv[i], "--jobs=", v)) {
-      if (!parse_count(v, jobs)) return bad_value("--jobs=", v, "a positive integer");
-    } else if (starts_with(argv[i], "--priority=", v)) {
-      if (!parse_int(v, spec.priority)) return bad_value("--priority=", v, "an integer");
-    } else if (starts_with(argv[i], "--weight=", v)) {
-      if (!parse_double(v, spec.weight)) return bad_value("--weight=", v, "a number");
-    } else if (starts_with(argv[i], "--tag=", v)) {
-      spec.tag = v;
-    } else if (starts_with(argv[i], "--faults=", v)) {
-      spec.fault_spec = v;
-    } else if (starts_with(argv[i], "--cancel-after-ms=", v)) {
-      if (!parse_count(v, cancel_after_ms)) {
-        return bad_value("--cancel-after-ms=", v, "a non-negative integer");
-      }
-    } else if (starts_with(argv[i], "--timeout-ms=", v)) {
-      if (!parse_count(v, timeout_ms)) return bad_value("--timeout-ms=", v, "a non-negative integer");
-    } else if (starts_with(argv[i], "--report-dir=", v)) {
-      report_dir = v;
-    } else if (std::strcmp(argv[i], "--verify") == 0) {
-      verify = true;
-    } else if (std::strcmp(argv[i], "--ping") == 0) {
-      ping = true;
-    } else if (std::strcmp(argv[i], "--stats") == 0) {
-      stats = true;
-    } else if (starts_with(argv[i], "--stats-format=", v)) {
-      stats_format = v;
-      if (stats_format != "json" && stats_format != "prom") {
-        std::fprintf(stderr, "bad --stats-format '%s' (want json or prom)\n", v);
-        return 2;
-      }
-    } else if (argv[i][0] == '-' && argv[i][1] == '-') {
-      std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
-      return 2;
-    } else if (positional == 0) {
-      if (!parse_int(argv[i], spec.root)) return bad_value("root ", argv[i], "an integer");
-      ++positional;
-    } else if (positional == 1) {
-      if (!parse_int(argv[i], spec.level)) return bad_value("level ", argv[i], "an integer");
-      ++positional;
-    } else if (positional == 2) {
-      if (!parse_double(argv[i], spec.le_tol)) return bad_value("le_tol ", argv[i], "a number");
-      ++positional;
-    } else {
-      std::fprintf(stderr, "unexpected extra argument '%s'\n", argv[i]);
-      return 2;
-    }
-  }
-  if (connect_port == 0) {
-    std::fprintf(stderr, "--connect=HOST:PORT is required\n");
-    return 2;
-  }
-  if (jobs < 1) {
-    std::fprintf(stderr, "--jobs must be >= 1\n");
-    return 2;
-  }
+  namespace cli = examples::cli;
+  cli::Table table(
+      "mg_solve_client",
+      {cli::integer("root", spec.root, "root of the job's spec; the server checks ranges"),
+       cli::integer("level", spec.level, "sparse-grid level of the job"),
+       cli::real("le_tol", spec.le_tol, cli::Reals::Any, "ROS2 local error tolerance"),
+       cli::host_port("--connect", connect_host, connect_port, "the server (required)"),
+       cli::count("--jobs", jobs, {1}, "jobs of this spec, tags suffixed -1..-N"),
+       cli::integer("--priority", spec.priority, "strict priority; higher runs first"),
+       cli::real("--weight", spec.weight, cli::Reals::Any, "fair-share weight"),
+       cli::text("--tag", spec.tag, "S", "job tag"),
+       cli::text("--faults", spec.fault_spec, "SPEC", "seeded faults scoped to each job"),
+       cli::count("--cancel-after-ms", cancel_after_ms, {}, "cancel each job N ms after submit"),
+       cli::toggle("--verify", verify, "require bit-identity with a local sequential solve"),
+       cli::text("--report-dir", report_dir, "DIR", "write each job's report to DIR/job_<id>.json"),
+       cli::toggle("--ping", ping, "round-trip one Ping first and print the latency"),
+       cli::count("--timeout-ms", timeout_ms, {}, "wait this long for each job"),
+       cli::toggle("--stats", stats, "print the server's live service stats"),
+       cli::choice("--stats-format", stats_format, {"json", "prom"}, "stats rendering")});
+  table.parse_or_exit(argc, argv);
+  if (!table.given("--connect")) table.fail("--connect=HOST:PORT is required");
+  const bool spec_given = table.given("root");
 
   try {
     svc::JobClient client(connect_host, connect_port);
@@ -142,7 +63,7 @@ int main(int argc, char** argv) {
       const auto rtt = client.ping();
       std::printf("ping: %lld us\n", static_cast<long long>(rtt.count()));
       // A bare liveness probe: no spec given means nothing to submit.
-      if (positional == 0 && !stats) return 0;
+      if (!spec_given && !stats) return 0;
     }
 
     const auto print_stats = [&client, &stats_format] {
@@ -154,7 +75,7 @@ int main(int argc, char** argv) {
     };
 
     // A bare stats scrape: no spec given means nothing to submit.
-    if (stats && positional == 0) {
+    if (stats && !spec_given) {
       print_stats();
       return 0;
     }

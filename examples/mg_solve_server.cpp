@@ -1,26 +1,8 @@
 // The solve service as a process: a JobServer accepting solve jobs over the
-// framed TCP codec, multiplexing one shared worker fleet across tenants.
-//
-// Usage:
-//   mg_solve_server [--listen=HOST:PORT] [--lanes=N] [--workers=N]
-//                   [--pipeline=N] [--max-running=N] [--max-queued=N]
-//                   [--idle-timeout-ms=N] [--run-seconds=N] [--report=PATH]
-//                   [--trace=PATH] [--stats-interval=N]
-//
-// --lanes=N       fleet width: lane threads executing job tasks (default 4).
-// --workers=N     fork N TCP subsolve worker processes and route every task
-//                 over the wire to them (default 0 = compute in the lanes).
-// --pipeline=N    transport pipeline window per worker channel, 1..64
-//                 (default 4); requires --workers.
-// --run-seconds=N exit after N seconds (soak harnesses); default: run until
-//                 stdin closes or SIGINT/SIGTERM.
-// --report=PATH   write a fleet-wide run report (svc.* metrics) on exit.
-// --trace=PATH    write a Chrome trace_event JSON of the server's spans on
-//                 exit; with --workers this merges the workers' subsolve
-//                 spans shipped back on the telemetry channel.
-// --stats-interval=N
-//                 print a live ServiceStats JSON line to stdout every N
-//                 seconds (the same payload `mg_solve_client --stats` gets).
+// framed TCP codec, multiplexing one shared worker fleet across tenants.  The
+// flag rows below are the usage; a bad argument prints them.  With --workers
+// the tasks go over the wire to forked subsolve workers, and --trace merges
+// the subsolve spans they ship back on the telemetry channel.
 //
 // The line "mg_solve_server listening on PORT" goes to stdout (flushed)
 // first, so scripts can scrape the ephemeral port.
@@ -31,11 +13,11 @@
 #include <thread>
 #include <unistd.h>
 
+#include "cli.hpp"
 #include "core/remote_worker.hpp"
 #include "net/remote.hpp"
 #include "obs/report.hpp"
 #include "obs/span.hpp"
-#include "solver_cli.hpp"
 #include "svc/job_server.hpp"
 #include "svc/stats.hpp"
 
@@ -43,11 +25,6 @@ namespace {
 
 std::sig_atomic_t g_stop = 0;
 void on_signal(int) { g_stop = 1; }
-
-int bad_count(const char* flag, const char* value) {
-  std::fprintf(stderr, "bad %s'%s' (want a non-negative integer)\n", flag, value);
-  return 2;
-}
 
 }  // namespace
 
@@ -67,50 +44,23 @@ int main(int argc, char** argv) {
   std::string report_path;
   std::string trace_path;
 
-  using examples::cli_detail::parse_count;
-  using examples::cli_detail::starts_with;
-  for (int i = 1; i < argc; ++i) {
-    const char* v = nullptr;
-    if (starts_with(argv[i], "--listen=", v)) {
-      if (!examples::parse_host_port(v, listen_host, listen_port)) {
-        std::fprintf(stderr, "bad --listen spec '%s' (want HOST:PORT)\n", v);
-        return 2;
-      }
-    } else if (starts_with(argv[i], "--lanes=", v)) {
-      if (!parse_count(v, lanes)) return bad_count("--lanes=", v);
-    } else if (starts_with(argv[i], "--workers=", v)) {
-      if (!parse_count(v, workers)) return bad_count("--workers=", v);
-    } else if (starts_with(argv[i], "--pipeline=", v)) {
-      if (!parse_count(v, pipeline) || pipeline < 1 || pipeline > 64) {
-        std::fprintf(stderr, "bad --pipeline '%s' (want 1..64)\n", v);
-        return 2;
-      }
-    } else if (starts_with(argv[i], "--max-running=", v)) {
-      if (!parse_count(v, max_running)) return bad_count("--max-running=", v);
-    } else if (starts_with(argv[i], "--max-queued=", v)) {
-      if (!parse_count(v, max_queued)) return bad_count("--max-queued=", v);
-    } else if (starts_with(argv[i], "--idle-timeout-ms=", v)) {
-      if (!parse_count(v, idle_timeout_ms)) return bad_count("--idle-timeout-ms=", v);
-    } else if (starts_with(argv[i], "--run-seconds=", v)) {
-      if (!parse_count(v, run_seconds)) return bad_count("--run-seconds=", v);
-    } else if (starts_with(argv[i], "--stats-interval=", v)) {
-      if (!parse_count(v, stats_interval)) return bad_count("--stats-interval=", v);
-    } else if (starts_with(argv[i], "--report=", v)) {
-      report_path = v;
-    } else if (starts_with(argv[i], "--trace=", v)) {
-      trace_path = v;
-    } else {
-      std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
-      return 2;
-    }
-  }
-  if (lanes == 0) {
-    std::fprintf(stderr, "--lanes must be positive\n");
-    return 2;
-  }
+  namespace cli = examples::cli;
+  cli::Table table(
+      "mg_solve_server",
+      {cli::host_port("--listen", listen_host, listen_port, "client address (default ephemeral)"),
+       cli::count("--lanes", lanes, {1}, "lane threads executing job tasks"),
+       cli::count("--workers", workers, {}, "tcp subsolve workers to fork; 0 = lanes compute"),
+       cli::count("--pipeline", pipeline, {1, 64}, "work units in flight per worker channel"),
+       cli::count("--max-running", max_running, {}, "jobs running at once"),
+       cli::count("--max-queued", max_queued, {}, "jobs waiting for a running slot"),
+       cli::count("--idle-timeout-ms", idle_timeout_ms, {}, "close idle sessions; 0 = never"),
+       cli::count("--run-seconds", run_seconds, {}, "exit after this long; 0 = at SIGINT/SIGTERM"),
+       cli::count("--stats-interval", stats_interval, {}, "print live stats every N s; 0 = never"),
+       cli::text("--report", report_path, "PATH", "write a fleet-wide run report on exit"),
+       cli::text("--trace", trace_path, "PATH", "write a Chrome trace of the spans on exit")});
+  table.parse_or_exit(argc, argv);
   if (pipeline > 0 && workers == 0) {
-    std::fprintf(stderr, "--pipeline requires --workers (no transport to pipeline)\n");
-    return 2;
+    table.fail("bad --pipeline '" + std::to_string(pipeline) + "' (needs --workers)");
   }
 
   // Tracing must be on before any spans fire (and before the fork, so the

@@ -2,12 +2,10 @@
 // one worker per grid resolution, all revolving the cone concurrently under
 // the same generic ProtocolMW coordinator the sparse-grid application uses —
 // a third domain demonstrating the protocol's genericity.
-//
-// Usage: molenkamp [max_level] [fraction_of_revolution]
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 
+#include "cli.hpp"
 #include "core/master.hpp"
 #include "core/protocol.hpp"
 #include "core/worker.hpp"
@@ -32,8 +30,14 @@ struct ConeResult {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int max_level = argc > 1 ? std::atoi(argv[1]) : 4;
-  const double t1 = argc > 2 ? std::atof(argv[2]) : 0.25;
+  int max_level = 4;
+  double t1 = 0.25;
+  // Grid2D holds at most 2^39 cells per axis, and ROS2 needs t1 > 0.
+  namespace cli = examples::cli;
+  cli::Table("molenkamp",
+             {cli::count("max_level", max_level, {1, 37}, "one worker per level 1..max_level"),
+              cli::real("t1", t1, cli::Reals::Positive, "revolutions to turn the cone")})
+      .parse_or_exit(argc, argv);
 
   iwim::Runtime runtime;
   std::map<int, ConeResult> results;

@@ -4,11 +4,8 @@
 // restructured master/worker version), verifies the two agree bit-exactly
 // (the §6 claim), and reports accuracy against the analytic solution.
 //
-// Usage mirrors the paper's command line (§3: root, level, le_tol):
-//   sparse_grid_solver [root] [level] [le_tol] [--report=PATH] [--trace=PATH]
-//                      [--faults=SPEC]
-//                      [--backend=threads|tcp] [--workers=N] [--listen=HOST:PORT]
-//                      [--pipeline=N] [--connect=HOST:PORT] [--net-faults=SPEC]
+// The positionals mirror the paper's command line (§3: root, level,
+// le_tol); solver_cli.hpp holds the rows, and a bad argument prints them.
 //
 // --report=PATH additionally writes a JSON run report: both solves' wall
 // times, the per-grid records, the bit-exactness diff, the accuracy numbers,
@@ -97,25 +94,29 @@ int main(int argc, char** argv) {
   using namespace mg;
 
   const examples::SolverCli cli = examples::parse_solver_cli(argc, argv);
-  if (!cli.ok) {
-    std::fprintf(stderr, "%s\n", cli.error.c_str());
-    std::fprintf(stderr,
-                 "usage: sparse_grid_solver [root] [level] [le_tol] [--report=PATH]\n"
-                 "         [--trace=PATH] [--faults=SPEC] [--churn=SPEC]\n"
-                 "         [--backend=threads|tcp]\n"
-                 "         [--workers=N] [--listen=HOST:PORT] [--pipeline=N]\n"
-                 "         [--net-faults=SPEC]\n"
-                 "       sparse_grid_solver --connect=HOST:PORT   (worker mode)\n");
-    return 2;
-  }
+  examples::SolverCli unused;
+  const examples::cli::Table rows = examples::solver_cli_table(unused);
+  if (!cli.ok) rows.fail(cli.error);
+  // The specs parse before any work, so a malformed one exits 2 as well.
+  const auto parse_spec = [&rows](const char* flag, const std::string& spec, auto parse) {
+    try {
+      return parse(spec);
+    } catch (const std::exception& e) {
+      rows.fail(std::string("bad ") + flag + " '" + spec + "' (" + e.what() + ")");
+    }
+  };
+  const fault::FaultPlanConfig faults =
+      parse_spec("--faults", cli.fault_spec, fault::parse_fault_spec);
+  const fault::FaultPlanConfig net_faults =
+      parse_spec("--net-faults", cli.net_fault_spec, fault::parse_fault_spec);
+  const fleet::ChurnPlanConfig churn_cfg =
+      parse_spec("--churn", cli.churn_spec, fleet::parse_churn_spec);
 
   transport::ProgramConfig config;
   config.root = cli.root;
   config.level = cli.level;
   config.le_tol = cli.le_tol;
   const std::string& report_path = cli.report_path;
-  const std::string& fault_spec = cli.fault_spec;
-  const std::string& net_fault_spec = cli.net_fault_spec;
 
   // Worker mode: join a running master and serve subsolves until it is gone.
   if (cli.worker_mode) {
@@ -123,16 +124,6 @@ int main(int argc, char** argv) {
   }
 
   const bool tcp = cli.backend == "tcp";
-
-  fleet::ChurnPlanConfig churn_cfg;
-  if (!cli.churn_spec.empty()) {
-    try {
-      churn_cfg = fleet::parse_churn_spec(cli.churn_spec);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "bad --churn spec: %s\n", e.what());
-      return 2;
-    }
-  }
   const bool churn_on = churn_cfg.any();
   const fleet::ChurnPlan churn_plan(churn_cfg);
 
@@ -196,8 +187,8 @@ int main(int argc, char** argv) {
 
   // --- the concurrent version (§5), optionally under fault injection ---
   mw::ConcurrentOptions options;
-  if (!fault_spec.empty()) {
-    options.faults = fault::parse_fault_spec(fault_spec);
+  if (!cli.fault_spec.empty()) {
+    options.faults = faults;
     options.retry = fault::RetryPolicy{};
     options.retry->task_deadline = std::chrono::milliseconds(2000);
     std::printf("\nfault injection on: seed=%llu crash=%.2f hang=%.2f corrupt=%.2f\n",
@@ -210,8 +201,8 @@ int main(int argc, char** argv) {
   if (tcp) {
     net::RemoteEndpointConfig ep_config;
     if (cli.pipeline_depth > 0) ep_config.pipeline_depth = cli.pipeline_depth;
-    if (!net_fault_spec.empty()) {
-      net_plan = std::make_unique<const fault::FaultPlan>(fault::parse_fault_spec(net_fault_spec));
+    if (!cli.net_fault_spec.empty()) {
+      net_plan = std::make_unique<const fault::FaultPlan>(net_faults);
       ep_config.faults = net_plan.get();
       // Faulted frames must fail fast enough for the retry policy to matter.
       ep_config.round_trip_deadline = std::chrono::milliseconds(2000);

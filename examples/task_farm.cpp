@@ -6,13 +6,11 @@
 // f over [0, 1] into panels, farms each panel to a worker, and sums the
 // partial results.  Two pools are used (coarse pass, then a refined pass on
 // the worst panels), exercising the repeated create_pool path of §4.2.
-//
-// Usage: task_farm [panels]
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "cli.hpp"
 #include "core/master.hpp"
 #include "core/protocol.hpp"
 #include "core/worker.hpp"
@@ -50,7 +48,11 @@ iwim::Unit integrate_panel(const iwim::Unit& unit) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int panels = argc > 1 ? std::atoi(argv[1]) : 16;
+  int panels = 16;
+  // Each panel is one worker thread of the first pool.
+  namespace cli = examples::cli;
+  cli::Table("task_farm", {cli::count("panels", panels, {1, 256}, "panels of the first pass")})
+      .parse_or_exit(argc, argv);
 
   iwim::Runtime runtime;
   double total = 0.0;

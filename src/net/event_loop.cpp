@@ -10,7 +10,7 @@
 
 namespace mg::net {
 
-EventLoop::EventLoop(PollerBackend backend) : backend_(backend) {
+EventLoop::EventLoop() {
   MG_REQUIRE(::pipe(wake_fds_) == 0);
   for (int fd : wake_fds_) {
     const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -140,7 +140,7 @@ int EventLoop::next_poll_timeout_ms() {
 void EventLoop::run() {
   loop_thread_id_.store(std::this_thread::get_id(), std::memory_order_release);
   // Fresh poller per start() so a stop/start cycle resets the interest set.
-  poller_ = make_poller(backend_);
+  poller_ = make_poller();
   resolved_poller_name_.store(poller_->name(), std::memory_order_release);
   poller_->add(wake_fds_[0], POLLIN);
 

@@ -9,10 +9,10 @@
 // it matters — the only locks are around the posted-closure queue.
 //
 // Readiness comes from a Poller backend (net/poller.hpp): epoll on Linux so
-// a wakeup costs O(ready), the portable poll() fallback elsewhere — chosen
-// at runtime, invisible above this line.  Deferred timers live in a min-heap
-// keyed by deadline, so arming the poll timeout reads the top in O(1)
-// instead of rescanning every pending timer per wakeup.
+// a wakeup costs O(ready), the portable poll() fallback elsewhere —
+// invisible above this line.  Deferred timers live in a min-heap keyed by
+// deadline, so arming the poll timeout reads the top in O(1) instead of
+// rescanning every pending timer per wakeup.
 #pragma once
 
 #include <atomic>
@@ -36,7 +36,7 @@ class EventLoop {
   /// revents in poll() vocabulary: POLLIN/POLLOUT/POLLERR/POLLHUP bits.
   using IoCallback = std::function<void(short revents)>;
 
-  explicit EventLoop(PollerBackend backend = PollerBackend::Auto);
+  EventLoop();
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -70,7 +70,7 @@ class EventLoop {
   bool on_loop_thread() const { return std::this_thread::get_id() == loop_thread_id_; }
   bool running() const { return running_.load(std::memory_order_acquire); }
 
-  /// Which readiness backend this loop resolved to ("epoll" / "poll").
+  /// Which readiness backend this loop runs on ("epoll" / "poll").
   const char* poller_name() const;
 
  private:
@@ -98,7 +98,6 @@ class EventLoop {
   int next_poll_timeout_ms();
 
   int wake_fds_[2] = {-1, -1};  // self-pipe: [0] read end (polled), [1] write end
-  PollerBackend backend_;
   std::unique_ptr<Poller> poller_;  ///< created at start(), used on the loop thread
   std::thread thread_;
   std::atomic<std::thread::id> loop_thread_id_{};

@@ -38,8 +38,7 @@ class FramedChannel {
   };
 
   /// Takes over a connected non-blocking socket.
-  FramedChannel(EventLoop& loop, Socket sock, std::size_t max_payload)
-      : loop_(loop), sock_(std::move(sock)), decoder_(max_payload) {}
+  FramedChannel(EventLoop& loop, Socket sock) : loop_(loop), sock_(std::move(sock)) {}
 
   int fd() const { return sock_.fd(); }
 

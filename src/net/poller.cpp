@@ -3,10 +3,10 @@
 #include <poll.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <stdexcept>
+#include <string>
 
 #include "support/check.hpp"
 
@@ -140,37 +140,19 @@ class EpollPoller final : public Poller {
 
 #endif  // MG_NET_HAVE_EPOLL
 
-PollerBackend resolve_auto() {
-  if (const char* env = std::getenv("MG_NET_POLLER")) {
-    PollerBackend forced;
-    if (parse_poller_backend(env, forced) && forced != PollerBackend::Auto) return forced;
-  }
-  return epoll_supported() ? PollerBackend::Epoll : PollerBackend::Poll;
-}
-
 }  // namespace
 
 const char* to_string(PollerBackend b) {
   switch (b) {
-    case PollerBackend::Auto: return "auto";
     case PollerBackend::Poll: return "poll";
     case PollerBackend::Epoll: return "epoll";
   }
   return "?";
 }
 
-bool parse_poller_backend(const std::string& text, PollerBackend& out) {
-  if (text == "auto") out = PollerBackend::Auto;
-  else if (text == "poll") out = PollerBackend::Poll;
-  else if (text == "epoll") out = PollerBackend::Epoll;
-  else return false;
-  return true;
-}
-
 bool epoll_supported() { return MG_NET_HAVE_EPOLL != 0; }
 
 std::unique_ptr<Poller> make_poller(PollerBackend backend) {
-  if (backend == PollerBackend::Auto) backend = resolve_auto();
   switch (backend) {
     case PollerBackend::Poll:
       return std::make_unique<PollPoller>();
@@ -180,8 +162,6 @@ std::unique_ptr<Poller> make_poller(PollerBackend backend) {
 #else
       throw std::runtime_error("epoll poller requested on a platform without epoll");
 #endif
-    case PollerBackend::Auto:
-      break;
   }
   return std::make_unique<PollPoller>();
 }

@@ -16,14 +16,12 @@
 //
 // Event bits are poll()'s own (POLLIN/POLLOUT/POLLERR/POLLHUP): they are the
 // lingua franca both kernels speak, so backends translate *to* them and the
-// loop above never knows which backend ran.  Backend selection is runtime —
-// make_poller(Auto) picks epoll on Linux unless MG_NET_POLLER=poll vetoes it
-// — so one binary serves both and tests can script the same fd scenario
-// through both implementations.
+// loop above never knows which backend ran.  make_poller() picks epoll where
+// the build has it; tests build either backend by name and script the same
+// fd scenario through both implementations.
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 namespace mg::net {
@@ -58,22 +56,19 @@ class Poller {
 };
 
 enum class PollerBackend {
-  Auto,   ///< epoll where available, else poll; MG_NET_POLLER overrides
   Poll,   ///< portable poll() backend
   Epoll,  ///< Linux epoll backend (make_poller throws where unsupported)
 };
 
 const char* to_string(PollerBackend b);
 
-/// Parses "auto" / "poll" / "epoll"; false on anything else.
-bool parse_poller_backend(const std::string& text, PollerBackend& out);
-
 /// True when the Epoll backend exists in this build.
 bool epoll_supported();
 
-/// Builds the requested backend.  Auto resolves to epoll on Linux, poll
-/// elsewhere; the MG_NET_POLLER environment variable ("poll" / "epoll"),
-/// when set, overrides Auto — a deployment knob and the parity-test lever.
-std::unique_ptr<Poller> make_poller(PollerBackend backend = PollerBackend::Auto);
+/// Builds the requested backend: by default epoll where this build has it,
+/// poll elsewhere.
+std::unique_ptr<Poller> make_poller(PollerBackend backend = epoll_supported()
+                                                                ? PollerBackend::Epoll
+                                                                : PollerBackend::Poll);
 
 }  // namespace mg::net

@@ -161,8 +161,8 @@ struct RemoteEndpoint::Channel {
   obs::ClockOffsetEstimator offset;
   std::string track;
 
-  Channel(std::uint64_t id_, EventLoop& loop, Socket sock, std::size_t max_payload)
-      : id(id_), link(loop, std::move(sock), max_payload), track("tcp.ch" + std::to_string(id_)) {}
+  Channel(std::uint64_t id_, EventLoop& loop, Socket sock)
+      : id(id_), link(loop, std::move(sock)), track("tcp.ch" + std::to_string(id_)) {}
 };
 
 RemoteEndpoint::RemoteEndpoint(TcpListener listener, RemoteEndpointConfig config)
@@ -197,7 +197,7 @@ void RemoteEndpoint::on_acceptable() {
     if (!s.valid()) return;
     const std::uint64_t id = next_channel_id_++;
     const int fd = s.fd();
-    channels_.emplace(id, std::make_unique<Channel>(id, loop_, std::move(s), config_.max_payload));
+    channels_.emplace(id, std::make_unique<Channel>(id, loop_, std::move(s)));
     loop_.watch(fd, POLLIN, [this, id](short revents) { on_channel_io(id, revents); });
   }
 }
@@ -678,9 +678,8 @@ WorkerMetrics& worker_metrics() {
 /// Bye (exit the worker), false to reconnect.  `engaged` is set once the
 /// master sends any well-formed frame — the only proof that the handshake
 /// reached a live master rather than a bare TCP accept.
-bool serve_connection(Socket& sock, const WorkHandler& handler, std::size_t max_payload,
-                      bool& engaged) {
-  FrameDecoder decoder(max_payload);
+bool serve_connection(Socket& sock, const WorkHandler& handler, bool& engaged) {
+  FrameDecoder decoder;
   std::uint8_t buf[64 * 1024];
   for (;;) {
     std::ptrdiff_t r;
@@ -750,7 +749,7 @@ int run_worker_loop(const std::string& host, std::uint16_t port, const WorkHandl
   std::uint64_t attempt = 0;
   int consecutive_failures = 0;
   for (;;) {
-    Socket sock = connect_tcp(host, port, options.connect_timeout);
+    Socket sock = connect_tcp(host, port, std::chrono::seconds(2));
     if (!sock.valid()) {
       if (++consecutive_failures >= options.max_connect_failures) return 0;  // master gone
       std::this_thread::sleep_for(options.reconnect_backoff);
@@ -779,7 +778,7 @@ int run_worker_loop(const std::string& host, std::uint16_t port, const WorkHandl
     // The budget resets only once the master *answers* the handshake with a
     // well-formed frame.
     bool engaged = false;
-    const bool orderly = serve_connection(sock, handler, options.max_payload, engaged);
+    const bool orderly = serve_connection(sock, handler, engaged);
     if (orderly) return 0;
     if (engaged) {
       consecutive_failures = 0;

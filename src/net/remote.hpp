@@ -50,7 +50,6 @@ struct RemoteEndpointConfig {
   /// Frame-level fault injection on the work path (drop / delay / truncate,
   /// probabilities from the plan's net_* knobs).  Not owned; may be null.
   const fault::FaultPlan* faults = nullptr;
-  std::size_t max_payload = FrameDecoder::kDefaultMaxPayload;
   /// Cross-process telemetry: prepend a trace context to every Work payload
   /// and merge the worker's piggybacked counter/span batch from the Result.
   /// A pure observer either way — result bytes are delivered verbatim.
@@ -199,11 +198,9 @@ using WorkHandler =
     std::function<std::vector<std::uint8_t>(const std::vector<std::uint8_t>& work)>;
 
 struct WorkerLoopOptions {
-  std::chrono::milliseconds connect_timeout{2'000};
   std::chrono::milliseconds reconnect_backoff{20};
   /// Consecutive failed connects before concluding the master is gone.
   int max_connect_failures = 15;
-  std::size_t max_payload = FrameDecoder::kDefaultMaxPayload;
 };
 
 /// Blocking worker-process main loop: connect to the master, announce with

@@ -13,9 +13,11 @@ namespace mg::svc {
 
 using steady = std::chrono::steady_clock;
 
-JobClient::JobClient(const std::string& host, std::uint16_t port, JobClientConfig config)
-    : config_(config), decoder_(config.max_payload) {
-  socket_ = net::connect_tcp(host, port, config_.connect_timeout);
+constexpr std::chrono::milliseconds kConnectTimeout{2'000};
+constexpr std::chrono::milliseconds kRequestTimeout{30'000};
+
+JobClient::JobClient(const std::string& host, std::uint16_t port) {
+  socket_ = net::connect_tcp(host, port, kConnectTimeout);
   if (!socket_.valid()) {
     throw ClientError("svc client: cannot connect to " + host + ":" + std::to_string(port));
   }
@@ -47,8 +49,7 @@ net::Frame JobClient::request(net::FrameType type, const std::vector<std::uint8_
     throw ClientError("svc client: server went away on send");
   }
 
-  const bool bounded = config_.request_timeout.count() > 0;
-  const auto deadline = steady::now() + config_.request_timeout;
+  const auto deadline = steady::now() + kRequestTimeout;
   std::vector<std::uint8_t> buf(64 * 1024);
   for (;;) {
     if (auto frame = decoder_.next()) {
@@ -59,16 +60,13 @@ net::Frame JobClient::request(net::FrameType type, const std::vector<std::uint8_
       }
       return std::move(*frame);
     }
-    int wait_ms = 200;
-    if (bounded) {
-      const auto left =
-          std::chrono::duration_cast<std::chrono::milliseconds>(deadline - steady::now());
-      if (left.count() <= 0) {
-        socket_.close();
-        throw ClientError("svc client: request timed out");
-      }
-      wait_ms = static_cast<int>(std::min<std::int64_t>(left.count(), 200));
+    const auto left =
+        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - steady::now());
+    if (left.count() <= 0) {
+      socket_.close();
+      throw ClientError("svc client: request timed out");
     }
+    const int wait_ms = static_cast<int>(std::min<std::int64_t>(left.count(), 200));
     pollfd pfd{socket_.fd(), POLLIN, 0};
     const int rc = ::poll(&pfd, 1, wait_ms);
     if (rc < 0) {

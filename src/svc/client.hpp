@@ -25,18 +25,11 @@ class ClientError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-struct JobClientConfig {
-  std::chrono::milliseconds connect_timeout{2'000};
-  /// Per-request reply deadline; 0 = wait forever.
-  std::chrono::milliseconds request_timeout{30'000};
-  std::size_t max_payload = net::FrameDecoder::kDefaultMaxPayload;
-};
-
 class JobClient {
  public:
-  /// Connects immediately; throws ClientError when the server is
-  /// unreachable.
-  JobClient(const std::string& host, std::uint16_t port, JobClientConfig config = {});
+  /// Connects immediately (2 s timeout); throws ClientError when the server
+  /// is unreachable.  Each request then waits up to 30 s for its reply.
+  JobClient(const std::string& host, std::uint16_t port);
   ~JobClient();
 
   JobClient(const JobClient&) = delete;
@@ -69,7 +62,6 @@ class JobClient {
   net::Frame request(net::FrameType type, const std::vector<std::uint8_t>& payload,
                      net::FrameType expect_type);
 
-  JobClientConfig config_;
   net::Socket socket_;
   net::FrameDecoder decoder_;
   std::uint64_t next_seq_ = 1;

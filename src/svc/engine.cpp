@@ -134,10 +134,10 @@ JobTicket SolveEngine::submit(const JobSpec& spec) {
   // Validation first: a malformed spec is a rejection, never an exception
   // escaping into the session layer.
   std::string why;
-  if (spec.root < 1 || spec.root > config_.max_root) {
-    why = "root out of range [1, " + std::to_string(config_.max_root) + "]";
-  } else if (spec.level < 0 || spec.level > config_.max_level) {
-    why = "level out of range [0, " + std::to_string(config_.max_level) + "]";
+  if (spec.root < 1 || spec.root > kMaxRoot) {
+    why = "root out of range [1, " + std::to_string(kMaxRoot) + "]";
+  } else if (spec.level < 0 || spec.level > kMaxLevel) {
+    why = "level out of range [0, " + std::to_string(kMaxLevel) + "]";
   } else if (!(spec.le_tol > 0.0)) {
     why = "le_tol must be > 0";
   } else if (!(spec.weight > 0.0)) {

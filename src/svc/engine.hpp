@@ -43,6 +43,9 @@ class RemoteEndpoint;
 
 namespace mg::svc {
 
+/// Spec validation caps (a hostile SubmitJob must not allocate the moon).
+inline constexpr int kMaxRoot = 6, kMaxLevel = 12;
+
 struct EngineConfig {
   AdmissionConfig admission;
   /// Lane threads sharing the fleet.  With `remote` set this is the number
@@ -58,9 +61,6 @@ struct EngineConfig {
   /// ledger abandons a term the lane computes it locally — graceful
   /// degradation, still bit-identical.
   fault::RetryPolicy retry;
-  /// Spec validation caps (a hostile SubmitJob must not allocate the moon).
-  int max_root = 6;
-  int max_level = 12;
 };
 
 /// Fleet-wide ledger (sum over jobs; per-job views live in the job reports).

@@ -42,8 +42,8 @@ struct JobServer::Session {
   std::uint64_t idle_timer = 0;
   bool closing = false;  ///< Bye answered; closes once the reply has left
 
-  Session(std::uint64_t id_, net::EventLoop& loop, net::Socket sock, std::size_t max_payload)
-      : id(id_), link(loop, std::move(sock), max_payload) {}
+  Session(std::uint64_t id_, net::EventLoop& loop, net::Socket sock)
+      : id(id_), link(loop, std::move(sock)) {}
 };
 
 JobServer::JobServer(JobServerConfig config)
@@ -77,7 +77,7 @@ void JobServer::on_acceptable() {
     if (!s.valid()) return;
     const std::uint64_t id = next_session_id_++;
     const int fd = s.fd();
-    auto session = std::make_unique<Session>(id, loop_, std::move(s), config_.max_payload);
+    auto session = std::make_unique<Session>(id, loop_, std::move(s));
     if (config_.idle_timeout.count() > 0) arm_idle_timer(*session);
     sessions_.emplace(id, std::move(session));
     loop_.watch(fd, POLLIN, [this, id](short revents) { on_session_io(id, revents); });
@@ -110,9 +110,9 @@ bool JobServer::serve_frame(Session& session, net::Frame frame) {
         const JobSpec spec = decode_job_spec(frame.payload);
         JobTicket ticket;
         if (const std::uint64_t bytes = combined_field_bytes(spec.root, spec.level);
-            bytes > config_.max_payload) {
+            bytes > net::FrameDecoder::kDefaultMaxPayload) {
           ticket.reason = "result too large: " + std::to_string(bytes) + " bytes, over the " +
-                          std::to_string(config_.max_payload) + "-byte frame cap";
+                          std::to_string(net::FrameDecoder::kDefaultMaxPayload) + "-byte frame cap";
         } else {
           ticket = engine_.submit(spec);
           if (ticket.accepted) session.jobs.push_back(ticket.job_id);

@@ -11,8 +11,8 @@
 //  * every request frame gets exactly one reply frame with the same seq;
 //  * a FrameError (bad magic/CRC) or an undecodable payload is connection-
 //    fatal — framing cannot resynchronise, so the session closes;
-//  * a SubmitJob whose combined field does not fit in one `max_payload`
-//    frame is rejected before the engine sees it: it could not be delivered;
+//  * a SubmitJob whose combined field does not fit in one frame (256 MiB)
+//    is rejected before the engine sees it: it could not be delivered;
 //  * a connection idle longer than `idle_timeout` is closed by the server
 //    (any frame refreshes the clock; a submitted job until it is terminal,
 //    or a reply still leaving, counts as activity);
@@ -40,7 +40,6 @@ struct JobServerConfig {
   EngineConfig engine;
   /// Close connections with no inbound frame for this long; 0 disables.
   std::chrono::milliseconds idle_timeout{0};
-  std::size_t max_payload = net::FrameDecoder::kDefaultMaxPayload;
 };
 
 struct JobServerCounters {

@@ -2,7 +2,7 @@
 // scripted fd scenarios (PollPoller is the reference semantics the epoll
 // backend is pinned against), HUP/ERR mapping into poll() vocabulary,
 // interest-set edge cases (re-arm, unknown modify, remove-after-close), the
-// runtime selection knobs, and the event-loop contracts the seam must not
+// default backend, and the event-loop contracts the seam must not
 // disturb: deadline-heap timer ordering, self-pipe wakeup latency, and
 // tolerance of spurious wakeups.
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -75,33 +74,11 @@ short revents_of(const std::vector<net::PollerEvent>& events, int fd) {
 
 // ---- backend selection --------------------------------------------------------------
 
-TEST(Poller, BackendNamesRoundTripThroughTheParser) {
-  for (const auto b :
-       {net::PollerBackend::Auto, net::PollerBackend::Poll, net::PollerBackend::Epoll}) {
-    net::PollerBackend parsed;
-    ASSERT_TRUE(net::parse_poller_backend(net::to_string(b), parsed));
-    EXPECT_EQ(parsed, b);
-  }
-  net::PollerBackend parsed;
-  EXPECT_FALSE(net::parse_poller_backend("kqueue", parsed));
-  EXPECT_FALSE(net::parse_poller_backend("", parsed));
-}
-
 TEST(Poller, ExplicitBackendsReportTheirOwnName) {
   EXPECT_STREQ(net::make_poller(net::PollerBackend::Poll)->name(), "poll");
   if (net::epoll_supported()) {
     EXPECT_STREQ(net::make_poller(net::PollerBackend::Epoll)->name(), "epoll");
   }
-}
-
-TEST(Poller, EnvironmentVetoForcesThePollBackendUnderAuto) {
-  ::setenv("MG_NET_POLLER", "poll", 1);
-  const auto vetoed = net::make_poller(net::PollerBackend::Auto);
-  EXPECT_STREQ(vetoed->name(), "poll");
-  ::unsetenv("MG_NET_POLLER");
-  // Without the veto, Auto resolves to the best backend in the build.
-  const auto resolved = net::make_poller(net::PollerBackend::Auto);
-  EXPECT_STREQ(resolved->name(), net::epoll_supported() ? "epoll" : "poll");
 }
 
 // ---- scripted scenarios, run identically through every backend ----------------------
@@ -279,18 +256,17 @@ TEST(Poller, BothBackendsAgreeOnAMixedScenario) {
 
 // ---- the loop on top of the seam ----------------------------------------------------
 
-TEST(PollerLoop, EventLoopRunsOnEveryAvailableBackend) {
-  for (const auto backend : available_backends()) {
-    SCOPED_TRACE(net::to_string(backend));
-    net::EventLoop loop(backend);
-    loop.start();
-    std::atomic<bool> ran{false};
-    loop.post([&] { ran.store(true); });
-    for (int i = 0; i < 400 && !ran.load(); ++i) std::this_thread::sleep_for(5ms);
-    EXPECT_TRUE(ran.load());
-    EXPECT_STREQ(loop.poller_name(), net::to_string(backend));
-    loop.stop();
-  }
+TEST(PollerLoop, EventLoopRunsOnTheDefaultBackend) {
+  net::EventLoop loop;
+  loop.start();
+  std::atomic<bool> ran{false};
+  loop.post([&] { ran.store(true); });
+  for (int i = 0; i < 400 && !ran.load(); ++i) std::this_thread::sleep_for(5ms);
+  EXPECT_TRUE(ran.load());
+  // The default is the best backend in the build.
+  EXPECT_STREQ(loop.poller_name(), net::epoll_supported() ? "epoll" : "poll");
+  EXPECT_STREQ(net::make_poller()->name(), loop.poller_name());
+  loop.stop();
 }
 
 TEST(PollerLoop, TimersFireInDeadlineOrderNotInsertionOrder) {

@@ -1089,4 +1089,166 @@ TEST(SolverCli, RejectsUnknownFlagsBadNumbersAndExtraPositionals) {
             std::string::npos);
 }
 
+TEST(SolverCli, RejectsPositionalsOutsideTheGridLimits) {
+  // Grid2D holds at most 2^39 cells per axis, and ROS2 needs le_tol > 0: at
+  // the parent each of these died in std::terminate instead of exiting 2.
+  for (const auto& args : std::vector<std::vector<const char*>>{
+           {"0"}, {"-1"}, {"40"}, {"2", "40"}, {"2", "38"}, {"39", "1"}, {"2", "3", "0"},
+           {"2", "3", "-1"}, {"2", "3", "nan"}, {"2", "3", "1e-3x"}}) {
+    std::vector<const char*> argv = {"sparse_grid_solver"};
+    argv.insert(argv.end(), args.begin(), args.end());
+    const auto cli = mg::examples::parse_solver_cli(static_cast<int>(argv.size()), argv.data());
+    EXPECT_FALSE(cli.ok) << args.back();
+    EXPECT_NE(cli.error.find(std::string("'") + args.back() + "'"), std::string::npos)
+        << cli.error;
+  }
+  EXPECT_NE(parse({"40"}).error.find("bad root"), std::string::npos);
+  EXPECT_NE(parse({"2", "38"}).error.find("bad level"), std::string::npos);
+  EXPECT_NE(parse({"2", "3", "nan"}).error.find("bad le_tol"), std::string::npos);
+  for (const auto& ok : {parse({"1", "0"}), parse({"39", "0"}), parse({"2", "37", "1e-9"})}) {
+    EXPECT_TRUE(ok.ok) << ok.error;
+  }
+}
+
+// ---- the shared flag table every CLI binary parses with (examples/cli.hpp) ---------
+
+namespace cli = mg::examples::cli;
+
+/// Every value kind, plus one positional, over local targets.  The rows hold
+/// references to the members, so a CliRows is never copied.
+struct CliRows {
+  CliRows() = default;
+  CliRows(const CliRows&) = delete;
+  CliRows& operator=(const CliRows&) = delete;
+
+  std::size_t n = 0;
+  std::string text;
+  std::uint32_t count = 0;
+  int integer = 0;
+  double positive = 1.0;
+  double any = 0.0;
+  bool on = false;
+  std::string pick = "a";
+  std::string host = "127.0.0.1";
+  std::uint16_t port = 0;
+  cli::Table table{"prog",
+                   {cli::count("n", n, {1, 9}, "a positional"),
+                    cli::text("--text", text, "S", "free text"),
+                    cli::count("--count", count, {1, 64}, "a count"),
+                    cli::integer("--int", integer, "a signed integer"),
+                    cli::real("--pos", positive, cli::Reals::Positive, "a positive real"),
+                    cli::real("--any", any, cli::Reals::Any, "any real"),
+                    cli::toggle("--on", on, "a switch"),
+                    cli::choice("--pick", pick, {"a", "b"}, "a choice"),
+                    cli::host_port("--at", host, port, "an address")}};
+
+  std::string parse(std::vector<std::string> args) {
+    std::vector<const char*> argv = {"prog"};
+    for (const std::string& a : args) argv.push_back(a.c_str());
+    return table.parse(static_cast<int>(argv.size()), argv.data());
+  }
+};
+
+TEST(CliTable, EveryKindTakesBothSpellings) {
+  const std::vector<std::pair<std::string, std::string>> flags = {
+      {"--text", "a=b"}, {"--count", "64"}, {"--int", "-7"},        {"--pos", "2.5"},
+      {"--any", "-0.5"}, {"--pick", "b"},   {"--at", "10.0.0.5:80"}};
+  for (const bool spaced : {false, true}) {
+    CliRows rows;
+    std::vector<std::string> args = {"3", "--on"};
+    for (const auto& [flag, value] : flags) {
+      if (spaced) {
+        args.push_back(flag);
+        args.push_back(value);
+      } else {
+        args.push_back(flag + "=" + value);
+      }
+    }
+    ASSERT_EQ(rows.parse(args), "") << "spaced=" << spaced;
+    EXPECT_EQ(rows.n, 3u);
+    EXPECT_EQ(rows.text, "a=b");
+    EXPECT_EQ(rows.count, 64u);
+    EXPECT_EQ(rows.integer, -7);
+    EXPECT_EQ(rows.positive, 2.5);
+    EXPECT_EQ(rows.any, -0.5);
+    EXPECT_TRUE(rows.on);
+    EXPECT_EQ(rows.pick, "b");
+    EXPECT_EQ(rows.host, "10.0.0.5");
+    EXPECT_EQ(rows.port, 80);
+    EXPECT_TRUE(rows.table.given("--at"));
+    EXPECT_TRUE(rows.table.given("n"));
+  }
+  CliRows untouched;
+  ASSERT_EQ(untouched.parse({"--at=:7700"}), "");
+  EXPECT_EQ(untouched.host, "127.0.0.1");  // an empty HOST keeps the default
+  EXPECT_EQ(untouched.port, 7700);
+  EXPECT_FALSE(untouched.table.given("--text"));
+  EXPECT_EQ(untouched.pick, "a");
+}
+
+TEST(CliTable, ANegativeValueAfterASpaceIsAValueNotAFlag) {
+  CliRows rows;
+  ASSERT_EQ(rows.parse({"--int", "-3", "--any", "-1e-3"}), "");
+  EXPECT_EQ(rows.integer, -3);
+  EXPECT_EQ(rows.any, -1e-3);
+  // "-1" alone is a positional, checked against the positional's range.
+  EXPECT_EQ(CliRows().parse({"-1"}), "bad n '-1' (want 1..9)");
+  EXPECT_EQ(CliRows().parse({"--count", "-1"}), "bad --count '-1' (want 1..64)");
+}
+
+TEST(CliTable, MissingValuesUnknownFlagsAndExtraPositionalsAreErrors) {
+  EXPECT_EQ(CliRows().parse({"--count"}), "missing value after '--count'");
+  // A token that starts with "--" is never taken as the value.
+  EXPECT_EQ(CliRows().parse({"--text", "--on"}), "missing value after '--text'");
+  EXPECT_EQ(CliRows().parse({"--bogus"}), "unknown flag '--bogus'");
+  EXPECT_EQ(CliRows().parse({"--bogus=1"}), "unknown flag '--bogus=1'");
+  EXPECT_EQ(CliRows().parse({"--cou", "3"}), "unknown flag '--cou'");  // no prefix matching
+  EXPECT_EQ(CliRows().parse({"--count3"}), "unknown flag '--count3'");
+  EXPECT_EQ(CliRows().parse({"3", "4"}), "unexpected extra argument '4'");
+  EXPECT_EQ(CliRows().parse({"--on=1"}), "bad --on '1' (want no value)");
+}
+
+TEST(CliTable, MalformedAndOutOfRangeValuesAreErrors) {
+  for (const auto& [args, error] : std::vector<std::pair<std::vector<std::string>, std::string>>{
+           {{"--count=abc"}, "bad --count 'abc' (want 1..64)"},
+           {{"--count", "4x"}, "bad --count '4x' (want 1..64)"},
+           {{"--count="}, "bad --count '' (want 1..64)"},
+           {{"--count", "0"}, "bad --count '0' (want 1..64)"},
+           {{"--count", "65"}, "bad --count '65' (want 1..64)"},
+           {{"--int", "1.5"}, "bad --int '1.5' (want an integer)"},
+           {{"--int", "2147483648"}, "bad --int '2147483648' (want an integer)"},
+           {{"--int", "1e99"}, "bad --int '1e99' (want an integer)"},
+           {{"--int", "99999999999999999999"},
+            "bad --int '99999999999999999999' (want an integer)"},
+           {{"--pos", "0"}, "bad --pos '0' (want > 0)"},
+           {{"--pos", "nan"}, "bad --pos 'nan' (want > 0)"},
+           {{"--any", "1e"}, "bad --any '1e' (want a number)"},
+           {{"--pick", "c"}, "bad --pick 'c' (want a|b)"},
+           {{"--at", "nocolon"}, "bad --at 'nocolon' (want HOST:PORT)"},
+           {{"--at", ":0"}, "bad --at ':0' (want HOST:PORT)"},
+           {{"--at", "h:65536"}, "bad --at 'h:65536' (want HOST:PORT)"},
+           {{"10"}, "bad n '10' (want 1..9)"}}) {
+    EXPECT_EQ(CliRows().parse(args), error);
+  }
+  // A count's range is also bounded by its target type.
+  std::uint16_t small = 0;
+  std::uint64_t wide = 0;
+  cli::Table table("prog",
+                   {cli::count("--small", small, {}, ""), cli::count("--wide", wide, {}, "")});
+  const char* small_argv[] = {"prog", "--small", "65536"};
+  EXPECT_EQ(table.parse(3, small_argv), "bad --small '65536' (want 0..65535)");
+  const char* wide_argv[] = {"prog", "--wide", "-1"};
+  EXPECT_EQ(table.parse(3, wide_argv), "bad --wide '-1' (want >= 0)");
+}
+
+TEST(CliTable, UsageIsGeneratedFromTheRows) {
+  const std::string usage = CliRows().table.usage();
+  EXPECT_EQ(usage.rfind("usage: prog [n] [flags]\n", 0), 0u) << usage;
+  for (const char* line : {"  n ", "a positional (1..9)", "  --count=N", "a count (1..64)",
+                           "  --pos=X", "(> 0)", "  --on ", "  --pick=a|b", "  --at=HOST:PORT",
+                           "  --text=S", "free text\n"}) {
+    EXPECT_NE(usage.find(line), std::string::npos) << line << "\n" << usage;
+  }
+}
+
 }  // namespace
