@@ -6,7 +6,7 @@
 // MLINK tasks surviving host turnover) rendered as the same step chart.
 //
 // The run is the virtual-time simulator's elastic variant
-// (cluster::simulate_churn_run) on the fault-tolerant pool's model: one
+// (cluster::simulate_churn_run) on the worker pool's model: one
 // work queue that every idle host takes the head of, and a lost lease
 // re-queued or abandoned by the same fault::LeaseLedger the pool asks.
 // Exactly-once completion is asserted inside the simulator, so a successful

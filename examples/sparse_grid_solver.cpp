@@ -28,11 +28,11 @@
 // --churn=SPEC (e.g. --churn=seed=7,joins=2,leaves=1,crashes=1,spread=0.5)
 // replays a seeded spot-instance schedule against the worker fleet while the
 // concurrent solve runs.  On the threads backend the events drive the
-// fault-tolerant pool (Leave re-leases the victim's grid immediately, Crash
+// supervised worker pool (Leave re-leases the victim's grid immediately, Crash
 // routes through the normal retry path); on the tcp backend late-join worker
 // processes are forked per Join event and accepted mid-run, and Leave/Crash
 // events close the busiest channel, whose round trips fail back to the
-// fault-tolerant pool for re-dispatch.  Either way the solve must still be
+// worker pool for re-dispatch.  Either way the solve must still be
 // bit-identical to the sequential program, and the report gains a "fleet"
 // section (joins/leaves/crashes/duplicates); the re-leased units show up as
 // fault-ledger retries.
@@ -44,7 +44,7 @@
 // units.  --connect=HOST:PORT instead joins an already-running master as one
 // worker process.  --net-faults=SPEC (net_drop / net_slow / net_truncate /
 // net_delay_ms, plus seed) injects seeded frame-level faults into the
-// master's send path; the fault-tolerant protocol retries through them and
+// master's send path; the supervised pool retries through them and
 // the solve must *still* be bit-identical to the sequential program.
 #include <atomic>
 #include <chrono>
@@ -189,8 +189,7 @@ int main(int argc, char** argv) {
   mw::ConcurrentOptions options;
   if (!cli.fault_spec.empty()) {
     options.faults = faults;
-    options.retry = fault::RetryPolicy{};
-    options.retry->task_deadline = std::chrono::milliseconds(2000);
+    options.retry.task_deadline = std::chrono::milliseconds(2000);
     std::printf("\nfault injection on: seed=%llu crash=%.2f hang=%.2f corrupt=%.2f\n",
                 static_cast<unsigned long long>(options.faults.seed), options.faults.crash,
                 options.faults.hang, options.faults.corrupt);

@@ -148,7 +148,7 @@ struct ChurnSimResult {
   fault::FaultCounters faults;
 };
 
-/// Elastic-fleet variant of the simulator, on the FT pool's model: one work
+/// Elastic-fleet variant of the simulator, on the worker pool's model: one work
 /// queue (heaviest grid first) that every idle host takes the head of,
 /// while hosts join / leave / crash in virtual time per the seeded churn
 /// plan.  A Leave or Crash takes the lowest-index busy host.  A Leave's

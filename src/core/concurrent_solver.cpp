@@ -72,9 +72,8 @@ void run_pool(MasterApi& api, const transport::SubsolveConfig& kernel,
   }
   if (path == DataPath::ThroughMaster) {
     // Step 3(f): collect the results from the master's own input (dataport).
-    // On a worker failure (empty unit), the rendezvous must still be held —
-    // the coordinator is inside Create_Worker_Pool and every worker raises
-    // death_worker even when it crashes — before the error propagates.
+    // If an abandoned grid's local recompute throws, the rendezvous is still
+    // held, so the pool drains its workers before the error propagates.
     try {
       // Collect until every term of this pool has landed — counted by
       // *distinct* index, not by unit.  Under churn a worker can be
@@ -85,10 +84,10 @@ void run_pool(MasterApi& api, const transport::SubsolveConfig& kernel,
       for (std::size_t collected = 0; collected < count;) {
         const iwim::Unit unit = api.collect_result();
         if (unit.is<WorkAbandoned>()) {
-          // The fault-tolerant pool gave up on this slot (attempt cap or
-          // respawn budget).  Degraded-pool fallback: the master subsolves
-          // the grid itself, so the combined result is still bit-identical
-          // to the sequential program.
+          // The pool gave up on this slot (attempt cap or respawn budget).
+          // Degraded-pool fallback: the master subsolves the grid itself, so
+          // the combined result is still bit-identical to the sequential
+          // program.
           const auto& ab = unit.as<WorkAbandoned>();
           // pool_slot is the worker's creation order, i.e. a position in the
           // dispatch order — not a term offset (they differ under LPT).
@@ -107,9 +106,6 @@ void run_pool(MasterApi& api, const transport::SubsolveConfig& kernel,
                                   " recomputed locally",
                               "concurrent_solver.cpp", __LINE__);
           continue;
-        }
-        if (!unit.is<ResultItem>()) {
-          throw std::runtime_error("solve_concurrent: a worker failed to produce a result");
         }
         const auto& r = unit.as<ResultItem>();
         MG_ASSERT(r.index < terms.size());
@@ -148,17 +144,8 @@ ConcurrentResult solve_concurrent(const transport::ProgramConfig& program,
   run_options.retry = options.retry;
   run_options.overall_deadline = options.overall_deadline;
   run_options.churn = options.churn;
-  if (options.churn && options.churn->any() && !run_options.retry) {
-    // Churn rides on the fault-tolerant pool's crash/respawn machinery: a
-    // worker taken away mid-unit must be re-leased, so default to a generous
-    // retry policy rather than stranding its grid.
-    fault::RetryPolicy policy;
-    policy.max_attempts = 1 + options.churn->leaves + options.churn->crashes;
-    policy.backoff_initial = std::chrono::milliseconds(5);
-    run_options.retry = policy;
-  }
-  // Worker faults are injected only by the threads pool's fault-aware
-  // factory; refuse a plan that would be silently dropped or never end.
+  // Worker faults are injected only by the threads pool's workers; refuse a
+  // plan that would be silently dropped or never end.
   const fault::FaultPlanConfig& faults = options.faults;
   if (faults.crash > 0 || faults.hang > 0 || faults.corrupt > 0) {
     if (options.remote != nullptr) {
@@ -166,18 +153,11 @@ ConcurrentResult solve_concurrent(const transport::ProgramConfig& program,
           "solve_concurrent: worker faults (crash/hang/corrupt) are not injected into remote "
           "workers; set RemoteEndpointConfig::faults for frame faults instead");
     }
-    if (!run_options.retry) {
+    if (faults.hang > 0 && options.retry.task_deadline.count() == 0) {
       throw std::invalid_argument(
-          "solve_concurrent: worker faults (crash/hang/corrupt) need a retry policy");
-    }
-    if (faults.hang > 0 && run_options.retry->task_deadline.count() == 0) {
-      throw std::invalid_argument(
-          "solve_concurrent: hang faults need retry->task_deadline to reap a hung worker");
+          "solve_concurrent: hang faults need retry.task_deadline to reap a hung worker");
     }
   }
-  // The endpoint never retries a lost lease, so a remote pool is always the
-  // fault-tolerant one: a failed round trip is a crash to respawn.
-  if (options.remote != nullptr && !run_options.retry) run_options.retry = fault::RetryPolicy{};
 
   iwim::RuntimeConfig rt_config;
   rt_config.tasks = options.tasks;
@@ -285,21 +265,18 @@ ConcurrentResult solve_concurrent(const transport::ProgramConfig& program,
                                                  {}, 0, 0, 0, 0},
                           {}, {}};
   WorkerFactory factory;
-  std::shared_ptr<InjectionStats> injections;
+  auto injections = std::make_shared<InjectionStats>();
   if (options.remote != nullptr) {
     MG_REQUIRE(options.data_path == DataPath::ThroughMaster);
     factory = make_remote_worker_factory(*options.remote);
-  } else if (run_options.retry) {
+  } else {
     auto plan = options.faults.any()
                     ? std::make_shared<const fault::FaultPlan>(options.faults)
                     : nullptr;
-    injections = std::make_shared<InjectionStats>();
-    factory = make_fault_aware_worker_factory(std::move(work), std::move(plan), injections);
-  } else {
-    factory = make_worker_factory(std::move(work));
+    factory = make_worker_factory(std::move(work), std::move(plan), injections);
   }
   result.protocol = run_main_program(runtime, master, std::move(factory), run_options);
-  if (injections) injections->merge_into(result.protocol.faults);
+  injections->merge_into(result.protocol.faults);
   try {
     // After a deadline abort the master may have unwound without ever
     // setting the promise — surface an error instead of blocking on it.

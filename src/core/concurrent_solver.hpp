@@ -80,28 +80,26 @@ struct ConcurrentOptions {
   /// (crash / hang / corrupt probabilities; see FaultPlan).  solve_concurrent
   /// throws std::invalid_argument for a plan it cannot honour: worker faults
   /// with `remote` set (remote workers take frame faults from
-  /// RemoteEndpointConfig::faults), worker faults with no retry policy after
-  /// the churn default, and hangs with no retry->task_deadline to reap them.
+  /// RemoteEndpointConfig::faults), and hangs with no retry.task_deadline to
+  /// reap them.
   fault::FaultPlanConfig faults;
-  /// Engages the fault-tolerant protocol when set: crashed/hung workers are
-  /// respawned with backoff and their grids re-dispatched; once the attempt
-  /// cap or respawn budget is exhausted the master recomputes the abandoned
-  /// grid locally (ThroughMaster), so the result stays bit-identical to the
+  /// How the pool supervises its workers: crashed/hung workers are respawned
+  /// with backoff and their grids re-dispatched; once the attempt cap or
+  /// respawn budget is exhausted the master recomputes the abandoned grid
+  /// locally (ThroughMaster), so the result stays bit-identical to the
   /// sequential program even in a degraded pool.
-  std::optional<fault::RetryPolicy> retry;
+  fault::RetryPolicy retry;
   /// Overall wall-clock deadline for the whole run; 0 = none.  On expiry the
   /// run unwinds with ProtocolStats.timed_out instead of hanging.
   std::chrono::milliseconds overall_deadline{0};
   /// Seeded spot-instance churn (join/leave/crash events) replayed against
-  /// the pool; engages the fault-tolerant protocol (a default RetryPolicy is
-  /// supplied when `retry` is unset).  Results stay bit-identical.
+  /// the pool (see RunOptions::churn).  Results stay bit-identical.
   std::optional<fleet::ChurnPlanConfig> churn;
   /// Third substrate: when set, pool workers are remote proxies that marshal
   /// each work unit over this TCP endpoint to a worker process instead of
   /// computing in-thread (ThroughMaster only).  Failed round trips surface
-  /// as worker crashes, so the fault-tolerant pool supervises remote workers
-  /// exactly like local ones (a default RetryPolicy is supplied when `retry`
-  /// is unset).  Not owned; must outlive the run.
+  /// as worker crashes, so the pool supervises remote workers exactly like
+  /// local ones.  Not owned; must outlive the run.
   net::RemoteEndpoint* remote = nullptr;
 };
 

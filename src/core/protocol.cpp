@@ -32,13 +32,16 @@ ProtocolMetrics& protocol_metrics() {
   return m;
 }
 
+/// Registered on the first fault, so a fault-free run reports no
+/// `mw.fault.*` names.
 struct FaultMetrics {
   obs::Counter& crash_events = obs::registry().counter("mw.fault.crash_events");
   obs::Counter& timeouts = obs::registry().counter("mw.fault.timeouts");
   obs::Counter& retries = obs::registry().counter("mw.fault.retries");
   obs::Counter& respawns = obs::registry().counter("mw.fault.respawns");
   obs::Counter& abandoned = obs::registry().counter("mw.fault.slots_abandoned");
-  /// Dispatches one slot consumed before resolving (1 = no faults).
+  /// Dispatches a slot consumed before resolving, for each slot that lost a
+  /// lease (1 = abandoned without a retry).
   obs::Histogram& attempts_per_slot =
       obs::registry().histogram("mw.fault.attempts_per_slot", {1, 2, 3, 4, 6, 8, 12});
   obs::Histogram& backoff_seconds = obs::registry().histogram("mw.fault.backoff_seconds");
@@ -68,9 +71,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// One worker "slot" of the fault-tolerant pool: a position created by one
-/// master create_worker request, surviving crashes of the worker
-/// incarnations that serve it.
+/// One worker "slot" of the pool: a position created by one master
+/// create_worker request, surviving crashes of the worker incarnations that
+/// serve it.
 struct Slot {
   enum class State { Running, AwaitingRespawn, Done, Abandoned };
 
@@ -90,25 +93,16 @@ bool resolved(const Slot& s) {
   return s.state == Slot::State::Done || s.state == Slot::State::Abandoned;
 }
 
-/// The fault-tolerant Create_Worker_Pool.  Same external contract as the
-/// paper's manner — create workers on demand, acknowledge the rendezvous
-/// when the pool has drained — but every worker slot is supervised: a
-/// crash_worker event or an expired per-task deadline asks the pool's
-/// fault::LeaseLedger, which either re-enqueues the lost work unit onto a
-/// respawned replacement after its wait, or abandons the slot: the master
-/// then gets a WorkAbandoned unit instead of a deadlocked rendezvous.
-///
-/// Work replay relies on the §4.3 master behaviour (one send_work per
-/// create_worker): the coordinator taps the master's output port with an
-/// extra BK stream, so it holds a copy of every work unit in creation order.
-PoolStats create_worker_pool_ft(iwim::ProcessContext& coordinator, iwim::Process& master,
-                                const WorkerFactory& factory, std::size_t& worker_counter,
-                                const fault::RetryPolicy& retry,
-                                const fleet::ChurnPlan* churn) {
+}  // namespace
+
+PoolStats create_worker_pool(iwim::ProcessContext& coordinator, iwim::Process& master,
+                             const WorkerFactory& factory, std::size_t& worker_counter,
+                             const fault::RetryPolicy& retry, const fleet::ChurnPlan& churn) {
   iwim::Runtime& runtime = coordinator.runtime();
   PoolStats stats;
-  FaultMetrics& fm = fault_metrics();
 
+  // Lines 18-19 (`now`, `t`): slots.size() counts the created workers, and
+  // the resolved slots the deaths counted.
   std::vector<Slot> slots;
   std::map<std::uint64_t, std::size_t> slot_by_worker;  // live incarnation id -> slot
   fault::LeaseLedger ledger(retry);
@@ -134,8 +128,8 @@ PoolStats create_worker_pool_ft(iwim::ProcessContext& coordinator, iwim::Process
   auto abandon = [&](std::size_t idx) {
     Slot& s = slots[idx];
     s.state = Slot::State::Abandoned;
-    fm.abandoned.add();
-    fm.attempts_per_slot.observe(static_cast<double>(s.attempts));
+    fault_metrics().abandoned.add();
+    fault_metrics().attempts_per_slot.observe(static_cast<double>(s.attempts));
     coordinator.trace("slot " + std::to_string(idx) + " abandoned after " +
                           std::to_string(s.attempts) + " attempt(s)",
                       "protocol.cpp", __LINE__);
@@ -148,6 +142,7 @@ PoolStats create_worker_pool_ft(iwim::ProcessContext& coordinator, iwim::Process
   // deadline): the ledger says when to respawn it, or that it degrades.
   auto fail_slot = [&](std::size_t idx, bool timed_out, bool graceful) {
     Slot& s = slots[idx];
+    FaultMetrics& fm = fault_metrics();
     const double now_t = obs::tracer().clock_now();
     if (timed_out) {
       stats.faults.timeouts += 1;
@@ -198,7 +193,7 @@ PoolStats create_worker_pool_ft(iwim::ProcessContext& coordinator, iwim::Process
       s.has_deadline = true;
       s.deadline = Clock::now() + retry.task_deadline;
     }
-    fm.respawns.add();
+    fault_metrics().respawns.add();
     // The replacement gets the saved work unit straight from the
     // coordinator; only the KK result stream needs wiring.
     s.result_stream = &runtime.connect(worker->port("output"), master.port("dataport"),
@@ -224,7 +219,7 @@ PoolStats create_worker_pool_ft(iwim::ProcessContext& coordinator, iwim::Process
 
   auto churn_due_at = [&](std::size_t i) {
     return churn_epoch + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double>(churn->events()[i].at_seconds));
+                             std::chrono::duration<double>(churn.events()[i].at_seconds));
   };
 
   auto apply_churn = [&](const fleet::ChurnEvent& event) {
@@ -267,7 +262,7 @@ PoolStats create_worker_pool_ft(iwim::ProcessContext& coordinator, iwim::Process
         if (!wake || s.respawn_due < *wake) wake = s.respawn_due;
       }
     }
-    if (churn != nullptr && churn_next < churn->events().size()) {
+    if (churn_next < churn.events().size()) {
       const auto due = churn_due_at(churn_next);
       if (!wake || due < *wake) wake = due;
     }
@@ -276,11 +271,9 @@ PoolStats create_worker_pool_ft(iwim::ProcessContext& coordinator, iwim::Process
 
   auto service_timers = [&] {
     const auto now = Clock::now();
-    if (churn != nullptr) {
-      while (churn_next < churn->events().size() && churn_due_at(churn_next) <= now) {
-        apply_churn(churn->events()[churn_next]);
-        ++churn_next;
-      }
+    while (churn_next < churn.events().size() && churn_due_at(churn_next) <= now) {
+      apply_churn(churn.events()[churn_next]);
+      ++churn_next;
     }
     for (std::size_t i = 0; i < slots.size(); ++i) {
       if (slots[i].state == Slot::State::Running && slots[i].has_deadline &&
@@ -301,10 +294,14 @@ PoolStats create_worker_pool_ft(iwim::ProcessContext& coordinator, iwim::Process
   // broken individually when its worker is killed).
   std::optional<StateScope> state_streams;
 
+  // Lines 39-47, the rendezvous state: once the master asks for it, the
+  // pool drains until every slot has resolved.
   bool rendezvous_requested = false;
+  std::optional<obs::ScopedSpan> rendezvous_span;
   support::Stopwatch rendezvous_clock;
-  double rendezvous_started = -1.0;
+  support::Stopwatch death_clock;
 
+  // Line 23: `priority create_worker > rendezvous.` — matcher order below.
   const std::vector<EventMatcher> begin_labels = {
       {ProtocolEvents::create_worker, master.id()},
       {ProtocolEvents::rendezvous, master.id()},
@@ -318,7 +315,7 @@ PoolStats create_worker_pool_ft(iwim::ProcessContext& coordinator, iwim::Process
       {iwim::kTerminatedEvent, master.id()},
   };
 
-  coordinator.trace("begin (fault-tolerant)", "protocol.cpp", __LINE__);
+  coordinator.trace("begin", "protocol.cpp", __LINE__);  // line 25: MES("begin")
   for (;;) {
     service_timers();
     if (rendezvous_requested &&
@@ -339,6 +336,7 @@ PoolStats create_worker_pool_ft(iwim::ProcessContext& coordinator, iwim::Process
       occurrence = coordinator.await_for(labels, std::max(until, std::chrono::milliseconds(1)));
       if (!occurrence) continue;  // timer tick: loop services deadlines/respawns
     } else {
+      // Line 25: the begin state IDLEs until a labelled event pre-empts it.
       occurrence = coordinator.await(labels);
     }
     // NOTE: only the protocol states (create_worker / rendezvous /
@@ -351,9 +349,9 @@ PoolStats create_worker_pool_ft(iwim::ProcessContext& coordinator, iwim::Process
     if (occurrence->event == ProtocolEvents::create_worker) {
       // Lines 27-37: the create_worker state, plus slot supervision.
       state_streams.reset();  // pre-emption dismantles the previous state's streams
-      coordinator.trace("create_worker: begin", "protocol.cpp", __LINE__);
+      coordinator.trace("create_worker: begin", "protocol.cpp", __LINE__);  // line 35
       const std::size_t incarnation = worker_counter++;
-      std::shared_ptr<iwim::Process> worker = factory(runtime, incarnation);
+      std::shared_ptr<iwim::Process> worker = factory(runtime, incarnation);  // line 30
       MG_REQUIRE_MSG(worker != nullptr, "WorkerFactory returned null");
 
       Slot slot;
@@ -371,13 +369,15 @@ PoolStats create_worker_pool_ft(iwim::ProcessContext& coordinator, iwim::Process
       // Line 36 first `->`: the worker reference `&worker` flows to master.
       runtime.send(master.port("input"), Unit::of(ProcessRef{worker}));
       slot_by_worker[worker->id()] = slots.size();
-      slots.push_back(std::move(slot));
+      slots.push_back(std::move(slot));  // line 34: `now = now + 1`
       protocol_metrics().workers_created.add();
     } else if (occurrence->event == ProtocolEvents::rendezvous) {
       state_streams.reset();
       rendezvous_requested = true;
+      rendezvous_span.emplace(&obs::tracer(), "rendezvous", "mw",
+                              coordinator.self().kind().c_str());
       rendezvous_clock.reset();
-      rendezvous_started = obs::tracer().clock_now();
+      death_clock.reset();
     } else if (occurrence->event == ProtocolEvents::crash_worker) {
       const auto it = slot_by_worker.find(occurrence->source);
       // Unknown sources are stale: a crash from a worker this pool already
@@ -389,9 +389,15 @@ PoolStats create_worker_pool_ft(iwim::ProcessContext& coordinator, iwim::Process
       const auto it = slot_by_worker.find(occurrence->source);
       if (it != slot_by_worker.end() && slots[it->second].state == Slot::State::Running) {
         Slot& s = slots[it->second];
-        s.state = Slot::State::Done;
-        fm.attempts_per_slot.observe(static_cast<double>(s.attempts));
+        s.state = Slot::State::Done;  // line 42: `t = t + 1`
+        if (s.attempts > 1) {
+          fault_metrics().attempts_per_slot.observe(static_cast<double>(s.attempts));
+        }
         slot_by_worker.erase(it);
+        // A death counted before the rendezvous cost it no wait.
+        protocol_metrics().death_count_latency.observe(
+            rendezvous_requested ? death_clock.elapsed_seconds() : 0.0);
+        death_clock.reset();
       }
     } else {
       // The master terminated mid-pool: nobody is left to acknowledge the
@@ -411,7 +417,7 @@ PoolStats create_worker_pool_ft(iwim::ProcessContext& coordinator, iwim::Process
     }
   }
 
-  const double waited = rendezvous_started >= 0 ? rendezvous_clock.elapsed_seconds() : 0.0;
+  const double waited = rendezvous_clock.elapsed_seconds();
   protocol_metrics().rendezvous_wait.observe(waited);
   protocol_metrics().pool_workers.observe(static_cast<double>(slots.size()));
 
@@ -429,83 +435,9 @@ PoolStats create_worker_pool_ft(iwim::ProcessContext& coordinator, iwim::Process
   return stats;
 }
 
-}  // namespace
-
-PoolStats create_worker_pool(iwim::ProcessContext& coordinator, iwim::Process& master,
-                             const WorkerFactory& factory, std::size_t& worker_counter,
-                             const fault::RetryPolicy* retry, const fleet::ChurnPlan* churn) {
-  if (retry != nullptr) {
-    return create_worker_pool_ft(coordinator, master, factory, worker_counter, *retry,
-                                 churn != nullptr && churn->empty() ? nullptr : churn);
-  }
-  MG_REQUIRE_MSG(churn == nullptr || churn->empty(),
-                 "churn requires the fault-tolerant pool (set a retry policy)");
-  iwim::Runtime& runtime = coordinator.runtime();
-
-  // Lines 18-19: `auto process now is variable(0). auto process t is
-  // variable(0).`  Counters for created workers and observed deaths.
-  std::int64_t now = 0;
-  std::int64_t t = 0;
-
-  // The streams of the current create_worker state; replaced (dismantled) on
-  // the next pre-empting event.  BK streams break at the source; the KK
-  // result stream (line 32) survives.
-  std::optional<StateScope> state_streams;
-
-  // Line 23: `priority create_worker > rendezvous.` — matcher order below.
-  const std::vector<EventMatcher> labels = {
-      {ProtocolEvents::create_worker, master.id()},
-      {ProtocolEvents::rendezvous, master.id()},
-  };
-
-  coordinator.trace("begin", "protocol.cpp", __LINE__);  // line 25: MES("begin")
-  for (;;) {
-    // Line 25: the begin state IDLEs until a labelled event pre-empts it.
-    const EventOccurrence occurrence = coordinator.await(labels);
-    state_streams.reset();  // pre-emption dismantles the previous state's streams
-
-    if (occurrence.event == ProtocolEvents::create_worker) {
-      // Lines 27-37: the create_worker state.
-      coordinator.trace("create_worker: begin", "protocol.cpp", __LINE__);  // line 35
-      const std::size_t index = worker_counter++;
-      std::shared_ptr<iwim::Process> worker = factory(runtime, index);  // line 30
-      MG_REQUIRE_MSG(worker != nullptr, "WorkerFactory returned null");
-
-      state_streams.emplace(runtime);
-      // Line 32 + 36 third `->`: worker.output -> master.dataport, type KK.
-      state_streams->connect(worker->port("output"), master.port("dataport"), StreamType::KK);
-      // Line 36 second `->`: master.output -> worker.input (default BK).
-      state_streams->connect(master.port("output"), worker->port("input"), StreamType::BK);
-      // Line 36 first `->`: the worker reference `&worker` flows to master.
-      runtime.send(master.port("input"), Unit::of(ProcessRef{worker}));
-      ++now;  // line 34: `now = now + 1`
-      protocol_metrics().workers_created.add();
-    } else {
-      // Lines 39-47: the rendezvous state — count death_worker events until
-      // every created worker has died.
-      const obs::ScopedSpan span(&obs::tracer(), "rendezvous", "mw",
-                                 coordinator.self().kind().c_str());
-      support::Stopwatch rendezvous_clock;
-      while (t < now) {
-        support::Stopwatch death_clock;
-        coordinator.await({{ProtocolEvents::death_worker, std::nullopt}});
-        protocol_metrics().death_count_latency.observe(death_clock.elapsed_seconds());
-        ++t;  // line 42
-      }
-      const double waited = rendezvous_clock.elapsed_seconds();
-      protocol_metrics().rendezvous_wait.observe(waited);
-      protocol_metrics().pool_workers.observe(static_cast<double>(now));
-      // Line 50: MES + raise(a_rendezvous); the manner returns.
-      coordinator.trace("rendezvous acknowledged", "protocol.cpp", __LINE__);
-      coordinator.raise(ProtocolEvents::a_rendezvous);
-      return {static_cast<std::size_t>(now), waited, {}, false};
-    }
-  }
-}
-
 ProtocolStats protocol_mw(iwim::ProcessContext& coordinator,
                           const std::shared_ptr<iwim::Process>& master, WorkerFactory factory,
-                          const fault::RetryPolicy* retry, const fleet::ChurnPlan* churn) {
+                          const fault::RetryPolicy& retry, const fleet::ChurnPlan& churn) {
   MG_REQUIRE(master != nullptr);
   ProtocolStats stats;
   std::size_t worker_counter = 0;
@@ -546,14 +478,15 @@ ProtocolStats run_main_program(iwim::Runtime& runtime,
                                WorkerFactory factory, RunOptions options) {
   MG_REQUIRE(master != nullptr);
   ProtocolStats stats;
-  const fault::RetryPolicy* retry = options.retry ? &*options.retry : nullptr;
-  const fleet::ChurnPlan plan =
-      options.churn ? fleet::ChurnPlan(*options.churn) : fleet::ChurnPlan();
-  const fleet::ChurnPlan* churn = options.churn ? &plan : nullptr;
+  const fleet::ChurnPlan churn(options.churn.value_or(fleet::ChurnPlanConfig{}));
+  // Every unit a leave or crash takes away is re-leased as one more attempt.
+  options.retry.max_attempts = std::max(options.retry.max_attempts,
+                                        1 + churn.config().leaves + churn.config().crashes);
   // §5 mainprog.m: Main's begin state is ProtocolMW(Master(argv), Worker).
   auto main = runtime.create_process(
       "Main", "main",
-      [&stats, master, retry, churn, factory = std::move(factory)](iwim::ProcessContext& ctx) {
+      [&stats, &churn, master, retry = options.retry,
+       factory = std::move(factory)](iwim::ProcessContext& ctx) {
         stats = protocol_mw(ctx, master, factory, retry, churn);
       });
   // The master passed to ProtocolMW is "the already active process instance".
@@ -562,10 +495,10 @@ ProtocolStats run_main_program(iwim::Runtime& runtime,
   bool timed_out = false;
   if (options.overall_deadline.count() > 0 &&
       !main->wait_terminated_for(options.overall_deadline)) {
-    // The protocol outlived its deadline (e.g. the master died mid-pool
-    // without fault tolerance engaged).  Wake every blocked wait with
-    // ShutdownSignal so the coordinator and master unwind, and report an
-    // error status instead of hanging.
+    // The protocol outlived its deadline (a master that neither finishes
+    // nor terminates).  Wake every blocked wait with ShutdownSignal so the
+    // coordinator and master unwind, and report an error status instead of
+    // hanging.
     timed_out = true;
     main->stop_blocking();
     master->stop_blocking();

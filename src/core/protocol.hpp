@@ -42,10 +42,10 @@ struct ProtocolEvents {
   static constexpr const char* crash_worker = "crash_worker";
 };
 
-/// Unit the fault-tolerant coordinator deposits into the master's dataport
-/// in place of a result it gave up on (attempt cap or respawn budget
-/// exhausted): the master's collect loop keeps its count, sees which slot
-/// degraded, and can fall back to computing the work itself.
+/// Unit the coordinator deposits into the master's dataport in place of a
+/// result it gave up on (attempt cap or respawn budget exhausted): the
+/// master's collect loop keeps its count, sees which slot degraded, and can
+/// fall back to computing the work itself.
 struct WorkAbandoned {
   std::size_t pool_slot = 0;  ///< creation order within the pool (0-based)
   std::size_t attempts = 0;   ///< dispatches consumed before giving up
@@ -64,7 +64,7 @@ struct ProtocolStats {
   /// category).
   double rendezvous_wait_seconds = 0.0;
   /// Fault-tolerance ledger (crashes handled, retries, slots abandoned);
-  /// all-zero when the retry policy is off and nothing failed.
+  /// all-zero when nothing failed.
   fault::FaultCounters faults;
   /// Churn events applied (joins, leaves, crashes); all-zero without a
   /// churn plan.  A unit a leave or crash took away is re-leased as a retry
@@ -89,55 +89,53 @@ struct PoolStats {
 
 /// The manner ProtocolMW (protocolMW.m lines 54-64).  Call from a
 /// coordinator process body; returns when the master raises `finished` (the
-/// `halt` on line 63) or terminates.
-///
-/// With a non-null `retry`, pools run the fault-tolerant variant: workers
-/// must use the fault-aware factory (they raise `crash_worker` on failure —
-/// see make_fault_aware_worker_factory), lost work units are re-dispatched
-/// to respawned workers with capped exponential backoff, hung workers are
-/// killed at the per-task deadline, and once the attempt cap or respawn
-/// budget is exhausted the slot is abandoned: the master receives a
-/// WorkAbandoned unit instead of the result and the pool finishes degraded
-/// rather than hanging.
-/// With a non-null `churn` (requires `retry`), the pool additionally replays
-/// a seeded spot-instance schedule against itself: Leave kills a running
-/// worker and re-leases its unit immediately (no backoff), Crash kills one
-/// and routes it through the normal crash/retry path, Join is recorded (the
-/// threads pool cannot grow beyond the master's create_worker requests;
-/// respawned incarnations are its joins).  Results stay bit-identical — the
-/// re-leased unit is replayed from the coordinator's tap exactly once.
+/// `halt` on line 63) or terminates.  Each create_pool runs
+/// create_worker_pool under `retry` and `churn`.
 ProtocolStats protocol_mw(iwim::ProcessContext& coordinator,
                           const std::shared_ptr<iwim::Process>& master, WorkerFactory factory,
-                          const fault::RetryPolicy* retry = nullptr,
-                          const fleet::ChurnPlan* churn = nullptr);
+                          const fault::RetryPolicy& retry, const fleet::ChurnPlan& churn);
 
 /// The manner Create_Worker_Pool (protocolMW.m lines 12-51).  Creates
 /// workers on demand, wires their streams, counts death_worker events at the
 /// rendezvous and raises a_rendezvous.  Returns the number of workers the
-/// pool created and the time spent waiting at the rendezvous.  With a
-/// non-null `retry`, runs the fault-tolerant pool described at protocol_mw.
+/// pool created and the time spent waiting at the rendezvous.
+///
+/// Every worker slot is supervised.  A worker that raises `crash_worker`
+/// (see make_worker_factory) or outlives `retry.task_deadline` loses its
+/// lease, and the pool's fault::LeaseLedger either re-dispatches the unit to
+/// a respawned worker after a backoff, or abandons the slot: the master then
+/// receives a WorkAbandoned unit instead of the result.  A master that
+/// terminates mid-pool ends the pool.  Without a fault the pool raises the
+/// paper's events and traces its MES lines, nothing more.  Replay relies on
+/// the §4.3 master behaviour (one send_work per create_worker): the
+/// coordinator taps the master's output port for a copy of every work unit.
+///
+/// The pool also replays the `churn` plan, a seeded spot-instance
+/// schedule against itself: Leave kills a running worker and re-leases its
+/// unit immediately (no backoff), Crash kills one and routes it through the
+/// normal crash/retry path, Join is recorded (the threads pool cannot grow
+/// beyond the master's create_worker requests; respawned incarnations are
+/// its joins).  Results stay bit-identical — the re-leased unit is replayed
+/// from the tap exactly once.
 /// `worker_counter` numbers worker *incarnations*: respawned replacements
 /// consume fresh values, which is what makes seeded fault injection a pure
 /// function of the counter.
 PoolStats create_worker_pool(iwim::ProcessContext& coordinator, iwim::Process& master,
                              const WorkerFactory& factory, std::size_t& worker_counter,
-                             const fault::RetryPolicy* retry = nullptr,
-                             const fleet::ChurnPlan* churn = nullptr);
+                             const fault::RetryPolicy& retry, const fleet::ChurnPlan& churn);
 
 struct RunOptions {
-  /// Engages the fault-tolerant pool when set.  The fault-tolerant pool
-  /// assumes the master sends exactly one work unit per create_worker (the
-  /// §4.3 behaviour) so lost units can be replayed from the coordinator's
-  /// tap of the master's output stream.
-  std::optional<fault::RetryPolicy> retry;
+  /// How every pool supervises its workers (see create_worker_pool).
+  fault::RetryPolicy retry;
   /// Overall wall-clock deadline for the whole main program; 0 = none.  On
   /// expiry every blocked coordinator/master wait is woken with
   /// ShutdownSignal and the returned stats carry timed_out=true — an error
-  /// status instead of a hang when the master dies without raising finished.
+  /// status instead of a hang when the master neither finishes nor dies.
   std::chrono::milliseconds overall_deadline{0};
-  /// Seeded spot-instance churn applied to every pool (requires `retry`; the
-  /// crash/respawn machinery doubles as the churn driver).  Event offsets are
-  /// wall seconds from each pool's start.
+  /// Seeded spot-instance churn applied to every pool.  Event offsets are
+  /// wall seconds from each pool's start.  Each leave or crash costs its
+  /// unit one attempt, so the plan raises retry.max_attempts to at least
+  /// 1 + leaves + crashes.
   std::optional<fleet::ChurnPlanConfig> churn;
 };
 

@@ -8,7 +8,7 @@
 // that does not decode surfaces as crash_worker, so peer disconnects,
 // timeouts, and corrupt streams flow into the same retry/respawn/abandon
 // machinery that supervises in-process workers.  The endpoint never retries
-// on its own: the fault-tolerant pool's respawn is the one retry.
+// on its own: the pool's respawn is the one retry.
 //
 // run_subsolve_worker is the matching worker-process main: a blocking serve
 // loop that decodes WorkItems, subsolves, and returns encoded ResultItems.
@@ -26,8 +26,8 @@ class RemoteEndpoint;
 namespace mg::mw {
 
 /// Worker factory whose compute step is a RemoteEndpoint::round_trip.
-/// Failures raise crash_worker, so the pool must run with a RetryPolicy.
-/// The endpoint must outlive the run.
+/// Failures raise crash_worker, which the pool re-dispatches under its
+/// RetryPolicy.  The endpoint must outlive the run.
 WorkerFactory make_remote_worker_factory(net::RemoteEndpoint& endpoint,
                                          std::string kind = "Worker");
 

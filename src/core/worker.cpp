@@ -2,33 +2,8 @@
 
 namespace mg::mw {
 
-WorkerFactory make_worker_factory(WorkFn work, std::string kind) {
-  return [work = std::move(work), kind = std::move(kind)](
-             iwim::Runtime& runtime, std::size_t index) -> std::shared_ptr<iwim::Process> {
-    return runtime.create_process(
-        kind, kind + std::to_string(index), [work](iwim::ProcessContext& ctx) {
-          const iwim::Unit job = ctx.read("input");  // worker step 1
-          try {
-            iwim::Unit result = work(job);           // worker step 2
-            ctx.write(std::move(result), "output");  // worker step 3
-          } catch (const std::exception& e) {
-            // A crashed worker must still die visibly: write an empty unit
-            // so the master is not left waiting for a result, report the
-            // error on the error port, and fall through to death_worker —
-            // otherwise the rendezvous would count forever.
-            ctx.trace(std::string("worker failed: ") + e.what(), "worker.cpp", __LINE__);
-            ctx.write(iwim::Unit{}, "error");
-            ctx.write(iwim::Unit{}, "output");
-          }
-          ctx.raise(ProtocolEvents::death_worker);   // worker step 4
-        });
-  };
-}
-
-WorkerFactory make_fault_aware_worker_factory(WorkFn work,
-                                              std::shared_ptr<const fault::FaultPlan> plan,
-                                              std::shared_ptr<InjectionStats> stats,
-                                              std::string kind) {
+WorkerFactory make_worker_factory(WorkFn work, std::shared_ptr<const fault::FaultPlan> plan,
+                                  std::shared_ptr<InjectionStats> stats, std::string kind) {
   return [work = std::move(work), plan = std::move(plan), stats = std::move(stats),
           kind = std::move(kind)](iwim::Runtime& runtime,
                                   std::size_t index) -> std::shared_ptr<iwim::Process> {
@@ -66,8 +41,8 @@ WorkerFactory make_fault_aware_worker_factory(WorkFn work,
             iwim::Unit result = work(job);           // worker step 2
             ctx.write(std::move(result), "output");  // worker step 3
           } catch (const std::exception& e) {
-            // Under a fault-tolerant pool a failure is reported honestly:
-            // crash_worker, no fake result — the coordinator retries it.
+            // A failure is reported honestly: crash_worker, no fake result —
+            // the coordinator retries it.
             ctx.trace(std::string("worker failed: ") + e.what(), "worker.cpp", __LINE__);
             ctx.write(iwim::Unit{}, "error");
             ctx.raise(ProtocolEvents::crash_worker);

@@ -7,7 +7,10 @@
 //
 // make_worker_factory wraps any Unit -> Unit computation in a
 // protocol-compliant worker process ("the master and worker manifolds are
-// easy to write as C wrappers around the original C subroutines", §5).
+// easy to write as C wrappers around the original C subroutines", §5).  A
+// worker that cannot deliver its result skips steps 3 and 4 and raises
+// crash_worker, which the supervised Create_Worker_Pool answers with a
+// re-dispatch.
 #pragma once
 
 #include <atomic>
@@ -25,13 +28,8 @@ namespace mg::mw {
 /// result unit.  Must not touch shared state (the IWIM black-box rule).
 using WorkFn = std::function<iwim::Unit(const iwim::Unit&)>;
 
-/// Produces a WorkerFactory for protocol_mw / run_main_program.  Each
-/// created worker has kind `kind` (task weights key off it) and name
-/// "<kind><index>".
-WorkerFactory make_worker_factory(WorkFn work, std::string kind = "Worker");
-
-/// What the fault-aware workers actually injected (atomics: workers run on
-/// their own threads).  Shared by every incarnation a factory creates.
+/// What the workers actually injected (atomics: workers run on their own
+/// threads).  Shared by every incarnation a factory creates.
 struct InjectionStats {
   std::atomic<std::size_t> crashes{0};
   std::atomic<std::size_t> hangs{0};
@@ -44,9 +42,14 @@ struct InjectionStats {
   }
 };
 
-/// Fault-aware variant of make_worker_factory, for pools run with a
-/// RetryPolicy.  The plan decides per *incarnation index* (deterministic in
-/// the seed, regardless of thread interleaving):
+/// Produces a WorkerFactory for protocol_mw / run_main_program.  Each
+/// created worker has kind `kind` (task weights key off it) and name
+/// "<kind><index>".  A worker whose work throws reports the error on its
+/// error port and raises `crash_worker` instead of `death_worker`, with no
+/// result: the pool re-dispatches its unit.
+///
+/// `plan`, when non-null, injects seeded faults per *incarnation index*
+/// (deterministic in the seed, regardless of thread interleaving):
 ///
 ///  - Crash:   the worker reads its work unit, then dies raising
 ///             `crash_worker` — no result, no death_worker.
@@ -54,17 +57,11 @@ struct InjectionStats {
 ///             coordinator's deadline kill releases it.
 ///  - Corrupt: the worker computes but its result is "corrupted in
 ///             transport": discarded, and crash_worker raised instead.
-///  - None:    the normal §4.3 behaviour; a genuine exception from the work
-///             function also raises crash_worker (so the coordinator retries
-///             it) instead of faking an empty result.
 ///
-/// Pair exclusively with a fault-tolerant pool: a crash_worker raised under
-/// the legacy coordinator would leave the rendezvous counting forever.
-/// `plan` may be null (no injection, but exceptions still crash visibly);
 /// `stats`, when non-null, accumulates the injections actually performed.
-WorkerFactory make_fault_aware_worker_factory(WorkFn work,
-                                              std::shared_ptr<const fault::FaultPlan> plan,
-                                              std::shared_ptr<InjectionStats> stats = nullptr,
-                                              std::string kind = "Worker");
+WorkerFactory make_worker_factory(WorkFn work,
+                                  std::shared_ptr<const fault::FaultPlan> plan = nullptr,
+                                  std::shared_ptr<InjectionStats> stats = nullptr,
+                                  std::string kind = "Worker");
 
 }  // namespace mg::mw

@@ -50,7 +50,7 @@ struct RetryPolicy {
   double deadline_cost_factor = 4.0;
   /// Dispatch attempts per work unit, including the first (0 acts as 1).
   std::size_t max_attempts = 3;
-  /// Cap on re-dispatches shared by every unit of one ledger (one FT pool,
+  /// Cap on re-dispatches shared by every unit of one ledger (one worker pool,
   /// one service job, one simulated run); once spent, further lost work is
   /// abandoned and its owner degrades instead of hanging.
   std::size_t respawn_budget = static_cast<std::size_t>(-1);
@@ -154,7 +154,7 @@ struct FaultCounters {
 void fault_counters_to_json(obs::JsonWriter& w, const FaultCounters& c);
 
 /// The one lost-lease rule.  A lease is one dispatch of a work unit to one
-/// worker.  When a lease is lost, its owner — the FT pool, a service job, a
+/// worker.  When a lease is lost, its owner — the worker pool, a service job, a
 /// simulated run; one ledger each — asks the ledger whether the unit goes
 /// out again and after how long.  The ledger owns the attempt cap, the
 /// shared respawn budget, the backoff schedule and the recovery counters.

@@ -744,48 +744,42 @@ bool serve_connection(Socket& sock, const WorkHandler& handler, bool& engaged) {
 
 }  // namespace
 
-int run_worker_loop(const std::string& host, std::uint16_t port, const WorkHandler& handler,
-                    WorkerLoopOptions options) {
+int run_worker_loop(const std::string& host, std::uint16_t port, const WorkHandler& handler) {
+  constexpr std::chrono::milliseconds kReconnectBackoff{20};
+  constexpr int kMaxConnectFailures = 15;  // in a row: the master is gone
   std::uint64_t attempt = 0;
   int consecutive_failures = 0;
   for (;;) {
+    bool engaged = false;
     Socket sock = connect_tcp(host, port, std::chrono::seconds(2));
-    if (!sock.valid()) {
-      if (++consecutive_failures >= options.max_connect_failures) return 0;  // master gone
-      std::this_thread::sleep_for(options.reconnect_backoff);
-      continue;
+    if (sock.valid()) {
+      std::uint8_t hello[24];
+      put_u64(hello, static_cast<std::uint64_t>(::getpid()));
+      put_u64(hello + 8, attempt);
+      // Wall-clock sample for the master's coarse clock-offset seed (v2).
+      const double sample = obs::wall_clock_seconds();
+      std::uint64_t sample_bits = 0;
+      std::memcpy(&sample_bits, &sample, sizeof sample_bits);
+      put_u64(hello + 16, sample_bits);
+      ++attempt;
+      const std::vector<std::uint8_t> frame =
+          encode_frame(FrameType::Hello, 0, hello, sizeof hello);
+      // An orderly shutdown by the master ends the loop.
+      if (send_all(sock, frame.data(), frame.size()) && serve_connection(sock, handler, engaged)) {
+        return 0;
+      }
     }
-
-    std::uint8_t hello[24];
-    put_u64(hello, static_cast<std::uint64_t>(::getpid()));
-    put_u64(hello + 8, attempt);
-    // Wall-clock sample for the master's coarse clock-offset seed (v2).
-    const double sample = obs::wall_clock_seconds();
-    std::uint64_t sample_bits = 0;
-    std::memcpy(&sample_bits, &sample, sizeof sample_bits);
-    put_u64(hello + 16, sample_bits);
-    ++attempt;
-    const std::vector<std::uint8_t> frame = encode_frame(FrameType::Hello, 0, hello, sizeof hello);
-    if (!send_all(sock, frame.data(), frame.size())) {
-      if (++consecutive_failures >= options.max_connect_failures) return 0;
-      std::this_thread::sleep_for(options.reconnect_backoff);
-      continue;
-    }
-
     // A bare TCP accept — even one that swallows the Hello bytes — proves
     // nothing about the master: a listener that accepts and then drops the
     // connection must burn the failure budget and back off, not hot-loop.
     // The budget resets only once the master *answers* the handshake with a
     // well-formed frame.
-    bool engaged = false;
-    const bool orderly = serve_connection(sock, handler, engaged);
-    if (orderly) return 0;
     if (engaged) {
       consecutive_failures = 0;
-    } else if (++consecutive_failures >= options.max_connect_failures) {
+    } else if (++consecutive_failures >= kMaxConnectFailures) {
       return 0;  // master gone (or never really there)
     }
-    std::this_thread::sleep_for(options.reconnect_backoff);
+    std::this_thread::sleep_for(kReconnectBackoff);
   }
 }
 

@@ -13,7 +13,7 @@
 // The endpoint is a transport that never retries.  A lease ends in one of
 // three ways: its Result or Error arrives, its caller cancels it, or its
 // channel dies — and then the round trip fails back to the caller, whose own
-// retry (the fault-tolerant pool's respawn, the service's attempt loop)
+// retry (the worker pool's respawn, the service's attempt loop)
 // re-submits it.  So the coordinator keeps the one policy that matters, who
 // retries a lost unit, exactly as it supervised threads.
 //
@@ -197,18 +197,12 @@ class RemoteEndpoint {
 using WorkHandler =
     std::function<std::vector<std::uint8_t>(const std::vector<std::uint8_t>& work)>;
 
-struct WorkerLoopOptions {
-  std::chrono::milliseconds reconnect_backoff{20};
-  /// Consecutive failed connects before concluding the master is gone.
-  int max_connect_failures = 15;
-};
-
 /// Blocking worker-process main loop: connect to the master, announce with
-/// Hello, serve Work frames until the stream breaks, reconnect (counting
-/// attempts in the Hello so the master can tally reconnects), and exit 0
-/// once the master stops answering.  Returns a process exit status.
-int run_worker_loop(const std::string& host, std::uint16_t port, const WorkHandler& handler,
-                    WorkerLoopOptions options = {});
+/// Hello, serve Work frames until the stream breaks, reconnect 20 ms later
+/// (counting attempts in the Hello so the master can tally reconnects), and
+/// exit 0 once 15 connects in a row fail to reach an answering master.
+/// Returns a process exit status.
+int run_worker_loop(const std::string& host, std::uint16_t port, const WorkHandler& handler);
 
 /// Forks n worker processes running child_main; each child _exits with its
 /// return value and never returns here.  Must be called while the calling

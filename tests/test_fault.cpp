@@ -1,8 +1,8 @@
 // Tests for the fault-tolerance layer: the seeded FaultPlan, the shared
-// RetryPolicy and the LeaseLedger that applies it, the fault-tolerant
-// worker pool (crash / hang / corruption recovery, respawn budget, graceful
-// degradation), the simulator mirror, the deadline-robust timed waits, and
-// the run-report faults section.
+// RetryPolicy and the LeaseLedger that applies it, the supervised worker
+// pool (crash / hang / corruption recovery, respawn budget, graceful
+// degradation, a master dying mid-pool), the simulator mirror, the
+// deadline-robust timed waits, and the run-report faults section.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -219,7 +219,7 @@ TEST(TimedWaits, AwaitForTakesAnOccurrenceDepositedBeforeTheDeadline) {
   EXPECT_EQ(occurrence->event, "ping");
 }
 
-// ---- the fault-tolerant worker pool --------------------------------------------------
+// ---- the supervised worker pool ------------------------------------------------------
 
 struct ToyRun {
   std::int64_t total = 0;
@@ -252,7 +252,7 @@ ToyRun run_toy_pool(std::size_t workers, const fault::FaultPlanConfig& faults,
       });
   auto plan = faults.any() ? std::make_shared<const fault::FaultPlan>(faults) : nullptr;
   auto injections = std::make_shared<mw::InjectionStats>();
-  auto factory = mw::make_fault_aware_worker_factory(
+  auto factory = mw::make_worker_factory(
       [](const Unit& u) { return Unit::of(u.as<std::int64_t>() * 2); }, plan, injections);
   mw::RunOptions options;
   options.retry = retry;
@@ -329,27 +329,6 @@ TEST(FaultPool, HungWorkersAreKilledAtTheDeadline) {
   EXPECT_TRUE(f.degraded);
 }
 
-TEST(FaultPool, LegacyPathIsUntouchedWithoutARetryPolicy) {
-  // No RetryPolicy: run_main_program must take the exact legacy code path
-  // (no tap stream, no crash handling) and behave as before.
-  iwim::Runtime runtime;
-  std::int64_t result = 0;
-  auto master = mw::make_master(runtime, "m", [&](mw::MasterApi& api, iwim::ProcessContext&) {
-    api.create_pool();
-    api.create_worker();
-    api.send_work(Unit::of(std::int64_t{21}));
-    result = api.collect_result().as<std::int64_t>();
-    api.rendezvous();
-    api.finished();
-  });
-  const auto stats = mw::run_main_program(
-      runtime, master,
-      mw::make_worker_factory([](const Unit& u) { return Unit::of(u.as<std::int64_t>() * 2); }));
-  EXPECT_EQ(result, 42);
-  EXPECT_FALSE(stats.faults.any());
-  EXPECT_FALSE(stats.timed_out);
-}
-
 TEST(RunMainProgram, OverallDeadlineReturnsErrorInsteadOfHanging) {
   iwim::Runtime runtime;
   auto master = mw::make_master(runtime, "m", [](mw::MasterApi&, iwim::ProcessContext& ctx) {
@@ -368,6 +347,33 @@ TEST(RunMainProgram, OverallDeadlineReturnsErrorInsteadOfHanging) {
   runtime.shutdown();
 }
 
+TEST(RunMainProgram, MasterDyingMidPoolEndsTheRun) {
+  // Regression: a master whose worker throws dies in collect_result (the
+  // unit it gets is not the result type it expects) while the coordinator
+  // is inside Create_Worker_Pool.  The pool must see the master terminate
+  // and end the run, not wait for a rendezvous nobody will raise.
+  iwim::Runtime runtime;
+  auto master = mw::make_master(runtime, "m", [](mw::MasterApi& api, iwim::ProcessContext&) {
+    api.create_pool();
+    api.create_worker();
+    api.send_work(Unit::of(std::int64_t{1}));
+    (void)api.collect_result().as<std::int64_t>();
+    api.rendezvous();
+    api.finished();
+  });
+  mw::RunOptions options;
+  options.overall_deadline = std::chrono::seconds(5);
+  const auto start = std::chrono::steady_clock::now();
+  const auto stats = mw::run_main_program(
+      runtime, master,
+      mw::make_worker_factory([](const Unit&) -> Unit { throw std::runtime_error("bad job"); }),
+      options);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_FALSE(stats.timed_out) << "the run waited out its overall deadline";
+  EXPECT_LT(elapsed, std::chrono::seconds(2));
+  runtime.shutdown();
+}
+
 // ---- the concurrent solver under injection -------------------------------------------
 
 TEST(FaultSolver, HeavySeededKillsStayBitExactWithTheSequentialProgram) {
@@ -380,9 +386,8 @@ TEST(FaultSolver, HeavySeededKillsStayBitExactWithTheSequentialProgram) {
   options.faults.seed = 2004;
   options.faults.crash = 0.35;
   options.faults.corrupt = 0.1;
-  options.retry = fault::RetryPolicy{};
-  options.retry->max_attempts = 8;
-  options.retry->backoff_initial = std::chrono::milliseconds(2);
+  options.retry.max_attempts = 8;
+  options.retry.backoff_initial = std::chrono::milliseconds(2);
   const auto conc = mw::solve_concurrent(program, options);
 
   const auto& f = conc.protocol.faults;
@@ -405,8 +410,7 @@ TEST(FaultSolver, ZeroRespawnBudgetStillCompletesBitExactViaLocalFallback) {
   mw::ConcurrentOptions options;
   options.faults.seed = 17;
   options.faults.crash = 1.0;  // every incarnation crashes
-  options.retry = fault::RetryPolicy{};
-  options.retry->respawn_budget = 0;
+  options.retry.respawn_budget = 0;
   const auto conc = mw::solve_concurrent(program, options);
 
   // Degraded pool: every grid abandoned, recomputed locally by the master —
@@ -428,13 +432,6 @@ void expect_rejected(const mw::ConcurrentOptions& options, const std::string& na
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find(names), std::string::npos) << e.what();
   }
-}
-
-TEST(FaultSolver, WorkerFaultsWithoutARetryPolicyAreRejected) {
-  mw::ConcurrentOptions options;
-  options.faults.seed = 7;
-  options.faults.crash = 0.5;
-  expect_rejected(options, "retry policy");
 }
 
 TEST(FaultSolver, WorkerFaultsOnARemotePoolAreRejected) {
@@ -459,7 +456,6 @@ TEST(FaultSolver, HangsWithoutATaskDeadlineAreRejected) {
   mw::ConcurrentOptions options;
   options.faults.seed = 7;
   options.faults.hang = 0.5;
-  options.retry = fault::RetryPolicy{};
   expect_rejected(options, "task_deadline");
 }
 

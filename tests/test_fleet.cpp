@@ -143,9 +143,8 @@ ChurnToyRun run_churned_pool(std::size_t workers, std::chrono::milliseconds hold
         api.finished();
       });
   mw::RunOptions options;
-  options.retry = fault::RetryPolicy{};
-  options.retry->max_attempts = 8;
-  options.retry->backoff_initial = 2ms;
+  options.retry.max_attempts = 8;
+  options.retry.backoff_initial = 2ms;
   options.churn = churn;
   run.stats = mw::run_main_program(
       runtime, master, mw::make_worker_factory([hold](const Unit& u) {
@@ -324,12 +323,8 @@ TEST(WorkerLoop, AcceptThenDropBurnsTheFailureBudget) {
   AcceptAndDropServer server;
   const std::uint16_t port = server.listener.port();
   auto worker = std::async(std::launch::async, [port] {
-    net::WorkerLoopOptions options;
-    options.max_connect_failures = 4;
-    options.reconnect_backoff = 2ms;
-    return net::run_worker_loop(
-        "127.0.0.1", port,
-        [](const std::vector<std::uint8_t>& w) { return w; }, options);
+    return net::run_worker_loop("127.0.0.1", port,
+                                [](const std::vector<std::uint8_t>& w) { return w; });
   });
   // RSTs race the Hello send, so the budget burns down over several rounds;
   // the bound is generous but the pre-fix loop never returns at all.

@@ -24,8 +24,10 @@ using iwim::Unit;
 // ---- failure injection -----------------------------------------------------------
 
 TEST(FailureInjection, CrashingWorkerStillDiesAndRendezvousCompletes) {
+  // A worker whose work throws is re-dispatched until its attempts run out;
+  // the master then gets a WorkAbandoned marker in place of the result.
   iwim::Runtime runtime;
-  int empties = 0;
+  int abandoned = 0;
   auto master = mw::make_master(runtime, "m", [&](mw::MasterApi& api, iwim::ProcessContext&) {
     api.create_pool();
     for (std::int64_t k = 0; k < 4; ++k) {
@@ -33,7 +35,7 @@ TEST(FailureInjection, CrashingWorkerStillDiesAndRendezvousCompletes) {
       api.send_work(Unit::of(k));
     }
     for (int k = 0; k < 4; ++k) {
-      if (api.collect_result().empty()) ++empties;
+      if (api.collect_result().is<mw::WorkAbandoned>()) ++abandoned;
     }
     api.rendezvous();  // must not hang even though workers 1 and 3 crashed
     api.finished();
@@ -44,7 +46,7 @@ TEST(FailureInjection, CrashingWorkerStillDiesAndRendezvousCompletes) {
   });
   const auto stats = mw::run_main_program(runtime, master, std::move(factory));
   EXPECT_EQ(stats.workers_created, 4u);
-  EXPECT_EQ(empties, 2);
+  EXPECT_EQ(abandoned, 2);
 }
 
 TEST(FailureInjection, AllWorkersCrashingStillTerminates) {

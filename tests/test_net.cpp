@@ -217,11 +217,8 @@ struct WorkerThread {
   std::thread thread;
 
   WorkerThread(std::uint16_t port, net::WorkHandler handler) {
-    net::WorkerLoopOptions options;
-    options.max_connect_failures = 10;
-    options.reconnect_backoff = 10ms;
-    thread = std::thread([port, handler = std::move(handler), options] {
-      net::run_worker_loop("127.0.0.1", port, handler, options);
+    thread = std::thread([port, handler = std::move(handler)] {
+      net::run_worker_loop("127.0.0.1", port, handler);
     });
   }
   ~WorkerThread() { thread.join(); }
@@ -660,7 +657,6 @@ TEST(PipelinedSolve, DepthFourMatchesDepthOneAndTheSequentialProgram) {
 
     mw::ConcurrentOptions options;
     options.remote = &endpoint;
-    options.retry = fault::RetryPolicy{};
     const auto remote = mw::solve_concurrent(program, options);
 
     EXPECT_EQ(remote.solve.combined.max_diff(seq.combined), 0.0);
@@ -693,9 +689,8 @@ TEST(PipelinedSolve, DepthFourUnderSeededNetFaultsStaysBitIdentical) {
 
   mw::ConcurrentOptions options;
   options.remote = &endpoint;
-  options.retry = fault::RetryPolicy{};
-  options.retry->max_attempts = 10;
-  options.retry->backoff_initial = 2ms;
+  options.retry.max_attempts = 10;
+  options.retry.backoff_initial = 2ms;
   const auto remote = mw::solve_concurrent(program, options);
 
   EXPECT_EQ(remote.solve.combined.max_diff(seq.combined), 0.0);
@@ -728,9 +723,8 @@ void solve_through_one_leave_and_one_crash(const std::function<void(net::RemoteE
 
   mw::ConcurrentOptions options;
   options.remote = &endpoint;
-  options.retry = fault::RetryPolicy{};
-  options.retry->max_attempts = 6;
-  options.retry->backoff_initial = 2ms;
+  options.retry.max_attempts = 6;
+  options.retry.backoff_initial = 2ms;
   auto solve = std::async(std::launch::async, [&] { return mw::solve_concurrent(program, options); });
 
   EXPECT_TRUE(workers.gate.wait_entered(3, 30s));
@@ -782,7 +776,7 @@ TEST(ElasticEndpoint, DisruptDrivenChurnKeepsTheSolveBitExact) {
   EXPECT_EQ(counters.fleet_joins, counters.accepts) << "every accepted Hello joins the fleet";
 }
 
-// ---- remote solves always run the fault-tolerant pool -------------------------------
+// ---- remote solves recover under the default retry policy ---------------------------
 
 TEST(RemoteSolve, DroppedFramesRecoverWithoutAnExplicitRetryPolicy) {
   transport::ProgramConfig program;

@@ -224,7 +224,6 @@ TEST(NetSoak, SolverOverForkedTcpWorkersIsBitIdenticalToThreadedBackend) {
 
   mw::ConcurrentOptions options;
   options.remote = &endpoint;
-  options.retry = fault::RetryPolicy{};  // TCP failures surface as crashes
   const auto remote = mw::solve_concurrent(program, options);
 
   EXPECT_EQ(remote.solve.combined.max_diff(seq.combined), 0.0);
@@ -262,9 +261,8 @@ TEST(NetSoak, SolverOverFaultyTcpRetriesAndStaysBitIdentical) {
 
   mw::ConcurrentOptions options;
   options.remote = &endpoint;
-  options.retry = fault::RetryPolicy{};
-  options.retry->max_attempts = 10;
-  options.retry->backoff_initial = 2ms;
+  options.retry.max_attempts = 10;
+  options.retry.backoff_initial = 2ms;
   const auto remote = mw::solve_concurrent(program, options);
 
   EXPECT_EQ(remote.solve.combined.max_diff(seq.combined), 0.0);
@@ -302,9 +300,8 @@ TEST(NetSoak, DegradedRemotePoolOverFaultyTcpFallsBackToLocalRecompute) {
 
   mw::ConcurrentOptions options;
   options.remote = &endpoint;
-  options.retry = fault::RetryPolicy{};
-  options.retry->max_attempts = 1;
-  options.retry->respawn_budget = 0;
+  options.retry.max_attempts = 1;
+  options.retry.respawn_budget = 0;
   const auto remote = mw::solve_concurrent(program, options);
 
   EXPECT_TRUE(remote.protocol.faults.degraded);

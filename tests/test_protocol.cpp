@@ -5,6 +5,8 @@
 #include <atomic>
 #include <numeric>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/concurrent_solver.hpp"
 #include "core/master.hpp"
@@ -174,6 +176,43 @@ TEST(Protocol, TraceShowsWelcomeAndBye) {
   // Formatting matches the paper's two-line label -> message layout.
   const std::string rendered = log.snapshot().front().format();
   EXPECT_NE(rendered.find(" -> "), std::string::npos);
+}
+
+TEST(Protocol, FaultFreePoolTracesThePaperMesLines) {
+  // With no fault, the supervised pool traces protocolMW.m's MES lines in
+  // order and nothing else: begin, one per create_worker, and the
+  // acknowledged rendezvous.
+  constexpr std::int64_t kWorkers = 4;
+  trace::TraceLog log;
+  iwim::RuntimeConfig config;
+  config.trace = &log;
+  iwim::Runtime runtime(config);
+  std::int64_t total = 0;
+  auto master = mw::make_master(runtime, "m", [&](mw::MasterApi& api, iwim::ProcessContext&) {
+    api.create_pool();
+    for (std::int64_t k = 0; k < kWorkers; ++k) {
+      api.create_worker();
+      api.send_work(Unit::of(k));
+    }
+    for (std::int64_t k = 0; k < kWorkers; ++k) total += api.collect_result().as<std::int64_t>();
+    api.rendezvous();
+    api.finished();
+  });
+  const auto stats = mw::run_main_program(runtime, master, doubler_factory());
+  runtime.shutdown();
+  EXPECT_EQ(total, 2 * (0 + 1 + 2 + 3));
+  EXPECT_EQ(stats.workers_created, static_cast<std::size_t>(kWorkers));
+  EXPECT_FALSE(stats.faults.any());
+  EXPECT_FALSE(stats.timed_out);
+
+  std::vector<std::string> expected = {"begin"};
+  expected.insert(expected.end(), kWorkers, "create_worker: begin");
+  expected.push_back("rendezvous acknowledged");
+  std::vector<std::string> mes;
+  for (const auto& m : log.snapshot()) {
+    if (m.manifold_name == "Main" && m.source_file == "protocol.cpp") mes.push_back(m.text);
+  }
+  EXPECT_EQ(mes, expected);
 }
 
 TEST(Protocol, TaskPlacementFollowsMlinkSpec) {

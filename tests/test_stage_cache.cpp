@@ -361,9 +361,8 @@ TEST(StageCache, FaultRecomputePathsStayBitExactWithCacheAndWarmStart) {
   mw::ConcurrentOptions options;
   options.faults.seed = 404;
   options.faults.crash = 0.4;
-  options.retry = fault::RetryPolicy{};
-  options.retry->max_attempts = 8;
-  options.retry->backoff_initial = std::chrono::milliseconds(2);
+  options.retry.max_attempts = 8;
+  options.retry.backoff_initial = std::chrono::milliseconds(2);
   const auto conc = mw::solve_concurrent(program, options);
 
   EXPECT_GT(conc.protocol.faults.crashes_injected, 0u);
@@ -385,8 +384,7 @@ TEST(StageCache, AbandonedSlotsMapBackToTheRightTermsUnderLpt) {
   mw::ConcurrentOptions options;
   options.faults.seed = 9;
   options.faults.crash = 1.0;  // every incarnation crashes
-  options.retry = fault::RetryPolicy{};
-  options.retry->respawn_budget = 0;
+  options.retry.respawn_budget = 0;
   const auto conc = mw::solve_concurrent(program, options);
 
   EXPECT_TRUE(conc.protocol.faults.degraded);
@@ -473,7 +471,6 @@ TEST(LptOrder, TcpCompletionReorderKeepsLptResultBitExact) {
 
   mw::ConcurrentOptions options;
   options.remote = &endpoint;
-  options.retry = fault::RetryPolicy{};
   const auto remote = mw::solve_concurrent(program, options);
 
   EXPECT_GT(endpoint.counters().faults_delayed, 0u);
@@ -508,9 +505,8 @@ TEST(LptOrder, TcpDegradedPoolMapsAbandonedSlotsToTheRightTerms) {
 
   mw::ConcurrentOptions options;
   options.remote = &endpoint;
-  options.retry = fault::RetryPolicy{};
-  options.retry->max_attempts = 1;
-  options.retry->respawn_budget = 0;
+  options.retry.max_attempts = 1;
+  options.retry.respawn_budget = 0;
   const auto remote = mw::solve_concurrent(program, options);
 
   EXPECT_TRUE(remote.protocol.faults.degraded);

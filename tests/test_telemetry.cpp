@@ -265,11 +265,8 @@ TEST(MergeBatch, CountersMergeEvenWhenTheTracerIsDisabled) {
 struct WorkerThread {
   std::thread thread;
   WorkerThread(std::uint16_t port, net::WorkHandler handler) {
-    net::WorkerLoopOptions options;
-    options.max_connect_failures = 10;
-    options.reconnect_backoff = 10ms;
-    thread = std::thread([port, handler = std::move(handler), options] {
-      net::run_worker_loop("127.0.0.1", port, handler, options);
+    thread = std::thread([port, handler = std::move(handler)] {
+      net::run_worker_loop("127.0.0.1", port, handler);
     });
   }
   ~WorkerThread() { thread.join(); }
