@@ -114,6 +114,7 @@ void BM_StageSolve(benchmark::State& state) {
   state.SetLabel(to_string(kind));
 }
 BENCHMARK(BM_StageSolve)
+    ->Args({3, 0})  // banded LU, G(2;3,3): the level-6 critical grid, half-width 31
     ->Args({4, 0})  // banded LU
     ->Args({4, 1});  // bicgstab + ilu0
 

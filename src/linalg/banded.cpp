@@ -10,7 +10,7 @@
 namespace mg::linalg {
 
 BandedMatrix::BandedMatrix(std::size_t n, std::size_t half_bandwidth)
-    : n_(n), hb_(half_bandwidth), data_(n * (2 * half_bandwidth + 1), 0.0) {
+    : n_(n), hb_(half_bandwidth), data_(n * (2 * half_bandwidth + 1), 0.0), inv_diag_(n, 0.0) {
   MG_REQUIRE(n > 0);
 }
 
@@ -97,6 +97,7 @@ void BandedMatrix::factorize() {
     if (std::abs(pivot) < 1e-300) {
       throw std::runtime_error("BandedMatrix::factorize: zero pivot at row " + std::to_string(k));
     }
+    inv_diag_[k] = 1.0 / pivot;
     const std::size_t i_hi = std::min(n_ - 1, k + hb_);
     for (std::size_t i = k + 1; i <= i_hi; ++i) {
       const double l = data_[idx(i, k)] / pivot;
@@ -126,12 +127,14 @@ void BandedMatrix::solve_in_place(Vec& x) const {
     for (std::size_t j = j_lo; j < i; ++j) s -= data_[idx(i, j)] * x[j];
     x[i] = s;
   }
-  // Back substitution with upper factor.
+  // Back substitution with upper factor, farthest column first: x[ii + 1],
+  // produced by the previous row, enters last, so rows overlap instead of
+  // forming one dependency chain.
   for (std::size_t ii = n_; ii-- > 0;) {
     const std::size_t j_hi = std::min(n_ - 1, ii + hb_);
     double s = x[ii];
-    for (std::size_t j = ii + 1; j <= j_hi; ++j) s -= data_[idx(ii, j)] * x[j];
-    x[ii] = s / data_[idx(ii, ii)];
+    for (std::size_t j = j_hi; j > ii; --j) s -= data_[idx(ii, j)] * x[j];
+    x[ii] = s * inv_diag_[ii];
   }
 }
 

@@ -48,6 +48,8 @@ class BandedMatrix {
   void multiply(const Vec& x, Vec& y) const;
 
   /// In-place LU (Doolittle, no pivoting).  Throws on a (near-)zero pivot.
+  /// Also stores 1/U(k,k) per row, so the back sweep multiplies instead of
+  /// dividing.
   void factorize();
 
   /// Solves A x = b using the factors; requires factorize() first.
@@ -64,6 +66,7 @@ class BandedMatrix {
   std::size_t n_;
   std::size_t hb_;
   std::vector<double> data_;  // row-major band storage, width 2*hb_+1
+  std::vector<double> inv_diag_;  // 1 / U(k,k), filled by factorize()
   bool factorized_ = false;
 };
 

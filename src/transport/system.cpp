@@ -102,6 +102,7 @@ void TransportSystem::assemble() {
   for (std::size_t off : diag_offset_) {
     MG_ASSERT(off != linalg::CsrMatrix::kNoDiagonal);
   }
+  boundary_t_ = std::numeric_limits<double>::quiet_NaN();
   cached_solver_.reset();
   cache_valid_ = false;
 }
@@ -123,9 +124,11 @@ void TransportSystem::rhs(double t, const ros::Vec& u, ros::Vec& f) {
     return;
   }
   jacobian_.multiply(u, f);
-  for (const auto& bc : boundary_couplings_) {
-    f[bc.row] += bc.coefficient * problem_.exact(bc.bx, bc.by, t);
+  if (t != boundary_t_) {
+    for (auto& bc : boundary_couplings_) bc.term = bc.coefficient * problem_.exact(bc.bx, bc.by, t);
+    boundary_t_ = t;
   }
+  for (const auto& bc : boundary_couplings_) f[bc.row] += bc.term;
 }
 
 namespace {

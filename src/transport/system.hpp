@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -77,6 +78,7 @@ class TransportSystem final : public ros::OdeSystem {
     std::size_t row;     ///< interior unknown index
     double coefficient;  ///< stencil weight
     double bx, by;       ///< boundary node coordinates
+    double term = 0.0;   ///< coefficient * exact(bx, by, boundary_t_)
   };
 
   grid::Grid2D grid_;
@@ -84,6 +86,10 @@ class TransportSystem final : public ros::OdeSystem {
   SystemOptions options_;
   linalg::CsrMatrix jacobian_;
   std::vector<BoundaryCoupling> boundary_couplings_;
+  // Time of the stored boundary terms.  ROS2's stage 2 evaluates rhs at
+  // t + h and the next step's stage 1 at the same double, so each time level
+  // evaluates the Dirichlet data once.  NaN (set by assemble()) matches no t.
+  double boundary_t_ = std::numeric_limits<double>::quiet_NaN();
   std::vector<double> nodal_scratch_;  ///< work array for the limited scheme
 
   // Stage cache: the Jacobian is time-independent, so

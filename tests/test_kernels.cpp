@@ -6,6 +6,14 @@
 // this suite is the proof that the remaining loops compute the same bits.
 // A kernel change that moves one rounding anywhere fails here.
 //
+// Three banded solve hashes (`solution`, `rebuilt`, `refreshed`) were
+// re-recorded when the back sweep changed to farthest column first with a
+// multiply by the stored reciprocal pivot (DESIGN.md §9): the order takes
+// the sweep off its latency chain and moves round-off only.  The factors
+// did not change, so `factors` keeps its original hash.
+// BandedSweepsMatchTheirReferenceLoops ties the new hashes to that order,
+// written out as plain loops in this file.
+//
 // The hashes read IEEE-754 doubles in little-endian byte order.  Inputs are
 // built only from additions, comparisons and uniform(-1, 1), whose one
 // multiply is by 2 and therefore exact, so contraction to fused multiply-add
@@ -16,6 +24,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -163,7 +172,77 @@ TEST(GoldenBits, BandedFactorizeAndSolve) {
     }
   }
   EXPECT_GOLDEN(factors, 0xe77784468894d3c6ULL);
-  EXPECT_GOLDEN(solution, 0x46e85db6af5d87e2ULL);
+  EXPECT_GOLDEN(solution, 0xadfa30b8725c3fbfULL);
+}
+
+/// The banded solve spelled out as two plain loops on the factors: the
+/// forward sweep over ascending j, the back sweep over descending j (the
+/// value the row below has just produced enters last), then a multiply by
+/// the reciprocal pivot.  BandedFactorizeAndSolve and GridBandedLuOnAWideGrid
+/// pin the bits of exactly this order.
+Vec reference_solve(const BandedMatrix& lu, Vec x) {
+  const std::size_t n = lu.size(), hb = lu.half_bandwidth();
+  for (std::size_t i = 0; i < n; ++i) {
+    double s = x[i];
+    for (std::size_t j = (i > hb ? i - hb : 0); j < i; ++j) s -= lu.at(i, j) * x[j];
+    x[i] = s;
+  }
+  for (std::size_t ii = n; ii-- > 0;) {
+    double s = x[ii];
+    for (std::size_t j = std::min(n - 1, ii + hb); j > ii; --j) s -= lu.at(ii, j) * x[j];
+    x[ii] = s * (1.0 / lu.at(ii, ii));
+  }
+  return x;
+}
+
+bool same_bytes(const Vec& a, const Vec& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(GoldenBits, BandedSweepsMatchTheirReferenceLoops) {
+  Xoshiro256 rng(41);
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 9u, 17u, 41u, 101u}) {
+    // hb = n and n + 3 are bands wider than the matrix.
+    for (const std::size_t hb : {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{7}, n,
+                                 n + 3}) {
+      SCOPED_TRACE("n " + std::to_string(n) + ", hb " + std::to_string(hb));
+      BandedMatrix m(n, hb);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = (i > hb ? i - hb : 0); j < std::min(n, i + hb + 1); ++j) {
+          m.set(i, j, i == j ? 2.0 * static_cast<double>(hb) + 1.0 + rng.uniform01()
+                             : rng.uniform(-1.0, 1.0));
+        }
+      }
+      const Vec b = random_vec(n, rng);
+      m.factorize();
+      Vec x;
+      m.solve(b, x);
+      EXPECT_TRUE(same_bytes(x, reference_solve(m, b)));
+    }
+  }
+
+  // GridBandedLU on a wide grid: the same loops on the y-fastest band.
+  for (const auto& [nx, ny] : {std::pair<std::size_t, std::size_t>{31, 7}, {13, 5}}) {
+    const CsrMatrix a = random_five_point(nx, ny, rng);
+    const Vec b = random_vec(nx * ny, rng);
+    std::vector<std::size_t> order(nx * ny);
+    for (std::size_t j = 0; j < ny; ++j) {
+      for (std::size_t i = 0; i < nx; ++i) order[j * nx + i] = i * ny + j;
+    }
+    BandedMatrix band = BandedMatrix::from_csr(a, ny, order);
+    band.factorize();
+    Vec permuted(nx * ny);
+    for (std::size_t r = 0; r < nx * ny; ++r) permuted[order[r]] = b[r];
+    const Vec solved = reference_solve(band, permuted);
+    Vec expected(nx * ny);
+    for (std::size_t r = 0; r < nx * ny; ++r) expected[r] = solved[order[r]];
+
+    GridBandedLU lu = GridBandedLU::from_csr(a, nx, ny);
+    lu.factorize();
+    Vec x;
+    lu.solve(b, x);
+    EXPECT_TRUE(same_bytes(x, expected));
+  }
 }
 
 TEST(GoldenBits, GridBandedLuOnAWideGrid) {
@@ -188,8 +267,8 @@ TEST(GoldenBits, GridBandedLuOnAWideGrid) {
     stage.solve(b, x);
     refreshed.add(x);
   }
-  EXPECT_GOLDEN(rebuilt, 0xc8afbf80aef9d2faULL);
-  EXPECT_GOLDEN(refreshed, 0xcbbe58115ab09f6dULL);
+  EXPECT_GOLDEN(rebuilt, 0x41134c29d53a9322ULL);
+  EXPECT_GOLDEN(refreshed, 0x4d6cfe29974d2451ULL);
 }
 
 // Pins the ILU(0) apply.  The name is kept so the suite's test list stays

@@ -110,6 +110,25 @@ TEST(System, RhsIsAffineInU) {
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(f1[i] - f0[i], ju[i], 1e-12);
 }
 
+TEST(System, RhsReusesBoundaryTermsOnlyAtTheSameTime) {
+  // rhs keeps the Dirichlet terms of the last t.  The sequence repeats a t,
+  // returns to an older t and moves to a new one; every result must equal
+  // a fresh system's rhs at that t byte for byte.
+  const grid::Grid2D g(2, 2, 1);
+  TransportSystem system(g, TransportProblem{});
+  const std::size_t n = system.dimension();
+  ros::Vec u(n);
+  for (std::size_t i = 0; i < n; ++i) u[i] = 0.2 + 0.01 * static_cast<double>(i % 7);
+  for (const double t : {0.1, 0.2, 0.2, 0.1, 0.3, 0.3}) {
+    SCOPED_TRACE(t);
+    ros::Vec f, fresh;
+    system.rhs(t, u, f);
+    TransportSystem(g, TransportProblem{}).rhs(t, u, fresh);
+    ASSERT_EQ(f.size(), fresh.size());
+    EXPECT_EQ(std::memcmp(f.data(), fresh.data(), f.size() * sizeof(double)), 0);
+  }
+}
+
 TEST(System, RhsVanishesOnExactSteadyStencil) {
   // With the exact solution sampled at nodes, the discrete rhs approximates
   // u_t; for a fine grid it must be close to the analytic u_t.
