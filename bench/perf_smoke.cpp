@@ -2,13 +2,15 @@
 // cache paths (refresh / hit), runs subsolve per solver kind and level with
 // the metrics registry capturing the assemble/factor/solve decomposition,
 // and counts the warm-started Krylov iterations.  Each level L of the
-// subsolve table has the square G(2;L,L) and
-// the mirror pair G(2;L,0) / G(2;0,L); the banded solver factors along a
-// grid's short axis, so a mirror pair should cost the same per step (the
-// "mirror_pair" object compares the largest one; the two grids take
-// different step counts, so it compares seconds per accepted step).  Emits
-// one machine-readable report (see src/obs/report.hpp) so the hot-path
-// numbers in README/DESIGN are regenerable artifacts.
+// subsolve table has the square G(2;L,L) and the mirror pair G(2;L,0) /
+// G(2;0,L).  Every row is timed kRowRuns times: elapsed_seconds and the
+// stage split come from the median run, and elapsed_{min,max}_seconds give
+// the spread, so two entries can be told apart from host load.  The banded
+// solver factors along a grid's short axis, so a mirror pair should cost
+// the same per step (the "mirror_pair" object compares the largest one; the
+// two grids take different step counts, so it compares seconds per accepted
+// step).  Emits one machine-readable report (see src/obs/report.hpp) so the
+// hot-path numbers in README/DESIGN are regenerable artifacts.
 //
 // The default output path is BENCH_subsolve.json in the working directory;
 // the committed copy at the repo root is this tool's output on the dev
@@ -17,8 +19,10 @@
 // --label="$(git describe --always --dirty)" and a --timestamp so the entry
 // says which tree produced it.  Timings are wall-clock and machine-
 // dependent; the report is a smoke record, not a calibrated benchmark.
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench/bench_trajectory.hpp"
 #include "examples/cli.hpp"
@@ -32,6 +36,8 @@
 namespace {
 
 using namespace mg;
+
+constexpr int kRowRuns = 3;  ///< timed subsolves per row of the subsolve table
 
 double prepare_seconds(transport::TransportSystem& system, int reps, bool alternate) {
   const linalg::Vec u(system.dimension(), 0.5);
@@ -124,9 +130,21 @@ int main(int argc, char** argv) {
                                    grid::Grid2D(2, 0, l)}) {
         transport::SubsolveConfig config;
         config.system.solver = kind;
-        obs::registry().reset();
-        const auto r = transport::subsolve(g, config);
-        const auto snap = obs::registry().snapshot();
+        struct Run {
+          transport::SubsolveResult result;
+          obs::MetricsSnapshot snap;
+        };
+        std::vector<Run> runs;
+        for (int run = 0; run < kRowRuns; ++run) {
+          obs::registry().reset();
+          transport::SubsolveResult result = transport::subsolve(g, config);
+          runs.push_back({std::move(result), obs::registry().snapshot()});
+        }
+        std::sort(runs.begin(), runs.end(), [](const Run& a, const Run& b) {
+          return a.result.elapsed_seconds < b.result.elapsed_seconds;
+        });
+        const auto& r = runs[kRowRuns / 2].result;
+        const auto& snap = runs[kRowRuns / 2].snap;
         const double hit_rate = snap.counter_ratio(
             "linalg.stage_cache.hits",
             {"linalg.stage_cache.hits", "linalg.stage_cache.misses",
@@ -144,6 +162,8 @@ int main(int argc, char** argv) {
         report.derived().kv("grid", g.name());
         report.derived().kv("solver", to_string(kind));
         report.derived().kv("elapsed_seconds", r.elapsed_seconds);
+        report.derived().kv("elapsed_min_seconds", runs.front().result.elapsed_seconds);
+        report.derived().kv("elapsed_max_seconds", runs.back().result.elapsed_seconds);
         report.derived().kv("accepted_steps", r.stats.accepted);
         report.derived().kv("stage_preparations", r.stats.stage_preparations);
         report.derived().kv("assemble_seconds",

@@ -267,13 +267,7 @@ int main(int argc, char** argv) {
   // One fleet ledger across both substrates: the threads pool accounts in
   // the protocol stats, the tcp endpoint in its own counters.
   fleet::FleetCounters fleet = conc.protocol.fleet;
-  if (endpoint) {
-    const net::RemoteCounters nc = endpoint->counters();
-    fleet.joins += nc.fleet_joins;
-    fleet.leaves += nc.fleet_leaves;
-    fleet.crashes += nc.fleet_crashes;
-    fleet.duplicates += nc.fleet_duplicates;
-  }
+  if (endpoint) fleet += endpoint->counters().fleet();
   if (fleet.any()) {
     std::printf("fleet: %zu joins, %zu leaves, %zu crashes, %zu duplicates discarded\n",
                 fleet.joins, fleet.leaves, fleet.crashes, fleet.duplicates);

@@ -112,6 +112,34 @@ def check_net_report(path, where, report):
 MIRROR_KEYS = ("wide_seconds_per_step", "tall_seconds_per_step", "wide_over_tall")
 
 
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_subsolve_spread(path, where, rows):
+    """Each subsolve row times its grid several times: elapsed_seconds is the
+    median run, elapsed_min_seconds / elapsed_max_seconds the extremes.
+    Entries written before perf_smoke repeated its rows have neither key."""
+    if not isinstance(rows, list):
+        return 0
+    rc = 0
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            continue
+        if "elapsed_min_seconds" not in row and "elapsed_max_seconds" not in row:
+            continue
+        at = f"{where}.report.derived.subsolve[{i}]"
+        lo, mid, hi = (row.get(k) for k in
+                       ("elapsed_min_seconds", "elapsed_seconds", "elapsed_max_seconds"))
+        if not (is_number(lo) and is_number(mid) and is_number(hi)):
+            rc |= fail(path, f"{at}: elapsed_min_seconds, elapsed_seconds and "
+                             f"elapsed_max_seconds must all be numbers")
+        elif not lo <= mid <= hi:
+            rc |= fail(path, f"{at}: want elapsed_min_seconds <= elapsed_seconds <= "
+                             f"elapsed_max_seconds, got {lo} / {mid} / {hi}")
+    return rc
+
+
 def check_perf_smoke_report(path, where, report):
     """A perf_smoke mirror_pair object holds the banded-LU subsolve seconds
     per accepted step of G(2;L,0) and of its mirror G(2;0,L), and their
@@ -120,19 +148,19 @@ def check_perf_smoke_report(path, where, report):
     derived = report.get("derived")
     if not isinstance(derived, dict):
         return fail(path, f"{where}.report.derived must be an object")
+    rc = check_subsolve_spread(path, where, derived.get("subsolve"))
     pair = derived.get("mirror_pair")
     if pair is None:
-        return 0
+        return rc
     if not isinstance(pair, dict):
-        return fail(path, f"{where}.report.derived.mirror_pair must be an object")
-    rc = 0
+        return rc | fail(path, f"{where}.report.derived.mirror_pair must be an object")
     for key in ("wide_grid", "tall_grid"):
         if not isinstance(pair.get(key), str) or not pair.get(key):
             rc |= fail(path, f"{where}.report.derived.mirror_pair.{key} must be a "
                              f"non-empty string")
     for key in MIRROR_KEYS:
         value = pair.get(key)
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
+        if not is_number(value) or value <= 0:
             rc |= fail(path, f"{where}.report.derived.mirror_pair.{key} must be a "
                              f"positive number")
     return rc

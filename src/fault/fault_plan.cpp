@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "obs/json_writer.hpp"
 #include "support/rng.hpp"
 
 namespace mg::fault {
@@ -110,38 +109,16 @@ bool FaultPlan::truncates_transfer(std::uint64_t ordinal) const {
 }
 
 FaultCounters& FaultCounters::operator+=(const FaultCounters& other) {
-  crashes_injected += other.crashes_injected;
-  hangs_injected += other.hangs_injected;
-  corruptions_injected += other.corruptions_injected;
-  host_crashes_injected += other.host_crashes_injected;
-  net_drops_injected += other.net_drops_injected;
-  net_slowdowns_injected += other.net_slowdowns_injected;
-  crash_events += other.crash_events;
-  timeouts += other.timeouts;
-  retries += other.retries;
-  abandoned += other.abandoned;
+  obs::add_counters(*this, other, kFaultCounterRows);
   degraded = degraded || other.degraded;
   return *this;
 }
 
-bool FaultCounters::any() const {
-  return crashes_injected || hangs_injected || corruptions_injected || host_crashes_injected ||
-         net_drops_injected || net_slowdowns_injected || crash_events || timeouts || retries ||
-         abandoned || degraded;
-}
+bool FaultCounters::any() const { return degraded || obs::any_counter(*this, kFaultCounterRows); }
 
 void fault_counters_to_json(obs::JsonWriter& w, const FaultCounters& c) {
   w.begin_object();
-  w.kv("crashes_injected", static_cast<std::uint64_t>(c.crashes_injected));
-  w.kv("hangs_injected", static_cast<std::uint64_t>(c.hangs_injected));
-  w.kv("corruptions_injected", static_cast<std::uint64_t>(c.corruptions_injected));
-  w.kv("host_crashes_injected", static_cast<std::uint64_t>(c.host_crashes_injected));
-  w.kv("net_drops_injected", static_cast<std::uint64_t>(c.net_drops_injected));
-  w.kv("net_slowdowns_injected", static_cast<std::uint64_t>(c.net_slowdowns_injected));
-  w.kv("crash_events", static_cast<std::uint64_t>(c.crash_events));
-  w.kv("timeouts", static_cast<std::uint64_t>(c.timeouts));
-  w.kv("retries", static_cast<std::uint64_t>(c.retries));
-  w.kv("abandoned", static_cast<std::uint64_t>(c.abandoned));
+  obs::counters_json(w, c, kFaultCounterRows);
   w.kv("degraded", c.degraded);
   w.end_object();
 }

@@ -22,9 +22,7 @@
 #include <optional>
 #include <string>
 
-namespace mg::obs {
-class JsonWriter;
-}
+#include "obs/counter_ledger.hpp"
 
 namespace mg::fault {
 
@@ -148,6 +146,21 @@ struct FaultCounters {
 
   FaultCounters& operator+=(const FaultCounters& other);
   bool any() const;
+};
+
+/// One row per FaultCounters counter field: its JSON key.  `degraded` is a
+/// flag, not a counter, and has no row.
+inline constexpr obs::CounterRow<FaultCounters, std::size_t> kFaultCounterRows[] = {
+    {&FaultCounters::crashes_injected, nullptr, "crashes_injected"},
+    {&FaultCounters::hangs_injected, nullptr, "hangs_injected"},
+    {&FaultCounters::corruptions_injected, nullptr, "corruptions_injected"},
+    {&FaultCounters::host_crashes_injected, nullptr, "host_crashes_injected"},
+    {&FaultCounters::net_drops_injected, nullptr, "net_drops_injected"},
+    {&FaultCounters::net_slowdowns_injected, nullptr, "net_slowdowns_injected"},
+    {&FaultCounters::crash_events, nullptr, "crash_events"},
+    {&FaultCounters::timeouts, nullptr, "timeouts"},
+    {&FaultCounters::retries, nullptr, "retries"},
+    {&FaultCounters::abandoned, nullptr, "abandoned"},
 };
 
 /// Serialises the counters as one JSON object value (append after a key()).

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "obs/json_writer.hpp"
-#include "obs/metrics.hpp"
 #include "support/rng.hpp"
 
 namespace mg::fleet {
@@ -92,41 +90,20 @@ ChurnPlan::ChurnPlan(ChurnPlanConfig config) : config_(config) {
 }
 
 FleetCounters& FleetCounters::operator+=(const FleetCounters& other) {
-  joins += other.joins;
-  leaves += other.leaves;
-  crashes += other.crashes;
-  duplicates += other.duplicates;
+  obs::add_counters(*this, other, kFleetCounterRows);
   return *this;
 }
 
-bool FleetCounters::any() const {
-  return joins || leaves || crashes || duplicates;
-}
+bool FleetCounters::any() const { return obs::any_counter(*this, kFleetCounterRows); }
 
 void fleet_counters_to_json(obs::JsonWriter& w, const FleetCounters& c) {
   w.begin_object();
-  w.kv("joins", static_cast<std::uint64_t>(c.joins));
-  w.kv("leaves", static_cast<std::uint64_t>(c.leaves));
-  w.kv("crashes", static_cast<std::uint64_t>(c.crashes));
-  w.kv("duplicates", static_cast<std::uint64_t>(c.duplicates));
+  obs::counters_json(w, c, kFleetCounterRows);
   w.end_object();
 }
 
 void add_fleet_metrics(const FleetCounters& c) {
-  struct FleetMetrics {
-    obs::Counter& joins;
-    obs::Counter& leaves;
-    obs::Counter& crashes;
-    obs::Counter& duplicates;
-  };
-  static FleetMetrics m{
-      obs::registry().counter("fleet.joins"),   obs::registry().counter("fleet.leaves"),
-      obs::registry().counter("fleet.crashes"), obs::registry().counter("fleet.duplicates"),
-  };
-  if (c.joins) m.joins.add(c.joins);
-  if (c.leaves) m.leaves.add(c.leaves);
-  if (c.crashes) m.crashes.add(c.crashes);
-  if (c.duplicates) m.duplicates.add(c.duplicates);
+  for (const auto& row : kFleetCounterRows) obs::registry().counter(row.mirror).add(c.*row.field);
 }
 
 }  // namespace mg::fleet

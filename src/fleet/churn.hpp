@@ -25,9 +25,7 @@
 #include <string>
 #include <vector>
 
-namespace mg::obs {
-class JsonWriter;
-}
+#include "obs/counter_ledger.hpp"
 
 namespace mg::fleet {
 
@@ -96,12 +94,23 @@ struct FleetCounters {
   bool any() const;
 };
 
+/// One row per FleetCounters field: registry mirror, JSON key (the fleet
+/// object and the StatsReport), Prometheus family and HELP text.
+inline constexpr obs::CounterRow<FleetCounters, std::size_t> kFleetCounterRows[] = {
+    {&FleetCounters::joins, "fleet.joins", "joins", "svc_fleet_joins",
+     "Workers/lanes that joined the fleet."},
+    {&FleetCounters::leaves, "fleet.leaves", "leaves", "svc_fleet_leaves",
+     "Graceful fleet departures."},
+    {&FleetCounters::crashes, "fleet.crashes", "crashes", "svc_fleet_crashes",
+     "Abrupt fleet deaths handled."},
+    {&FleetCounters::duplicates, "fleet.duplicates", "duplicates", "svc_fleet_duplicates",
+     "Late or repeated Results dropped by retired-seq dedup."},
+};
+
 /// Serialises the counters as one JSON object value (append after a key()).
 void fleet_counters_to_json(obs::JsonWriter& w, const FleetCounters& c);
 
-/// Mirrors the counters into the process-global obs registry as
-/// fleet.joins / fleet.leaves / fleet.crashes / fleet.duplicates
-/// (monotonic adds).
+/// Adds the counters to their process-global registry mirrors (fleet.*).
 void add_fleet_metrics(const FleetCounters& c);
 
 }  // namespace mg::fleet

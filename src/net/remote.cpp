@@ -29,26 +29,9 @@ std::uint64_t get_u64(const std::uint8_t* p) {
   return v;
 }
 
-// Global obs mirrors; endpoint-local atomics (CounterCells) keep per-endpoint
-// views for tests that run several endpoints in one process.
+// The endpoint's histograms and gauge; its counters are the ledger's rows
+// (kRemoteCounterRows).
 struct NetMetrics {
-  obs::Counter& accepts;
-  obs::Counter& reconnects;
-  obs::Counter& disconnects;
-  obs::Counter& frames_sent;
-  obs::Counter& frames_received;
-  obs::Counter& bytes_sent;
-  obs::Counter& bytes_received;
-  obs::Counter& crc_errors;
-  obs::Counter& round_trips_ok;
-  obs::Counter& round_trips_failed;
-  obs::Counter& faults_dropped;
-  obs::Counter& faults_delayed;
-  obs::Counter& faults_truncated;
-  obs::Counter& telemetry_batches;
-  obs::Counter& telemetry_spans;
-  obs::Counter& telemetry_rejected;
-  obs::Counter& dispatch_stall_micros;
   obs::Gauge& clock_offset_seconds;
   obs::Histogram& round_trip_seconds;
   obs::Histogram& dispatch_stall_seconds;
@@ -56,23 +39,6 @@ struct NetMetrics {
 
 NetMetrics& net_metrics() {
   static NetMetrics m{
-      obs::registry().counter("net.accepts"),
-      obs::registry().counter("net.reconnects"),
-      obs::registry().counter("net.disconnects"),
-      obs::registry().counter("net.frames_sent"),
-      obs::registry().counter("net.frames_received"),
-      obs::registry().counter("net.bytes_sent"),
-      obs::registry().counter("net.bytes_received"),
-      obs::registry().counter("net.crc_errors"),
-      obs::registry().counter("net.round_trips_ok"),
-      obs::registry().counter("net.round_trips_failed"),
-      obs::registry().counter("net.faults_dropped"),
-      obs::registry().counter("net.faults_delayed"),
-      obs::registry().counter("net.faults_truncated"),
-      obs::registry().counter("net.telemetry_batches"),
-      obs::registry().counter("net.telemetry_spans"),
-      obs::registry().counter("net.telemetry_rejected"),
-      obs::registry().counter("net.dispatch_stall_micros"),
       obs::registry().gauge("net.clock_offset_seconds"),
       obs::registry().histogram("net.round_trip_seconds", obs::default_latency_buckets()),
       obs::registry().histogram("net.dispatch_stall_seconds", obs::default_latency_buckets()),
@@ -80,53 +46,7 @@ NetMetrics& net_metrics() {
   return m;
 }
 
-// Fleet obs mirrors — same fleet.* names every substrate writes, so the
-// merged view of a run sums threads, sim, and TCP contributions.
-struct FleetNetMetrics {
-  obs::Counter& joins;
-  obs::Counter& leaves;
-  obs::Counter& crashes;
-  obs::Counter& duplicates;
-};
-
-FleetNetMetrics& fleet_net_metrics() {
-  static FleetNetMetrics m{
-      obs::registry().counter("fleet.joins"),   obs::registry().counter("fleet.leaves"),
-      obs::registry().counter("fleet.crashes"), obs::registry().counter("fleet.duplicates"),
-  };
-  return m;
-}
-
 }  // namespace
-
-struct RemoteEndpoint::CounterCells {
-  std::atomic<std::uint64_t> accepts{0};
-  std::atomic<std::uint64_t> reconnects{0};
-  std::atomic<std::uint64_t> disconnects{0};
-  std::atomic<std::uint64_t> frames_sent{0};
-  std::atomic<std::uint64_t> frames_received{0};
-  std::atomic<std::uint64_t> bytes_sent{0};
-  std::atomic<std::uint64_t> bytes_received{0};
-  std::atomic<std::uint64_t> crc_errors{0};
-  std::atomic<std::uint64_t> round_trips_ok{0};
-  std::atomic<std::uint64_t> round_trips_failed{0};
-  std::atomic<std::uint64_t> faults_dropped{0};
-  std::atomic<std::uint64_t> faults_delayed{0};
-  std::atomic<std::uint64_t> faults_truncated{0};
-  std::atomic<std::uint64_t> telemetry_batches{0};
-  std::atomic<std::uint64_t> telemetry_spans{0};
-  std::atomic<std::uint64_t> telemetry_rejected{0};
-  std::atomic<std::uint64_t> dispatch_stall_micros{0};
-  std::atomic<std::uint64_t> fleet_joins{0};
-  std::atomic<std::uint64_t> fleet_leaves{0};
-  std::atomic<std::uint64_t> fleet_crashes{0};
-  std::atomic<std::uint64_t> fleet_duplicates{0};
-
-  void bump(std::atomic<std::uint64_t>& cell, obs::Counter& mirror, std::uint64_t n = 1) {
-    cell.fetch_add(n, std::memory_order_relaxed);
-    mirror.add(n);
-  }
-};
 
 struct RemoteEndpoint::Trip {
   std::vector<std::uint8_t> work;
@@ -166,10 +86,9 @@ struct RemoteEndpoint::Channel {
 };
 
 RemoteEndpoint::RemoteEndpoint(TcpListener listener, RemoteEndpointConfig config)
-    : config_(config),
-      listener_(std::move(listener)),
-      counters_(std::make_unique<CounterCells>()) {
+    : config_(config), listener_(std::move(listener)) {
   MG_REQUIRE(listener_.valid());
+  net_metrics();  // reports list the gauge and histograms from the first endpoint on
   port_ = listener_.port();
   config_.pipeline_depth = std::clamp<std::size_t>(config_.pipeline_depth, 1, 64);
   static std::atomic<std::uint64_t> endpoint_ordinal{0};
@@ -207,12 +126,12 @@ void RemoteEndpoint::on_channel_io(std::uint64_t id, short revents) {
   if (it == channels_.end()) return;
   Channel& ch = *it->second;
   const FramedChannel::Served served = ch.link.serve(revents, [this, &ch, id](Frame frame) {
-    counters_->bump(counters_->frames_received, net_metrics().frames_received);
+    counters_.bump(&RemoteCounters::frames_received);
     handle_frame(ch, std::move(frame));
     return channels_.count(id) != 0;  // false: the handler closed the channel
   });
-  counters_->bump(counters_->bytes_received, net_metrics().bytes_received, served.bytes_read);
-  if (served.corrupt) counters_->bump(counters_->crc_errors, net_metrics().crc_errors);
+  counters_.bump(&RemoteCounters::bytes_received, served.bytes_read);
+  if (served.corrupt) counters_.bump(&RemoteCounters::crc_errors);
   if (served.close_reason) close_channel(id, *served.close_reason);
 }
 
@@ -233,9 +152,9 @@ void RemoteEndpoint::handle_frame(Channel& ch, Frame frame) {
       double sample = 0.0;
       std::memcpy(&sample, &bits, sizeof sample);
       ch.offset.seed(obs::wall_clock_seconds(), sample);
-      counters_->bump(counters_->accepts, net_metrics().accepts);
-      if (attempt > 0) counters_->bump(counters_->reconnects, net_metrics().reconnects);
-      counters_->bump(counters_->fleet_joins, fleet_net_metrics().joins);
+      counters_.bump(&RemoteCounters::accepts);
+      if (attempt > 0) counters_.bump(&RemoteCounters::reconnects);
+      counters_.bump(&RemoteCounters::fleet_joins);
       connected_.fetch_add(1, std::memory_order_acq_rel);
       {
         std::lock_guard<std::mutex> lk(workers_mutex_);
@@ -251,7 +170,7 @@ void RemoteEndpoint::handle_frame(Channel& ch, Frame frame) {
         if (seq_retired(frame.header.seq)) {
           // Late echo of a lease that already ended (cancelled, or answered
           // twice), not a protocol violation.
-          counters_->bump(counters_->fleet_duplicates, fleet_net_metrics().duplicates);
+          counters_.bump(&RemoteCounters::fleet_duplicates);
           return;
         }
         close_channel(ch.id, std::string("protocol violation: unexpected ") +
@@ -303,11 +222,10 @@ void RemoteEndpoint::handle_frame(Channel& ch, Frame frame) {
           obs::merge_telemetry_batch(batch, ch.offset, ch.track,
                                      trip->context.master_send_seconds, t3,
                                      obs::registry(), obs::tracer());
-          counters_->bump(counters_->telemetry_batches, net_metrics().telemetry_batches);
-          counters_->bump(counters_->telemetry_spans, net_metrics().telemetry_spans,
-                          batch.spans.size());
+          counters_.bump(&RemoteCounters::telemetry_batches);
+          counters_.bump(&RemoteCounters::telemetry_spans, batch.spans.size());
         } catch (const support::DecodeError&) {
-          counters_->bump(counters_->telemetry_rejected, net_metrics().telemetry_rejected);
+          counters_.bump(&RemoteCounters::telemetry_rejected);
         }
       }
       complete_trip(trip, std::move(env.result));
@@ -338,7 +256,7 @@ void RemoteEndpoint::close_channel(std::uint64_t id, const std::string& reason) 
     }
     workers_cv_.notify_all();
   }
-  counters_->bump(counters_->disconnects, net_metrics().disconnects);
+  counters_.bump(&RemoteCounters::disconnects);
   // The endpoint never re-sends: every lease on a dead channel fails back to
   // its caller, whose own retry owns the unit from here.
   for (auto& [seq, trip] : ch.in_flight) fail_trip(trip, "channel closed: " + reason);
@@ -378,7 +296,7 @@ void RemoteEndpoint::dispatch(Channel& ch, std::shared_ptr<Trip> trip) {
   const auto stall = std::chrono::duration_cast<std::chrono::microseconds>(
       std::chrono::steady_clock::now() - trip->queued_at);
   const std::uint64_t micros = stall.count() > 0 ? static_cast<std::uint64_t>(stall.count()) : 0;
-  counters_->bump(counters_->dispatch_stall_micros, net_metrics().dispatch_stall_micros, micros);
+  counters_.bump(&RemoteCounters::dispatch_stall_micros, micros);
   net_metrics().dispatch_stall_seconds.observe(static_cast<double>(micros) * 1e-6);
   const std::uint64_t ordinal = transfer_ordinal_++;
   std::vector<std::uint8_t> payload;
@@ -400,14 +318,14 @@ void RemoteEndpoint::dispatch(Channel& ch, std::shared_ptr<Trip> trip) {
     if (plan->drops_transfer(ordinal)) {
       // Vanish the frame: the trip rides to its deadline, which closes the
       // channel — exactly what a blackholed packet looks like from above.
-      counters_->bump(counters_->faults_dropped, net_metrics().faults_dropped);
+      counters_.bump(&RemoteCounters::faults_dropped);
       return;
     }
     if (plan->truncates_transfer(ordinal)) {
       // Send a prefix and cut the connection: the worker's decoder sees a
       // short stream, the trip fails fast, the worker reconnects.  Rare
       // path, so materialising the contiguous frame to halve it is fine.
-      counters_->bump(counters_->faults_truncated, net_metrics().faults_truncated);
+      counters_.bump(&RemoteCounters::faults_truncated);
       std::vector<std::uint8_t> bytes = std::move(header);
       bytes.insert(bytes.end(), payload.begin(), payload.end());
       std::vector<std::uint8_t> prefix(bytes.begin(),
@@ -420,7 +338,7 @@ void RemoteEndpoint::dispatch(Channel& ch, std::shared_ptr<Trip> trip) {
       return;
     }
     if (plan->transfer_slowdown(ordinal) > 1.0) {
-      counters_->bump(counters_->faults_delayed, net_metrics().faults_delayed);
+      counters_.bump(&RemoteCounters::faults_delayed);
       const std::uint64_t channel_id = ch.id;
       loop_.post_after(plan->config().net_delay,
                        [this, channel_id, seq, trip, header = std::move(header),
@@ -450,9 +368,8 @@ void RemoteEndpoint::dispatch(Channel& ch, std::shared_ptr<Trip> trip) {
 
 void RemoteEndpoint::enqueue_frame(Channel& ch, std::vector<std::uint8_t> header,
                                    std::vector<std::uint8_t> payload) {
-  counters_->bump(counters_->frames_sent, net_metrics().frames_sent);
-  counters_->bump(counters_->bytes_sent, net_metrics().bytes_sent,
-                  header.size() + payload.size());
+  counters_.bump(&RemoteCounters::frames_sent);
+  counters_.bump(&RemoteCounters::bytes_sent, header.size() + payload.size());
   ch.link.send(std::move(header), std::move(payload));
 }
 
@@ -576,11 +493,11 @@ RemoteEndpoint::RoundTrip RemoteEndpoint::round_trip(std::vector<std::uint8_t> w
   RoundTrip result = std::move(trip->result);
   lk.unlock();
   if (result.ok) {
-    counters_->bump(counters_->round_trips_ok, net_metrics().round_trips_ok);
+    counters_.bump(&RemoteCounters::round_trips_ok);
     net_metrics().round_trip_seconds.observe(
         std::chrono::duration<double>(clock::now() - start).count());
   } else {
-    counters_->bump(counters_->round_trips_failed, net_metrics().round_trips_failed);
+    counters_.bump(&RemoteCounters::round_trips_failed);
   }
   return result;
 }
@@ -605,32 +522,6 @@ void RemoteEndpoint::shutdown() {
   workers_cv_.notify_all();
 }
 
-RemoteCounters RemoteEndpoint::counters() const {
-  RemoteCounters c;
-  c.accepts = counters_->accepts.load(std::memory_order_relaxed);
-  c.reconnects = counters_->reconnects.load(std::memory_order_relaxed);
-  c.disconnects = counters_->disconnects.load(std::memory_order_relaxed);
-  c.frames_sent = counters_->frames_sent.load(std::memory_order_relaxed);
-  c.frames_received = counters_->frames_received.load(std::memory_order_relaxed);
-  c.bytes_sent = counters_->bytes_sent.load(std::memory_order_relaxed);
-  c.bytes_received = counters_->bytes_received.load(std::memory_order_relaxed);
-  c.crc_errors = counters_->crc_errors.load(std::memory_order_relaxed);
-  c.round_trips_ok = counters_->round_trips_ok.load(std::memory_order_relaxed);
-  c.round_trips_failed = counters_->round_trips_failed.load(std::memory_order_relaxed);
-  c.faults_dropped = counters_->faults_dropped.load(std::memory_order_relaxed);
-  c.faults_delayed = counters_->faults_delayed.load(std::memory_order_relaxed);
-  c.faults_truncated = counters_->faults_truncated.load(std::memory_order_relaxed);
-  c.telemetry_batches = counters_->telemetry_batches.load(std::memory_order_relaxed);
-  c.telemetry_spans = counters_->telemetry_spans.load(std::memory_order_relaxed);
-  c.telemetry_rejected = counters_->telemetry_rejected.load(std::memory_order_relaxed);
-  c.dispatch_stall_micros = counters_->dispatch_stall_micros.load(std::memory_order_relaxed);
-  c.fleet_joins = counters_->fleet_joins.load(std::memory_order_relaxed);
-  c.fleet_leaves = counters_->fleet_leaves.load(std::memory_order_relaxed);
-  c.fleet_crashes = counters_->fleet_crashes.load(std::memory_order_relaxed);
-  c.fleet_duplicates = counters_->fleet_duplicates.load(std::memory_order_relaxed);
-  return c;
-}
-
 void RemoteEndpoint::disrupt(bool graceful) {
   loop_.post([this, graceful] {
     if (down_.load(std::memory_order_acquire)) return;
@@ -643,9 +534,9 @@ void RemoteEndpoint::disrupt(bool graceful) {
     }
     if (busiest == nullptr) return;
     if (graceful) {
-      counters_->bump(counters_->fleet_leaves, fleet_net_metrics().leaves);
+      counters_.bump(&RemoteCounters::fleet_leaves);
     } else {
-      counters_->bump(counters_->fleet_crashes, fleet_net_metrics().crashes);
+      counters_.bump(&RemoteCounters::fleet_crashes);
     }
     close_channel(busiest->id, graceful ? "churn: worker left" : "churn: worker crashed");
   });

@@ -40,6 +40,7 @@
 #include "net/event_loop.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
+#include "obs/counter_ledger.hpp"
 
 namespace mg::net {
 
@@ -61,7 +62,7 @@ struct RemoteEndpointConfig {
 };
 
 /// Point-in-time copy of the endpoint's counters (also mirrored into the
-/// global obs registry under net.*).
+/// global obs registry under net.* and fleet.*; see kRemoteCounterRows).
 struct RemoteCounters {
   std::uint64_t accepts = 0;          ///< handshakes completed
   std::uint64_t reconnects = 0;       ///< handshakes with connect attempt > 0
@@ -87,6 +88,36 @@ struct RemoteCounters {
   std::uint64_t fleet_leaves = 0;      ///< graceful departures (disrupt)
   std::uint64_t fleet_crashes = 0;     ///< abrupt departures (disrupt)
   std::uint64_t fleet_duplicates = 0;  ///< late replies for retired seqs, dropped
+
+  /// The fleet_* fields as the one fleet ledger every substrate fills.
+  fleet::FleetCounters fleet() const {
+    return {fleet_joins, fleet_leaves, fleet_crashes, fleet_duplicates};
+  }
+};
+
+/// One row per RemoteCounters field: its registry mirror.
+inline constexpr obs::CounterRow<RemoteCounters> kRemoteCounterRows[] = {
+    {&RemoteCounters::accepts, "net.accepts"},
+    {&RemoteCounters::reconnects, "net.reconnects"},
+    {&RemoteCounters::disconnects, "net.disconnects"},
+    {&RemoteCounters::frames_sent, "net.frames_sent"},
+    {&RemoteCounters::frames_received, "net.frames_received"},
+    {&RemoteCounters::bytes_sent, "net.bytes_sent"},
+    {&RemoteCounters::bytes_received, "net.bytes_received"},
+    {&RemoteCounters::crc_errors, "net.crc_errors"},
+    {&RemoteCounters::round_trips_ok, "net.round_trips_ok"},
+    {&RemoteCounters::round_trips_failed, "net.round_trips_failed"},
+    {&RemoteCounters::faults_dropped, "net.faults_dropped"},
+    {&RemoteCounters::faults_delayed, "net.faults_delayed"},
+    {&RemoteCounters::faults_truncated, "net.faults_truncated"},
+    {&RemoteCounters::telemetry_batches, "net.telemetry_batches"},
+    {&RemoteCounters::telemetry_spans, "net.telemetry_spans"},
+    {&RemoteCounters::telemetry_rejected, "net.telemetry_rejected"},
+    {&RemoteCounters::dispatch_stall_micros, "net.dispatch_stall_micros"},
+    {&RemoteCounters::fleet_joins, "fleet.joins"},
+    {&RemoteCounters::fleet_leaves, "fleet.leaves"},
+    {&RemoteCounters::fleet_crashes, "fleet.crashes"},
+    {&RemoteCounters::fleet_duplicates, "fleet.duplicates"},
 };
 
 class RemoteEndpoint {
@@ -136,7 +167,7 @@ class RemoteEndpoint {
   /// Idempotent; also run by the destructor.
   void shutdown();
 
-  RemoteCounters counters() const;
+  RemoteCounters counters() const { return counters_.snapshot(); }
 
   /// The clamped per-channel window this endpoint was built with.
   std::size_t pipeline_depth() const { return config_.pipeline_depth; }
@@ -187,9 +218,7 @@ class RemoteEndpoint {
   std::atomic<bool> down_{false};
   mutable std::mutex workers_mutex_;
   std::condition_variable workers_cv_;
-
-  struct CounterCells;  // endpoint-local atomics + obs registry mirrors
-  std::unique_ptr<CounterCells> counters_;
+  obs::CounterLedger<kRemoteCounterRows> counters_;
 };
 
 /// Computes a worker's reply to one work payload.  Runs on the worker

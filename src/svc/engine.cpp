@@ -27,35 +27,16 @@ double seconds_between(steady::time_point a, steady::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
-// Fleet-wide obs mirrors (svc.*).  Per-job numbers live in each job's own
+// Fleet-wide latency histograms (svc.*); the engine's counters are the
+// ledger's rows (kEngineCounterRows).  Per-job numbers live in each job's own
 // registry, so one tenant's view never contains another tenant's traffic.
 struct SvcMetrics {
-  obs::Counter& jobs_submitted;
-  obs::Counter& jobs_accepted;
-  obs::Counter& jobs_rejected;
-  obs::Counter& jobs_completed;
-  obs::Counter& jobs_failed;
-  obs::Counter& jobs_cancelled;
-  obs::Counter& tasks_executed;
-  obs::Counter& task_retries;
-  obs::Counter& faults_injected;
-  obs::Counter& remote_fallbacks;
   obs::Histogram& task_seconds;
   obs::Histogram& job_seconds;
 };
 
 SvcMetrics& svc_metrics() {
   static SvcMetrics m{
-      obs::registry().counter("svc.jobs_submitted"),
-      obs::registry().counter("svc.jobs_accepted"),
-      obs::registry().counter("svc.jobs_rejected"),
-      obs::registry().counter("svc.jobs_completed"),
-      obs::registry().counter("svc.jobs_failed"),
-      obs::registry().counter("svc.jobs_cancelled"),
-      obs::registry().counter("svc.tasks_executed"),
-      obs::registry().counter("svc.task_retries"),
-      obs::registry().counter("svc.faults_injected"),
-      obs::registry().counter("svc.remote_fallbacks"),
       obs::registry().histogram("svc.task_seconds", obs::default_latency_buckets()),
       obs::registry().histogram("svc.job_seconds", obs::default_latency_buckets()),
   };
@@ -96,7 +77,6 @@ struct SolveEngine::Job {
   std::string error;
   std::optional<grid::Field> combined;
   std::string report_json;
-  bool delivered = false;  ///< result() handed out and freed the payload
   steady::time_point submitted_at{};
   steady::time_point started_at{};
   bool started = false;
@@ -124,11 +104,8 @@ SolveEngine::SolveEngine(EngineConfig config)
 SolveEngine::~SolveEngine() { shutdown(); }
 
 JobTicket SolveEngine::submit(const JobSpec& spec) {
-  svc_metrics().jobs_submitted.add();
-  {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.submitted;
-  }
+  svc_metrics();  // GetStats reads the latency histograms from the first submit on
+  counters_.bump(&EngineCounters::submitted);
 
   JobTicket ticket;
   // Validation first: a malformed spec is a rejection, never an exception
@@ -151,9 +128,7 @@ JobTicket SolveEngine::submit(const JobSpec& spec) {
   }
   if (!why.empty()) {
     ticket.reason = "invalid spec: " + why;
-    svc_metrics().jobs_rejected.add();
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.rejected;
+    counters_.bump(&EngineCounters::rejected);
     return ticket;
   }
 
@@ -162,9 +137,7 @@ JobTicket SolveEngine::submit(const JobSpec& spec) {
     std::lock_guard<std::mutex> lock(jobs_mutex_);
     if (down_) {
       ticket.reason = "server is shutting down";
-      svc_metrics().jobs_rejected.add();
-      std::lock_guard<std::mutex> clock(counters_mutex_);
-      ++counters_.rejected;
+      counters_.bump(&EngineCounters::rejected);
       return ticket;
     }
     job->id = next_job_id_++;
@@ -205,19 +178,13 @@ JobTicket SolveEngine::submit(const JobSpec& spec) {
       jobs_.erase(job->id);
     }
     ticket.reason = reason;
-    svc_metrics().jobs_rejected.add();
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.rejected;
+    counters_.bump(&EngineCounters::rejected);
     return ticket;
   }
 
   ticket.accepted = true;
   ticket.job_id = job->id;
-  svc_metrics().jobs_accepted.add();
-  {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.accepted;
-  }
+  counters_.bump(&EngineCounters::accepted);
   return ticket;
 }
 
@@ -290,9 +257,7 @@ void SolveEngine::execute_task(Job& job, const TaskRef& task) {
       if (!wait) break;
       std::this_thread::sleep_for(*wait);
       job.metrics.counter("job.retries").add();
-      svc_metrics().task_retries.add();
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.task_retries;
+      counters_.bump(&EngineCounters::task_retries);
     }
 
     // Job-scoped injected fault for this attempt ordinal?
@@ -311,11 +276,7 @@ void SolveEngine::execute_task(Job& job, const TaskRef& task) {
           ++job.faults.crash_events;
         }
         job.metrics.counter("job.faults_injected").add();
-        svc_metrics().faults_injected.add();
-        {
-          std::lock_guard<std::mutex> lock(counters_mutex_);
-          ++counters_.faults_injected;
-        }
+        counters_.bump(&EngineCounters::faults_injected);
         if (f == fault::WorkerFault::Hang) {
           // A hung attempt parks its lane until the task deadline would
           // fire; bounded so a hostile spec cannot wedge the fleet.
@@ -361,22 +322,14 @@ void SolveEngine::execute_task(Job& job, const TaskRef& task) {
     // never to a wrong answer or a hang.
     result = mw::execute_work_item(item);
     job.metrics.counter("job.local_fallbacks").add();
-    svc_metrics().remote_fallbacks.add();
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.remote_fallbacks;
-    }
+    counters_.bump(&EngineCounters::remote_fallbacks);
   }
 
   const double task_seconds = task_watch.elapsed_seconds();
   job_task_seconds.observe(task_seconds);
   svc_metrics().task_seconds.observe(task_seconds);
-  svc_metrics().tasks_executed.add();
+  counters_.bump(&EngineCounters::tasks_executed);
   job.metrics.counter("job.tasks_executed").add();
-  {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.tasks_executed;
-  }
 
   MG_ASSERT(result->index == task.term_index);
   grid::Field field(job.terms[task.term_index].grid);
@@ -501,16 +454,10 @@ void SolveEngine::finalize(Job& job) {
   scheduler_.release_slot(job.id);
   svc_metrics().job_seconds.observe(job.run_seconds);
   switch (final_state) {
-    case JobState::Done: svc_metrics().jobs_completed.add(); break;
-    case JobState::Failed: svc_metrics().jobs_failed.add(); break;
-    case JobState::Cancelled: svc_metrics().jobs_cancelled.add(); break;
+    case JobState::Done: counters_.bump(&EngineCounters::completed); break;
+    case JobState::Failed: counters_.bump(&EngineCounters::failed); break;
+    case JobState::Cancelled: counters_.bump(&EngineCounters::cancelled); break;
     default: break;
-  }
-  {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    if (final_state == JobState::Done) ++counters_.completed;
-    if (final_state == JobState::Failed) ++counters_.failed;
-    if (final_state == JobState::Cancelled) ++counters_.cancelled;
   }
   {
     std::lock_guard<std::mutex> lock(jobs_mutex_);
@@ -549,7 +496,11 @@ JobStatusInfo SolveEngine::status(std::uint64_t id) const {
   {
     std::lock_guard<std::mutex> lock(jobs_mutex_);
     const auto it = jobs_.find(id);
-    if (it != jobs_.end()) job = it->second;
+    if (it != jobs_.end()) {
+      job = it->second;
+    } else if (const auto done = delivered_.find(id); done != delivered_.end()) {
+      return done->second.status;
+    }
   }
   if (!job) return info;
   std::lock_guard<std::mutex> lock(job->m);
@@ -575,14 +526,20 @@ std::vector<JobStatusInfo> SolveEngine::active_statuses() const {
 JobResultData SolveEngine::result(std::uint64_t id) {
   JobResultData data;
   data.job_id = id;
-  std::shared_ptr<Job> job;
-  {
-    std::lock_guard<std::mutex> lock(jobs_mutex_);
-    const auto it = jobs_.find(id);
-    if (it != jobs_.end()) job = it->second;
+  std::lock_guard<std::mutex> lock(jobs_mutex_);
+  if (const auto done = delivered_.find(id); done != delivered_.end()) {
+    data.known = true;
+    data.ready = true;
+    data.state = done->second.status.state;
+    data.root = done->second.root;
+    data.level = done->second.level;
+    data.error = "result of job " + std::to_string(id) + " already delivered";
+    return data;
   }
-  if (!job) return data;
-  std::lock_guard<std::mutex> lock(job->m);
+  const auto it = jobs_.find(id);
+  if (it == jobs_.end()) return data;
+  const std::shared_ptr<Job> job = it->second;
+  std::lock_guard<std::mutex> job_lock(job->m);
   data.known = true;
   data.state = job->state;
   data.root = job->program.root;
@@ -590,20 +547,14 @@ JobResultData SolveEngine::result(std::uint64_t id) {
   data.error = job->error;
   if (!is_terminal(job->state)) return data;
   data.ready = true;
-  if (job->delivered) {
-    data.error = "result of job " + std::to_string(id) + " already delivered";
-    return data;
-  }
-  // No lane touches a terminal job's payload again, so it goes out by move
-  // and the record keeps only what status() reads.
+  // No lane touches a terminal job's payload again, so it goes out by move,
+  // and the job gives way to the status record that status() reads.
   data.report_json = std::move(job->report_json);
   if (job->state == JobState::Done && job->combined.has_value()) {
     data.combined_nodes = std::move(job->combined->data());
   }
-  job->delivered = true;
-  job->combined.reset();
-  std::vector<std::optional<grid::Field>>().swap(job->solutions);
-  std::vector<transport::GridRunRecord>().swap(job->records);
+  delivered_.emplace(id, Delivered{status_locked(*job), data.root, data.level});
+  jobs_.erase(it);
   return data;
 }
 
@@ -647,28 +598,13 @@ std::size_t SolveEngine::terminal_jobs() const {
   return terminal_jobs_;
 }
 
-EngineCounters SolveEngine::counters() const {
-  std::lock_guard<std::mutex> lock(counters_mutex_);
-  return counters_;
-}
-
 SchedulerCounters SolveEngine::scheduler_counters() const { return scheduler_.counters(); }
 
 fleet::FleetCounters SolveEngine::fleet_counters() const {
-  fleet::FleetCounters out;
-  {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    out = fleet_;
-  }
+  fleet::FleetCounters out = fleet_.snapshot();
   // Fold in the TCP substrate's churn ledger so one probe answers for the
   // whole fleet, lanes and channels alike.
-  if (config_.remote != nullptr) {
-    const net::RemoteCounters rc = config_.remote->counters();
-    out.joins += rc.fleet_joins;
-    out.leaves += rc.fleet_leaves;
-    out.crashes += rc.fleet_crashes;
-    out.duplicates += rc.fleet_duplicates;
-  }
+  if (config_.remote != nullptr) out += config_.remote->counters().fleet();
   return out;
 }
 
@@ -677,27 +613,21 @@ std::size_t SolveEngine::resize(std::size_t lanes) {
   std::lock_guard<std::mutex> lock(jobs_mutex_);
   const std::size_t cur = lane_target_.load(std::memory_order_relaxed);
   if (down_ || lanes == cur) return cur;
-  fleet::FleetCounters delta;
   if (lanes > cur) {
     const std::size_t added = lanes - cur;
     for (std::size_t i = 0; i < added; ++i) {
       const std::size_t index = lanes_.size();
       lanes_.emplace_back([this, index] { lane_main(index); });
     }
-    delta.joins = added;
+    fleet_.bump(&fleet::FleetCounters::joins, added);
     support::log_info("svc: fleet grew ", cur, " -> ", lanes, " lanes");
   } else {
     const std::size_t removed = cur - lanes;
     scheduler_.retire_lanes(removed);
-    delta.leaves = removed;
+    fleet_.bump(&fleet::FleetCounters::leaves, removed);
     support::log_info("svc: fleet shrinking ", cur, " -> ", lanes, " lanes");
   }
   lane_target_.store(lanes, std::memory_order_relaxed);
-  fleet::add_fleet_metrics(delta);
-  {
-    std::lock_guard<std::mutex> clock(counters_mutex_);
-    fleet_ += delta;
-  }
   return lanes;
 }
 

@@ -34,6 +34,7 @@
 
 #include "fault/fault_plan.hpp"
 #include "fleet/churn.hpp"
+#include "obs/counter_ledger.hpp"
 #include "svc/job.hpp"
 #include "svc/scheduler.hpp"
 
@@ -77,6 +78,31 @@ struct EngineCounters {
   std::uint64_t remote_fallbacks = 0;  ///< terms computed locally after lease failures
 };
 
+/// One row per EngineCounters field: registry mirror, StatsReport JSON key,
+/// Prometheus family and HELP text.
+inline constexpr obs::CounterRow<EngineCounters> kEngineCounterRows[] = {
+    {&EngineCounters::submitted, "svc.jobs_submitted", "submitted", "svc_jobs_submitted",
+     "SubmitJob requests seen."},
+    {&EngineCounters::accepted, "svc.jobs_accepted", "accepted", "svc_jobs_accepted",
+     "Jobs accepted."},
+    {&EngineCounters::rejected, "svc.jobs_rejected", "rejected", "svc_jobs_rejected",
+     "Jobs rejected (spec or admission)."},
+    {&EngineCounters::completed, "svc.jobs_completed", "completed", "svc_jobs_completed",
+     "Jobs finished Done."},
+    {&EngineCounters::failed, "svc.jobs_failed", "failed", "svc_jobs_failed",
+     "Jobs finished Failed."},
+    {&EngineCounters::cancelled, "svc.jobs_cancelled", "cancelled", "svc_jobs_cancelled",
+     "Jobs finished Cancelled."},
+    {&EngineCounters::tasks_executed, "svc.tasks_executed", "tasks_executed",
+     "svc_tasks_executed", "Tasks executed on the fleet."},
+    {&EngineCounters::task_retries, "svc.task_retries", "task_retries", "svc_task_retries",
+     "Task re-dispatches."},
+    {&EngineCounters::faults_injected, "svc.faults_injected", "faults_injected",
+     "svc_faults_injected", "Job-scoped injected faults."},
+    {&EngineCounters::remote_fallbacks, "svc.remote_fallbacks", "remote_fallbacks",
+     "svc_remote_fallbacks", "Terms computed locally after lease failures."},
+};
+
 class SolveEngine {
  public:
   explicit SolveEngine(EngineConfig config = {});
@@ -92,10 +118,10 @@ class SolveEngine {
 
   JobStatusInfo status(std::uint64_t id) const;
   /// A terminal job's payload (combined field, report) is delivered once:
-  /// the first fetch moves it out and frees it, and later fetches come back
-  /// ready with no nodes and an "already delivered" error.  status(),
-  /// cancel() and wait_terminal() keep reading the small status record.
-  /// Thread-safe.
+  /// the first fetch moves it out and frees the job, keeping only its final
+  /// status record, and later fetches come back ready with no nodes and an
+  /// "already delivered" error.  status(), cancel() and wait_terminal() keep
+  /// reading the status record.  Thread-safe.
   JobResultData result(std::uint64_t id);
 
   /// Requests cancellation: pending tasks are dropped now, in-flight ones
@@ -117,7 +143,7 @@ class SolveEngine {
   /// shutdown.  Thread-safe.
   std::size_t resize(std::size_t lanes);
 
-  EngineCounters counters() const;
+  EngineCounters counters() const { return counters_.snapshot(); }
   SchedulerCounters scheduler_counters() const;
   /// Fleet ledger: lane joins/leaves from resize(), plus the RemoteEndpoint's
   /// channel joins/leaves/crashes/duplicates when lanes lease TCP workers.
@@ -153,14 +179,22 @@ class SolveEngine {
   EngineConfig config_;
   FairScheduler scheduler_;
 
+  /// What a delivered job leaves: its final status, and the root and level
+  /// a repeated fetch echoes.
+  struct Delivered {
+    JobStatusInfo status;
+    int root = 0;
+    int level = 0;
+  };
+
   mutable std::mutex jobs_mutex_;
   std::map<std::uint64_t, std::shared_ptr<Job>> jobs_;
+  std::map<std::uint64_t, Delivered> delivered_;
   std::uint64_t next_job_id_ = 1;
   std::uint64_t terminal_jobs_ = 0;
 
-  mutable std::mutex counters_mutex_;
-  EngineCounters counters_;
-  fleet::FleetCounters fleet_;
+  obs::CounterLedger<kEngineCounterRows> counters_;
+  obs::CounterLedger<fleet::kFleetCounterRows> fleet_;  ///< lane joins/leaves
 
   std::atomic<std::size_t> lane_target_{0};  ///< current fleet-size target
 

@@ -12,26 +12,6 @@
 
 namespace mg::svc {
 
-namespace {
-
-// Fleet-wide mirrors of every server's JobServerCounters.
-struct ServerMetrics {
-  obs::Counter& sessions_opened = obs::registry().counter("svc.server.sessions_opened");
-  obs::Counter& sessions_closed = obs::registry().counter("svc.server.sessions_closed");
-  obs::Counter& idle_closed = obs::registry().counter("svc.server.idle_closed");
-  obs::Counter& protocol_errors = obs::registry().counter("svc.server.protocol_errors");
-  obs::Counter& frames_received = obs::registry().counter("svc.server.frames_received");
-  obs::Counter& frames_sent = obs::registry().counter("svc.server.frames_sent");
-  obs::Counter& pings = obs::registry().counter("svc.server.pings");
-};
-
-ServerMetrics& server_metrics() {
-  static ServerMetrics m;
-  return m;
-}
-
-}  // namespace
-
 struct JobServer::Session {
   std::uint64_t id = 0;
   net::FramedChannel link;
@@ -81,7 +61,7 @@ void JobServer::on_acceptable() {
     if (config_.idle_timeout.count() > 0) arm_idle_timer(*session);
     sessions_.emplace(id, std::move(session));
     loop_.watch(fd, POLLIN, [this, id](short revents) { on_session_io(id, revents); });
-    bump(&JobServerCounters::sessions_opened, server_metrics().sessions_opened);
+    counters_.bump(&JobServerCounters::sessions_opened);
   }
 }
 
@@ -102,7 +82,7 @@ bool JobServer::serve_frame(Session& session, net::Frame frame) {
   using net::FrameType;
   if (session.closing) return false;  // nothing after a Bye is served
   session.last_frame_at = std::chrono::steady_clock::now();
-  bump(&JobServerCounters::frames_received, server_metrics().frames_received);
+  counters_.bump(&JobServerCounters::frames_received);
   const std::uint64_t seq = frame.header.seq;
   try {
     switch (frame.header.type) {
@@ -136,7 +116,7 @@ bool JobServer::serve_frame(Session& session, net::Frame frame) {
         reply(session, FrameType::StatsReport, seq, encode_service_stats(stats()));
         break;
       case FrameType::Ping:
-        bump(&JobServerCounters::pings, server_metrics().pings);
+        counters_.bump(&JobServerCounters::pings);
         reply(session, FrameType::Pong, seq, std::move(frame.payload));
         break;
       case FrameType::Bye:
@@ -163,7 +143,7 @@ void JobServer::reply(Session& session, net::FrameType type, std::uint64_t seq,
   std::vector<std::uint8_t> header =
       net::encode_frame_header(type, seq, payload.data(), payload.size());
   session.link.send(std::move(header), std::move(payload));
-  bump(&JobServerCounters::frames_sent, server_metrics().frames_sent);
+  counters_.bump(&JobServerCounters::frames_sent);
 }
 
 void JobServer::arm_idle_timer(Session& session) {
@@ -184,7 +164,7 @@ void JobServer::on_idle_timer(std::uint64_t id) {
       return !info.known || is_terminal(info.state);
     });
     if (session.jobs.empty() && session.link.flushed()) {
-      bump(&JobServerCounters::idle_closed, server_metrics().idle_closed);
+      counters_.bump(&JobServerCounters::idle_closed);
       close_session(id);
       return;
     }
@@ -198,23 +178,12 @@ void JobServer::close_session(std::uint64_t id, const std::string& protocol_erro
   if (it == sessions_.end()) return;
   if (!protocol_error.empty()) {
     support::log_warn("svc: session ", id, " protocol error: ", protocol_error);
-    bump(&JobServerCounters::protocol_errors, server_metrics().protocol_errors);
+    counters_.bump(&JobServerCounters::protocol_errors);
   }
   loop_.unwatch(it->second->link.fd());
   loop_.cancel_timer(it->second->idle_timer);
   sessions_.erase(it);  // closes the socket
-  bump(&JobServerCounters::sessions_closed, server_metrics().sessions_closed);
-}
-
-void JobServer::bump(std::uint64_t JobServerCounters::*field, obs::Counter& mirror) {
-  mirror.add();
-  std::lock_guard<std::mutex> lock(counters_mutex_);
-  ++(counters_.*field);
-}
-
-JobServerCounters JobServer::counters() const {
-  std::lock_guard<std::mutex> lock(counters_mutex_);
-  return counters_;
+  counters_.bump(&JobServerCounters::sessions_closed);
 }
 
 ServiceStats JobServer::stats() const {

@@ -24,12 +24,11 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 
 #include "net/event_loop.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
-#include "obs/metrics.hpp"
+#include "obs/counter_ledger.hpp"
 #include "svc/engine.hpp"
 
 namespace mg::svc {
@@ -52,6 +51,25 @@ struct JobServerCounters {
   std::uint64_t pings = 0;
 };
 
+/// One row per JobServerCounters field: registry mirror, StatsReport JSON
+/// key, Prometheus family and HELP text.
+inline constexpr obs::CounterRow<JobServerCounters> kJobServerCounterRows[] = {
+    {&JobServerCounters::sessions_opened, "svc.server.sessions_opened", "opened",
+     "svc_sessions_opened", "Client sessions opened."},
+    {&JobServerCounters::sessions_closed, "svc.server.sessions_closed", "closed",
+     "svc_sessions_closed", "Client sessions closed."},
+    {&JobServerCounters::idle_closed, "svc.server.idle_closed", "idle_closed",
+     "svc_sessions_idle_closed", "Sessions closed by the idle timeout."},
+    {&JobServerCounters::protocol_errors, "svc.server.protocol_errors", "protocol_errors",
+     "svc_protocol_errors", "Connection-fatal protocol errors."},
+    {&JobServerCounters::frames_received, "svc.server.frames_received", "frames_received",
+     "svc_frames_received", "Frames received on client sessions."},
+    {&JobServerCounters::frames_sent, "svc.server.frames_sent", "frames_sent",
+     "svc_frames_sent", "Frames sent on client sessions."},
+    {&JobServerCounters::pings, "svc.server.pings", "pings", "svc_pings",
+     "Ping keepalives served."},
+};
+
 struct ServiceStats;
 
 class JobServer {
@@ -70,7 +88,7 @@ class JobServer {
   /// for embedding the service without a socket in front).
   SolveEngine& engine() { return engine_; }
 
-  JobServerCounters counters() const;
+  JobServerCounters counters() const { return counters_.snapshot(); }
 
   /// Point-in-time service view (also served over the wire as GetStats ->
   /// StatsReport).  Safe to call concurrently with everything else.
@@ -98,8 +116,6 @@ class JobServer {
   /// Drops the session; a non-empty `protocol_error` is logged and counted.
   void close_session(std::uint64_t id, const std::string& protocol_error = {});
 
-  void bump(std::uint64_t JobServerCounters::*field, obs::Counter& mirror);
-
   JobServerConfig config_;
   const std::chrono::steady_clock::time_point started_at_ =
       std::chrono::steady_clock::now();
@@ -107,9 +123,7 @@ class JobServer {
   net::TcpListener listener_;
   std::uint16_t port_ = 0;
   std::atomic<bool> down_{false};
-
-  mutable std::mutex counters_mutex_;
-  JobServerCounters counters_;
+  obs::CounterLedger<kJobServerCounterRows> counters_;
 
   // ---- loop-thread state ----
   std::map<std::uint64_t, std::unique_ptr<Session>> sessions_;

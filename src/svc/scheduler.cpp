@@ -3,32 +3,8 @@
 #include <algorithm>
 #include <string>
 
-#include "obs/metrics.hpp"
 
 namespace mg::svc {
-
-namespace {
-
-struct SchedMetrics {
-  obs::Counter& admitted;
-  obs::Counter& rejected;
-  obs::Counter& activated;
-  obs::Counter& tasks_picked;
-  obs::Counter& tasks_dropped;
-};
-
-SchedMetrics& sched_metrics() {
-  static SchedMetrics m{
-      obs::registry().counter("svc.sched.admitted"),
-      obs::registry().counter("svc.sched.rejected"),
-      obs::registry().counter("svc.sched.activated"),
-      obs::registry().counter("svc.sched.tasks_picked"),
-      obs::registry().counter("svc.sched.tasks_dropped"),
-  };
-  return m;
-}
-
-}  // namespace
 
 FairScheduler::FairScheduler(AdmissionConfig config) : config_(config) {}
 
@@ -37,15 +13,13 @@ bool FairScheduler::admit(std::uint64_t id, std::int32_t priority, double weight
   std::lock_guard<std::mutex> lock(mutex_);
   if (stopped_) {
     reason = "scheduler is stopped";
-    ++counters_.rejected;
-    sched_metrics().rejected.add();
+    counters_.bump(&SchedulerCounters::rejected);
     return false;
   }
   if (running_ >= config_.max_running && wait_queue_.size() >= config_.max_queued) {
     reason = "admission queue full (" + std::to_string(running_) + " running, " +
              std::to_string(wait_queue_.size()) + " queued)";
-    ++counters_.rejected;
-    sched_metrics().rejected.add();
+    counters_.bump(&SchedulerCounters::rejected);
     return false;
   }
   Job job;
@@ -54,8 +28,7 @@ bool FairScheduler::admit(std::uint64_t id, std::int32_t priority, double weight
   job.pending.assign(tasks.begin(), tasks.end());
   jobs_.emplace(id, std::move(job));
   wait_queue_.push_back(id);
-  ++counters_.admitted;
-  sched_metrics().admitted.add();
+  counters_.bump(&SchedulerCounters::admitted);
   promote_waiters();
   return true;
 }
@@ -89,8 +62,7 @@ void FairScheduler::promote_waiters() {
     job.virtual_service = first ? 0.0 : floor;
     job.running = true;
     ++running_;
-    ++counters_.activated;
-    sched_metrics().activated.add();
+    counters_.bump(&SchedulerCounters::activated);
   }
   task_ready_.notify_all();
 }
@@ -124,8 +96,7 @@ std::optional<TaskRef> FairScheduler::next_task() {
       TaskRef task = job->pending.front();
       job->pending.pop_front();
       job->virtual_service += task.cost / job->weight;
-      ++counters_.tasks_picked;
-      sched_metrics().tasks_picked.add();
+      counters_.bump(&SchedulerCounters::tasks_picked);
       return task;
     }
     task_ready_.wait(lock);
@@ -138,8 +109,7 @@ std::size_t FairScheduler::drop_pending(std::uint64_t id) {
   if (it == jobs_.end()) return 0;
   const std::size_t dropped = it->second.pending.size();
   it->second.pending.clear();
-  counters_.tasks_dropped += dropped;
-  sched_metrics().tasks_dropped.add(dropped);
+  counters_.bump(&SchedulerCounters::tasks_dropped, dropped);
   return dropped;
 }
 
@@ -177,11 +147,6 @@ std::size_t FairScheduler::running_jobs() const {
 std::size_t FairScheduler::queued_jobs() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return wait_queue_.size();
-}
-
-SchedulerCounters FairScheduler::counters() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return counters_;
 }
 
 }  // namespace mg::svc

@@ -25,6 +25,8 @@
 #include <optional>
 #include <vector>
 
+#include "obs/counter_ledger.hpp"
+
 namespace mg::svc {
 
 struct AdmissionConfig {
@@ -45,6 +47,21 @@ struct SchedulerCounters {
   std::uint64_t activated = 0;   ///< queued -> running promotions
   std::uint64_t tasks_picked = 0;
   std::uint64_t tasks_dropped = 0;  ///< pending tasks discarded by cancel
+};
+
+/// One row per SchedulerCounters field: registry mirror, StatsReport JSON
+/// key, Prometheus family and HELP text.
+inline constexpr obs::CounterRow<SchedulerCounters> kSchedulerCounterRows[] = {
+    {&SchedulerCounters::admitted, "svc.sched.admitted", "admitted", "svc_scheduler_admitted",
+     "Jobs admitted by the scheduler."},
+    {&SchedulerCounters::rejected, "svc.sched.rejected", "rejected", "svc_scheduler_rejected",
+     "Jobs rejected at admission."},
+    {&SchedulerCounters::activated, "svc.sched.activated", "activated",
+     "svc_scheduler_activated", "Queued-to-running promotions."},
+    {&SchedulerCounters::tasks_picked, "svc.sched.tasks_picked", "tasks_picked",
+     "svc_scheduler_tasks_picked", "Tasks dispatched to lanes."},
+    {&SchedulerCounters::tasks_dropped, "svc.sched.tasks_dropped", "tasks_dropped",
+     "svc_scheduler_tasks_dropped", "Pending tasks dropped by cancel."},
 };
 
 class FairScheduler {
@@ -83,7 +100,7 @@ class FairScheduler {
 
   std::size_t running_jobs() const;
   std::size_t queued_jobs() const;
-  SchedulerCounters counters() const;
+  SchedulerCounters counters() const { return counters_.snapshot(); }
 
  private:
   struct Job {
@@ -106,7 +123,7 @@ class FairScheduler {
   std::size_t running_ = 0;
   std::size_t retire_tokens_ = 0;  ///< next_task() calls that must return nullopt
   bool stopped_ = false;
-  SchedulerCounters counters_;
+  obs::CounterLedger<kSchedulerCounterRows> counters_;
 };
 
 }  // namespace mg::svc

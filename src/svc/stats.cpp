@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "obs/counter_ledger.hpp"
 #include "obs/json_writer.hpp"
 #include "support/bytes.hpp"
 
@@ -134,6 +135,16 @@ void histogram_json(obs::JsonWriter& w, const obs::HistogramSnapshot& h) {
   w.end_object();
 }
 
+// Calls f(counters, rows) for the four counter ledgers a StatsReport carries,
+// in payload order (also the Prometheus order).
+template <class Stats, class F>
+void for_each_ledger(Stats& s, F&& f) {
+  f(s.scheduler, kSchedulerCounterRows);
+  f(s.engine, kEngineCounterRows);
+  f(s.server, kJobServerCounterRows);
+  f(s.fleet, fleet::kFleetCounterRows);
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode_service_stats(const ServiceStats& s) {
@@ -145,35 +156,9 @@ std::vector<std::uint8_t> encode_service_stats(const ServiceStats& s) {
   w.write_u64(s.queued_jobs);
   w.write_u64(s.terminal_jobs);
 
-  w.write_u64(s.scheduler.admitted);
-  w.write_u64(s.scheduler.rejected);
-  w.write_u64(s.scheduler.activated);
-  w.write_u64(s.scheduler.tasks_picked);
-  w.write_u64(s.scheduler.tasks_dropped);
-
-  w.write_u64(s.engine.submitted);
-  w.write_u64(s.engine.accepted);
-  w.write_u64(s.engine.rejected);
-  w.write_u64(s.engine.completed);
-  w.write_u64(s.engine.failed);
-  w.write_u64(s.engine.cancelled);
-  w.write_u64(s.engine.tasks_executed);
-  w.write_u64(s.engine.task_retries);
-  w.write_u64(s.engine.faults_injected);
-  w.write_u64(s.engine.remote_fallbacks);
-
-  w.write_u64(s.server.sessions_opened);
-  w.write_u64(s.server.sessions_closed);
-  w.write_u64(s.server.idle_closed);
-  w.write_u64(s.server.protocol_errors);
-  w.write_u64(s.server.frames_received);
-  w.write_u64(s.server.frames_sent);
-  w.write_u64(s.server.pings);
-
-  w.write_u64(s.fleet.joins);
-  w.write_u64(s.fleet.leaves);
-  w.write_u64(s.fleet.crashes);
-  w.write_u64(s.fleet.duplicates);
+  for_each_ledger(s, [&w](const auto& counters, const auto& rows) {
+    for (const auto& row : rows) w.write_u64(counters.*row.field);
+  });
 
   w.write_u64(s.tenants.size());
   for (const JobStatusInfo& t : s.tenants) {
@@ -204,35 +189,9 @@ ServiceStats decode_service_stats(const std::vector<std::uint8_t>& bytes) {
   s.queued_jobs = r.read_u64();
   s.terminal_jobs = r.read_u64();
 
-  s.scheduler.admitted = r.read_u64();
-  s.scheduler.rejected = r.read_u64();
-  s.scheduler.activated = r.read_u64();
-  s.scheduler.tasks_picked = r.read_u64();
-  s.scheduler.tasks_dropped = r.read_u64();
-
-  s.engine.submitted = r.read_u64();
-  s.engine.accepted = r.read_u64();
-  s.engine.rejected = r.read_u64();
-  s.engine.completed = r.read_u64();
-  s.engine.failed = r.read_u64();
-  s.engine.cancelled = r.read_u64();
-  s.engine.tasks_executed = r.read_u64();
-  s.engine.task_retries = r.read_u64();
-  s.engine.faults_injected = r.read_u64();
-  s.engine.remote_fallbacks = r.read_u64();
-
-  s.server.sessions_opened = r.read_u64();
-  s.server.sessions_closed = r.read_u64();
-  s.server.idle_closed = r.read_u64();
-  s.server.protocol_errors = r.read_u64();
-  s.server.frames_received = r.read_u64();
-  s.server.frames_sent = r.read_u64();
-  s.server.pings = r.read_u64();
-
-  s.fleet.joins = r.read_u64();
-  s.fleet.leaves = r.read_u64();
-  s.fleet.crashes = r.read_u64();
-  s.fleet.duplicates = r.read_u64();
+  for_each_ledger(s, [&r](auto& counters, const auto& rows) {
+    for (const auto& row : rows) counters.*row.field = r.read_u64();
+  });
 
   const std::uint64_t n_tenants = r.read_u64();
   if (n_tenants > bytes.size()) throw DecodeError("svc stats: tenant count");
@@ -267,10 +226,7 @@ std::string service_stats_json(const ServiceStats& s) {
 
   w.key("fleet").begin_object();
   w.kv("lanes", s.lanes).kv("busy_lanes", s.busy_lanes);
-  w.kv("joins", static_cast<std::uint64_t>(s.fleet.joins));
-  w.kv("leaves", static_cast<std::uint64_t>(s.fleet.leaves));
-  w.kv("crashes", static_cast<std::uint64_t>(s.fleet.crashes));
-  w.kv("duplicates", static_cast<std::uint64_t>(s.fleet.duplicates));
+  obs::counters_json(w, s.fleet, fleet::kFleetCounterRows);
   w.end_object();
 
   w.key("jobs").begin_object();
@@ -279,29 +235,13 @@ std::string service_stats_json(const ServiceStats& s) {
   w.end_object();
 
   w.key("scheduler").begin_object();
-  w.kv("admitted", s.scheduler.admitted).kv("rejected", s.scheduler.rejected);
-  w.kv("activated", s.scheduler.activated);
-  w.kv("tasks_picked", s.scheduler.tasks_picked);
-  w.kv("tasks_dropped", s.scheduler.tasks_dropped);
+  obs::counters_json(w, s.scheduler, kSchedulerCounterRows);
   w.end_object();
-
   w.key("engine").begin_object();
-  w.kv("submitted", s.engine.submitted).kv("accepted", s.engine.accepted);
-  w.kv("rejected", s.engine.rejected).kv("completed", s.engine.completed);
-  w.kv("failed", s.engine.failed).kv("cancelled", s.engine.cancelled);
-  w.kv("tasks_executed", s.engine.tasks_executed);
-  w.kv("task_retries", s.engine.task_retries);
-  w.kv("faults_injected", s.engine.faults_injected);
-  w.kv("remote_fallbacks", s.engine.remote_fallbacks);
+  obs::counters_json(w, s.engine, kEngineCounterRows);
   w.end_object();
-
   w.key("sessions").begin_object();
-  w.kv("opened", s.server.sessions_opened).kv("closed", s.server.sessions_closed);
-  w.kv("idle_closed", s.server.idle_closed);
-  w.kv("protocol_errors", s.server.protocol_errors);
-  w.kv("frames_received", s.server.frames_received);
-  w.kv("frames_sent", s.server.frames_sent);
-  w.kv("pings", s.server.pings);
+  obs::counters_json(w, s.server, kJobServerCounterRows);
   w.end_object();
 
   w.key("tenants").begin_array();
@@ -341,52 +281,9 @@ std::string service_stats_prometheus(const ServiceStats& s) {
              static_cast<double>(s.queued_jobs));
   prom_counter(out, "svc_terminal_jobs", "Jobs finished since server start.", s.terminal_jobs);
 
-  prom_counter(out, "svc_scheduler_admitted", "Jobs admitted by the scheduler.",
-               s.scheduler.admitted);
-  prom_counter(out, "svc_scheduler_rejected", "Jobs rejected at admission.",
-               s.scheduler.rejected);
-  prom_counter(out, "svc_scheduler_activated", "Queued-to-running promotions.",
-               s.scheduler.activated);
-  prom_counter(out, "svc_scheduler_tasks_picked", "Tasks dispatched to lanes.",
-               s.scheduler.tasks_picked);
-  prom_counter(out, "svc_scheduler_tasks_dropped", "Pending tasks dropped by cancel.",
-               s.scheduler.tasks_dropped);
-
-  prom_counter(out, "svc_jobs_submitted", "SubmitJob requests seen.", s.engine.submitted);
-  prom_counter(out, "svc_jobs_accepted", "Jobs accepted.", s.engine.accepted);
-  prom_counter(out, "svc_jobs_rejected", "Jobs rejected (spec or admission).",
-               s.engine.rejected);
-  prom_counter(out, "svc_jobs_completed", "Jobs finished Done.", s.engine.completed);
-  prom_counter(out, "svc_jobs_failed", "Jobs finished Failed.", s.engine.failed);
-  prom_counter(out, "svc_jobs_cancelled", "Jobs finished Cancelled.", s.engine.cancelled);
-  prom_counter(out, "svc_tasks_executed", "Tasks executed on the fleet.",
-               s.engine.tasks_executed);
-  prom_counter(out, "svc_task_retries", "Task re-dispatches.", s.engine.task_retries);
-  prom_counter(out, "svc_faults_injected", "Job-scoped injected faults.",
-               s.engine.faults_injected);
-  prom_counter(out, "svc_remote_fallbacks", "Terms computed locally after lease failures.",
-               s.engine.remote_fallbacks);
-
-  prom_counter(out, "svc_sessions_opened", "Client sessions opened.",
-               s.server.sessions_opened);
-  prom_counter(out, "svc_sessions_closed", "Client sessions closed.",
-               s.server.sessions_closed);
-  prom_counter(out, "svc_sessions_idle_closed", "Sessions closed by the idle timeout.",
-               s.server.idle_closed);
-  prom_counter(out, "svc_protocol_errors", "Connection-fatal protocol errors.",
-               s.server.protocol_errors);
-  prom_counter(out, "svc_frames_received", "Frames received on client sessions.",
-               s.server.frames_received);
-  prom_counter(out, "svc_frames_sent", "Frames sent on client sessions.",
-               s.server.frames_sent);
-  prom_counter(out, "svc_pings", "Ping keepalives served.", s.server.pings);
-
-  prom_counter(out, "svc_fleet_joins", "Workers/lanes that joined the fleet.",
-               s.fleet.joins);
-  prom_counter(out, "svc_fleet_leaves", "Graceful fleet departures.", s.fleet.leaves);
-  prom_counter(out, "svc_fleet_crashes", "Abrupt fleet deaths handled.", s.fleet.crashes);
-  prom_counter(out, "svc_fleet_duplicates",
-               "Late or repeated Results dropped by retired-seq dedup.", s.fleet.duplicates);
+  for_each_ledger(s, [&out](const auto& counters, const auto& rows) {
+    for (const auto& row : rows) prom_counter(out, row.prom, row.help, counters.*row.field);
+  });
 
   // Per-tenant gauges, labelled by job id (+ tag when the client set one).
   out += "# HELP svc_tenant_terms_done Terms delivered for a live job.\n";

@@ -1,6 +1,7 @@
 // Tests for the observability layer: metrics registry concurrency and
-// bucket semantics, span tracing on wall and virtual clocks, the Chrome
-// trace_event export (golden), and the machine-readable run report schema.
+// bucket semantics, the counter ledger and its row loops, span tracing on
+// wall and virtual clocks, the Chrome trace_event export (golden), and the
+// machine-readable run report schema.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +13,7 @@
 #include "cluster/cluster_sim.hpp"
 #include "cluster/cost_model.hpp"
 #include "cluster/sim_report.hpp"
+#include "obs/counter_ledger.hpp"
 #include "obs/json_writer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -101,6 +103,117 @@ TEST(ObsMetrics, RegistryResetZeroesButKeepsReferences) {
   EXPECT_EQ(h.count(), 0u);
   c.add(2);  // the cached reference must still feed the same metric
   EXPECT_EQ(reg.snapshot().counter_or("reset.counter"), 2u);
+}
+
+// --- counter ledger ------------------------------------------------------
+
+struct LedgerCounters {
+  std::uint64_t alpha = 0;
+  std::uint64_t beta = 0;
+  std::uint64_t gamma = 0;
+};
+
+constexpr obs::CounterRow<LedgerCounters> kLedgerRows[] = {
+    {&LedgerCounters::alpha, "test.ledger.alpha", "alpha"},
+    {&LedgerCounters::beta, "test.ledger.beta", "beta"},
+    {&LedgerCounters::gamma, "test.ledger.gamma", "gamma"},
+};
+
+// A table no other test bumps, so its mirrors are unregistered until this
+// test's first bump whatever order the tests run in.
+constexpr obs::CounterRow<LedgerCounters> kFirstUseRows[] = {
+    {&LedgerCounters::alpha, "test.ledger_first_use.alpha"},
+    {&LedgerCounters::beta, "test.ledger_first_use.beta"},
+    {&LedgerCounters::gamma, "test.ledger_first_use.gamma"},
+};
+
+TEST(ObsCounterLedger, EveryMirrorExistsAtZeroAfterTheFirstBump) {
+  const auto names = [] {
+    std::vector<std::string> out;
+    for (const auto& [name, value] : obs::registry().snapshot().counters) {
+      if (name.rfind("test.ledger_first_use.", 0) == 0) out.push_back(name);
+    }
+    return out;
+  };
+  obs::CounterLedger<kFirstUseRows> ledger;
+  EXPECT_TRUE(names().empty());
+  ledger.bump(&LedgerCounters::beta);
+  EXPECT_EQ(names(), (std::vector<std::string>{"test.ledger_first_use.alpha",
+                                               "test.ledger_first_use.beta",
+                                               "test.ledger_first_use.gamma"}));
+  const obs::MetricsSnapshot snap = obs::registry().snapshot();
+  EXPECT_EQ(snap.counter_or("test.ledger_first_use.alpha", 99), 0u);
+  EXPECT_EQ(snap.counter_or("test.ledger_first_use.beta"), 1u);
+  EXPECT_EQ(snap.counter_or("test.ledger_first_use.gamma", 99), 0u);
+}
+
+TEST(ObsCounterLedger, SnapshotReadsBackEveryRow) {
+  obs::CounterLedger<kLedgerRows> ledger;
+  ledger.bump(&LedgerCounters::alpha);
+  ledger.bump(&LedgerCounters::beta, 20);
+  ledger.bump(&LedgerCounters::gamma, 300);
+  ledger.bump(&LedgerCounters::gamma, 4000);
+  const LedgerCounters c = ledger.snapshot();
+  EXPECT_EQ(c.alpha, 1u);
+  EXPECT_EQ(c.beta, 20u);
+  EXPECT_EQ(c.gamma, 4300u);
+}
+
+TEST(ObsCounterLedger, TwoLedgersKeepSeparateCellsAndShareOneMirror) {
+  const obs::MetricsSnapshot before = obs::registry().snapshot();
+  obs::CounterLedger<kLedgerRows> a;
+  obs::CounterLedger<kLedgerRows> b;
+  a.bump(&LedgerCounters::alpha, 3);
+  b.bump(&LedgerCounters::alpha, 4);
+  b.bump(&LedgerCounters::gamma);
+  EXPECT_EQ(a.snapshot().alpha, 3u);
+  EXPECT_EQ(a.snapshot().gamma, 0u);
+  EXPECT_EQ(b.snapshot().alpha, 4u);
+  EXPECT_EQ(b.snapshot().gamma, 1u);
+  const obs::MetricsSnapshot after = obs::registry().snapshot();
+  EXPECT_EQ(after.counter_or("test.ledger.alpha") - before.counter_or("test.ledger.alpha"), 7u);
+  EXPECT_EQ(after.counter_or("test.ledger.beta") - before.counter_or("test.ledger.beta"), 0u);
+  EXPECT_EQ(after.counter_or("test.ledger.gamma") - before.counter_or("test.ledger.gamma"), 1u);
+}
+
+TEST(ObsCounterLedger, FourThreadsBumpingOneLedgerSumExactly) {
+  const std::uint64_t mirror_before = obs::registry().snapshot().counter_or("test.ledger.beta");
+  obs::CounterLedger<kLedgerRows> ledger;
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kPerThread = 50000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&ledger] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        ledger.bump(&LedgerCounters::alpha);
+        ledger.bump(&LedgerCounters::beta, 2);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  const LedgerCounters c = ledger.snapshot();
+  EXPECT_EQ(c.alpha, kThreads * kPerThread);
+  EXPECT_EQ(c.beta, 2 * kThreads * kPerThread);
+  EXPECT_EQ(c.gamma, 0u);
+  EXPECT_EQ(obs::registry().snapshot().counter_or("test.ledger.beta") - mirror_before,
+            2 * kThreads * kPerThread);
+}
+
+TEST(ObsCounterLedger, RowLoopsSumTestAndRenderEveryField) {
+  LedgerCounters a{1, 2, 3};
+  const LedgerCounters b{10, 20, 30};
+  obs::add_counters(a, b, kLedgerRows);
+  EXPECT_EQ(a.alpha, 11u);
+  EXPECT_EQ(a.beta, 22u);
+  EXPECT_EQ(a.gamma, 33u);
+  EXPECT_TRUE(obs::any_counter(a, kLedgerRows));
+  EXPECT_FALSE(obs::any_counter(LedgerCounters{}, kLedgerRows));
+  EXPECT_TRUE(obs::any_counter(LedgerCounters{0, 0, 1}, kLedgerRows));
+  obs::JsonWriter w;
+  w.begin_object();
+  obs::counters_json(w, a, kLedgerRows);
+  w.end_object();
+  EXPECT_EQ(w.str(), R"({"alpha":11,"beta":22,"gamma":33})");
 }
 
 // --- logging -------------------------------------------------------------

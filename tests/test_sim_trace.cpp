@@ -1,10 +1,9 @@
-// Tests for the discrete-event engine, the max-plus timelines, the §6 trace
-// format, and the ebb & flow analysis behind Figure 1 / Table 1's m column.
+// Tests for the max-plus timelines, the §6 trace format, and the ebb & flow
+// analysis behind Figure 1 / Table 1's m column.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "sim/engine.hpp"
 #include "sim/timeline.hpp"
 #include "support/check.hpp"
 #include "trace/ebb_flow.hpp"
@@ -14,59 +13,6 @@ namespace {
 
 using namespace mg;
 using mg::support::ContractViolation;
-
-// ---- SimEngine ---------------------------------------------------------------
-
-TEST(SimEngine, ExecutesInTimeOrder) {
-  sim::SimEngine engine;
-  std::vector<int> order;
-  engine.schedule_at(2.0, [&] { order.push_back(2); });
-  engine.schedule_at(1.0, [&] { order.push_back(1); });
-  engine.schedule_at(3.0, [&] { order.push_back(3); });
-  EXPECT_EQ(engine.run(), 3u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_DOUBLE_EQ(engine.now(), 3.0);
-}
-
-TEST(SimEngine, SimultaneousEventsAreFifo) {
-  sim::SimEngine engine;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    engine.schedule_at(1.0, [&order, i] { order.push_back(i); });
-  }
-  engine.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(SimEngine, HandlersCanScheduleMoreEvents) {
-  sim::SimEngine engine;
-  int fired = 0;
-  engine.schedule_at(1.0, [&] {
-    ++fired;
-    engine.schedule_in(1.0, [&] { ++fired; });
-  });
-  engine.run();
-  EXPECT_EQ(fired, 2);
-  EXPECT_DOUBLE_EQ(engine.now(), 2.0);
-}
-
-TEST(SimEngine, SchedulingInThePastIsRejected) {
-  sim::SimEngine engine;
-  engine.schedule_at(5.0, [] {});
-  engine.run();
-  EXPECT_THROW(engine.schedule_at(1.0, [] {}), ContractViolation);
-}
-
-TEST(SimEngine, RunUntilStopsAtDeadline) {
-  sim::SimEngine engine;
-  int fired = 0;
-  engine.schedule_at(1.0, [&] { ++fired; });
-  engine.schedule_at(10.0, [&] { ++fired; });
-  EXPECT_EQ(engine.run_until(5.0), 1u);
-  EXPECT_EQ(fired, 1);
-  EXPECT_DOUBLE_EQ(engine.now(), 5.0);
-  EXPECT_EQ(engine.pending(), 1u);
-}
 
 // ---- Timeline ------------------------------------------------------------------
 

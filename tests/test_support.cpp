@@ -1,5 +1,5 @@
 // Unit tests for the support substrate: contract checks, deterministic RNG,
-// the closable channel, and the stopwatch helpers.
+// and the stopwatch helpers.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "support/channel.hpp"
 #include "support/check.hpp"
 #include "support/log.hpp"
 #include "support/rng.hpp"
@@ -132,75 +131,6 @@ TEST(Rng, DeriveSeedsAreDistinct) {
   const auto seeds = derive_seeds(1234, 64);
   EXPECT_EQ(seeds.size(), 64u);
   EXPECT_EQ(std::set<std::uint64_t>(seeds.begin(), seeds.end()).size(), 64u);
-}
-
-// ---- Channel ----------------------------------------------------------------
-
-TEST(Channel, FifoOrder) {
-  Channel<int> ch;
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(ch.push(i));
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(ch.pop().value(), i);
-}
-
-TEST(Channel, TryPopEmptyReturnsNullopt) {
-  Channel<int> ch;
-  EXPECT_FALSE(ch.try_pop().has_value());
-}
-
-TEST(Channel, CloseRejectsPushButDrains) {
-  Channel<int> ch;
-  ch.push(1);
-  ch.push(2);
-  ch.close();
-  EXPECT_FALSE(ch.push(3));
-  EXPECT_EQ(ch.pop().value(), 1);
-  EXPECT_EQ(ch.pop().value(), 2);
-  EXPECT_FALSE(ch.pop().has_value());
-}
-
-TEST(Channel, PopBlocksUntilPush) {
-  Channel<int> ch;
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    ch.push(42);
-  });
-  EXPECT_EQ(ch.pop().value(), 42);
-  producer.join();
-}
-
-TEST(Channel, CloseWakesBlockedPopper) {
-  Channel<int> ch;
-  std::thread closer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    ch.close();
-  });
-  EXPECT_FALSE(ch.pop().has_value());
-  closer.join();
-}
-
-TEST(Channel, ConcurrentProducersDeliverEverything) {
-  Channel<int> ch;
-  constexpr int kPerProducer = 500;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&ch, p] {
-      for (int i = 0; i < kPerProducer; ++i) ch.push(p * kPerProducer + i);
-    });
-  }
-  std::set<int> received;
-  for (int i = 0; i < 4 * kPerProducer; ++i) received.insert(ch.pop().value());
-  for (auto& t : producers) t.join();
-  EXPECT_EQ(received.size(), static_cast<std::size_t>(4 * kPerProducer));
-}
-
-TEST(Channel, SizeTracksContents) {
-  Channel<int> ch;
-  EXPECT_TRUE(ch.empty());
-  ch.push(1);
-  ch.push(2);
-  EXPECT_EQ(ch.size(), 2u);
-  ch.try_pop();
-  EXPECT_EQ(ch.size(), 1u);
 }
 
 // ---- Stopwatch ----------------------------------------------------------------

@@ -19,10 +19,13 @@
 #include "core/concurrent_solver.hpp"
 #include "core/marshal.hpp"
 #include "core/remote_worker.hpp"
+#include "fault/fault_plan.hpp"
+#include "fleet/churn.hpp"
 #include "gated_workers.hpp"
 #include "net/frame.hpp"
 #include "net/remote.hpp"
 #include "net/socket.hpp"
+#include "obs/json_writer.hpp"
 #include "support/bytes.hpp"
 #include "svc/client.hpp"
 #include "svc/engine.hpp"
@@ -333,19 +336,39 @@ TEST(SvcEngine, ResultIsDeliveredOnceAndTheStatusRecordStays) {
   svc::JobSpec spec;
   spec.root = 2;
   spec.level = 2;
+  spec.priority = 2;
+  spec.weight = 1.5;
+  spec.tag = "delivered";
   const svc::JobTicket ticket = engine.submit(spec);
   ASSERT_TRUE(ticket.accepted) << ticket.reason;
   ASSERT_TRUE(engine.wait_terminal(ticket.job_id, 60s));
+  const svc::JobStatusInfo before = engine.status(ticket.job_id);
 
   const svc::JobResultData first = engine.result(ticket.job_id);
   ASSERT_EQ(first.state, svc::JobState::Done) << first.error;
   EXPECT_EQ(first.combined_nodes, sequential_nodes(2, 2, 1e-3));
   EXPECT_FALSE(first.report_json.empty());
 
-  // The payload is gone, the status record is not.
+  // The payload is gone, the status record is not: every field reads as it
+  // did before delivery.
   const svc::JobStatusInfo status = engine.status(ticket.job_id);
   EXPECT_EQ(status.state, svc::JobState::Done);
   EXPECT_EQ(status.terms_done, status.terms_total);
+  EXPECT_EQ(status.job_id, before.job_id);
+  EXPECT_EQ(status.known, before.known);
+  EXPECT_EQ(status.state, before.state);
+  EXPECT_EQ(status.priority, before.priority);
+  EXPECT_EQ(status.weight, before.weight);
+  EXPECT_EQ(status.terms_total, before.terms_total);
+  EXPECT_EQ(status.terms_done, before.terms_done);
+  EXPECT_EQ(status.retries, before.retries);
+  EXPECT_EQ(status.queue_wait_seconds, before.queue_wait_seconds);
+  EXPECT_EQ(status.run_seconds, before.run_seconds);
+  EXPECT_EQ(status.tag, before.tag);
+  EXPECT_EQ(status.error, before.error);
+  EXPECT_EQ(before.priority, 2);
+  EXPECT_EQ(before.weight, 1.5);
+  EXPECT_EQ(before.tag, "delivered");
   EXPECT_EQ(engine.cancel(ticket.job_id).state, svc::JobState::Done);
   EXPECT_EQ(engine.counters().cancelled, 0u);
   EXPECT_TRUE(engine.wait_terminal(ticket.job_id, 1s));
@@ -354,6 +377,8 @@ TEST(SvcEngine, ResultIsDeliveredOnceAndTheStatusRecordStays) {
   EXPECT_TRUE(second.known);
   EXPECT_TRUE(second.ready);
   EXPECT_EQ(second.state, svc::JobState::Done);
+  EXPECT_EQ(second.root, 2);
+  EXPECT_EQ(second.level, 2);
   EXPECT_TRUE(second.combined_nodes.empty());
   EXPECT_TRUE(second.report_json.empty());
   EXPECT_NE(second.error.find("already delivered"), std::string::npos) << second.error;
@@ -711,31 +736,42 @@ TEST(SvcServer, NonServiceFramesAreConnectionFatal) {
 
 // ---- live service stats -------------------------------------------------------------
 
+// Every one of the 32 top-level and ledger values is distinct and non-zero, so
+// a transposed row in the codec or a renderer cannot go unnoticed.
 svc::ServiceStats sample_stats() {
   svc::ServiceStats s;
   s.uptime_seconds = 12.5;
   s.lanes = 4;
   s.busy_lanes = 2;
-  s.running_jobs = 2;
+  s.running_jobs = 3;
   s.queued_jobs = 1;
   s.terminal_jobs = 9;
   s.scheduler.admitted = 12;
-  s.scheduler.rejected = 3;
+  s.scheduler.rejected = 17;
   s.scheduler.activated = 11;
   s.scheduler.tasks_picked = 120;
-  s.scheduler.tasks_dropped = 4;
+  s.scheduler.tasks_dropped = 14;
   s.engine.submitted = 15;
-  s.engine.accepted = 12;
-  s.engine.completed = 9;
+  s.engine.accepted = 13;
+  s.engine.rejected = 18;
+  s.engine.completed = 10;
+  s.engine.failed = 19;
+  s.engine.cancelled = 21;
   s.engine.tasks_executed = 116;
-  s.engine.task_retries = 2;
-  s.server.sessions_opened = 5;
+  s.engine.task_retries = 22;
+  s.engine.faults_injected = 23;
+  s.engine.remote_fallbacks = 24;
+  s.server.sessions_opened = 25;
+  s.server.sessions_closed = 26;
+  s.server.idle_closed = 27;
+  s.server.protocol_errors = 28;
   s.server.frames_received = 60;
+  s.server.frames_sent = 61;
   s.server.pings = 7;
   s.fleet.joins = 6;
-  s.fleet.leaves = 2;
-  s.fleet.crashes = 1;
-  s.fleet.duplicates = 1;
+  s.fleet.leaves = 31;
+  s.fleet.crashes = 32;
+  s.fleet.duplicates = 33;
   svc::JobStatusInfo tenant;
   tenant.job_id = 3;
   tenant.known = true;
@@ -766,15 +802,35 @@ TEST(SvcStats, CodecRoundTripsEveryField) {
   EXPECT_DOUBLE_EQ(s.uptime_seconds, 12.5);
   EXPECT_EQ(s.lanes, 4u);
   EXPECT_EQ(s.busy_lanes, 2u);
-  EXPECT_EQ(s.running_jobs, 2u);
+  EXPECT_EQ(s.running_jobs, 3u);
   EXPECT_EQ(s.queued_jobs, 1u);
   EXPECT_EQ(s.terminal_jobs, 9u);
+  EXPECT_EQ(s.scheduler.admitted, 12u);
+  EXPECT_EQ(s.scheduler.rejected, 17u);
+  EXPECT_EQ(s.scheduler.activated, 11u);
   EXPECT_EQ(s.scheduler.tasks_picked, 120u);
+  EXPECT_EQ(s.scheduler.tasks_dropped, 14u);
+  EXPECT_EQ(s.engine.submitted, 15u);
+  EXPECT_EQ(s.engine.accepted, 13u);
+  EXPECT_EQ(s.engine.rejected, 18u);
+  EXPECT_EQ(s.engine.completed, 10u);
+  EXPECT_EQ(s.engine.failed, 19u);
+  EXPECT_EQ(s.engine.cancelled, 21u);
   EXPECT_EQ(s.engine.tasks_executed, 116u);
+  EXPECT_EQ(s.engine.task_retries, 22u);
+  EXPECT_EQ(s.engine.faults_injected, 23u);
+  EXPECT_EQ(s.engine.remote_fallbacks, 24u);
+  EXPECT_EQ(s.server.sessions_opened, 25u);
+  EXPECT_EQ(s.server.sessions_closed, 26u);
+  EXPECT_EQ(s.server.idle_closed, 27u);
+  EXPECT_EQ(s.server.protocol_errors, 28u);
+  EXPECT_EQ(s.server.frames_received, 60u);
+  EXPECT_EQ(s.server.frames_sent, 61u);
   EXPECT_EQ(s.server.pings, 7u);
   EXPECT_EQ(s.fleet.joins, 6u);
-  EXPECT_EQ(s.fleet.crashes, 1u);
-  EXPECT_EQ(s.fleet.duplicates, 1u);
+  EXPECT_EQ(s.fleet.leaves, 31u);
+  EXPECT_EQ(s.fleet.crashes, 32u);
+  EXPECT_EQ(s.fleet.duplicates, 33u);
   ASSERT_EQ(s.tenants.size(), 1u);
   EXPECT_EQ(s.tenants[0].job_id, 3u);
   EXPECT_TRUE(s.tenants[0].known);
@@ -816,6 +872,189 @@ TEST(SvcStats, JsonAndPrometheusRenderings) {
   EXPECT_NE(prom.find("svc_task_seconds_bucket{le=\"0.01\"} 8"), std::string::npos);
   EXPECT_NE(prom.find("svc_task_seconds_bucket{le=\"+Inf\"} 9"), std::string::npos);
   EXPECT_NE(prom.find("svc_task_seconds_count 9"), std::string::npos);
+}
+
+std::string hex_bytes(const std::vector<std::uint8_t>& bytes) {
+  static const char* const kDigits = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 15]);
+  }
+  return out;
+}
+
+// Golden: every byte of the StatsReport payload, its JSON and its Prometheus
+// text for sample_stats(), and the faults and fleet JSON objects of fixtures
+// whose fields are all distinct and non-zero.  A reordered, dropped or
+// renamed row changes one of these strings.
+TEST(SvcStats, GoldenPayloadJsonPrometheusAndLedgerObjects) {
+  const svc::ServiceStats s = sample_stats();
+  EXPECT_EQ(hex_bytes(svc::encode_service_stats(s)),
+      "000000000000294004000000000000000200000000000000030000000000000001000000"
+      "0000000009000000000000000c0000000000000011000000000000000b00000000000000"
+      "78000000000000000e000000000000000f000000000000000d0000000000000012000000"
+      "000000000a00000000000000130000000000000015000000000000007400000000000000"
+      "16000000000000001700000000000000180000000000000019000000000000001a000000"
+      "000000001b000000000000001c000000000000003c000000000000003d00000000000000"
+      "070000000000000006000000000000001f00000000000000200000000000000021000000"
+      "000000000100000000000000030000000000000001000000010000000000000000000040"
+      "080000000000000005000000000000000100000000000000000000000000d03f00000000"
+      "0000f83f080000000000000074656e616e742d610200000000000000fca9f1d24d62503f"
+      "7b14ae47e17a843f03000000000000000500000000000000030000000000000001000000"
+      "0000000009000000000000009a9999999999a93f0100000000000000000000000000f03f"
+      "020000000000000007000000000000000200000000000000090000000000000000000000"
+      "00001a40");
+  EXPECT_EQ(svc::service_stats_json(s),
+      R"({"schema":"svc_stats","schema_version":1,"uptime_s":12.5,)"
+      R"("fleet":{"lanes":4,"busy_lanes":2,"joins":6,"leaves":31,"crashes":32,"duplicates":33},)"
+      R"("jobs":{"running":3,"queued":1,"terminal":9},)"
+      R"("scheduler":{"admitted":12,"rejected":17,"activated":11,"tasks_picked":120,"tasks_dropped":14},)"
+      R"("engine":{"submitted":15,"accepted":13,"rejected":18,"completed":10,"failed":19,"cancelled":21,"tasks_executed":116,"task_retries":22,"faults_injected":23,"remote_fallbacks":24},)"
+      R"("sessions":{"opened":25,"closed":26,"idle_closed":27,"protocol_errors":28,"frames_received":60,"frames_sent":61,"pings":7},)"
+      R"("tenants":[{"job_id":3,"state":"running","priority":1,"weight":2,"terms_done":5,"terms_total":8,"retries":1,"queue_wait_s":0.25,"run_s":1.5,"tag":"tenant-a"}],)"
+      R"("latency":{"task_seconds":{"count":9,"sum":0.05,"buckets":[{"le":0.001,"n":5},{"le":0.01,"n":3},{"le":"+Inf","n":1}]},"job_seconds":{"count":9,"sum":6.5,"buckets":[{"le":1,"n":7},{"le":"+Inf","n":2}]}}})");
+  EXPECT_EQ(svc::service_stats_prometheus(s), R"(# HELP svc_uptime_seconds Server process uptime.
+# TYPE svc_uptime_seconds gauge
+svc_uptime_seconds 12.5
+# HELP svc_lanes Worker-fleet lane count.
+# TYPE svc_lanes gauge
+svc_lanes 4
+# HELP svc_busy_lanes Lanes currently executing a task.
+# TYPE svc_busy_lanes gauge
+svc_busy_lanes 2
+# HELP svc_running_jobs Jobs holding a running slot.
+# TYPE svc_running_jobs gauge
+svc_running_jobs 3
+# HELP svc_queued_jobs Admitted jobs waiting for a slot.
+# TYPE svc_queued_jobs gauge
+svc_queued_jobs 1
+# HELP svc_terminal_jobs Jobs finished since server start.
+# TYPE svc_terminal_jobs counter
+svc_terminal_jobs 9
+# HELP svc_scheduler_admitted Jobs admitted by the scheduler.
+# TYPE svc_scheduler_admitted counter
+svc_scheduler_admitted 12
+# HELP svc_scheduler_rejected Jobs rejected at admission.
+# TYPE svc_scheduler_rejected counter
+svc_scheduler_rejected 17
+# HELP svc_scheduler_activated Queued-to-running promotions.
+# TYPE svc_scheduler_activated counter
+svc_scheduler_activated 11
+# HELP svc_scheduler_tasks_picked Tasks dispatched to lanes.
+# TYPE svc_scheduler_tasks_picked counter
+svc_scheduler_tasks_picked 120
+# HELP svc_scheduler_tasks_dropped Pending tasks dropped by cancel.
+# TYPE svc_scheduler_tasks_dropped counter
+svc_scheduler_tasks_dropped 14
+# HELP svc_jobs_submitted SubmitJob requests seen.
+# TYPE svc_jobs_submitted counter
+svc_jobs_submitted 15
+# HELP svc_jobs_accepted Jobs accepted.
+# TYPE svc_jobs_accepted counter
+svc_jobs_accepted 13
+# HELP svc_jobs_rejected Jobs rejected (spec or admission).
+# TYPE svc_jobs_rejected counter
+svc_jobs_rejected 18
+# HELP svc_jobs_completed Jobs finished Done.
+# TYPE svc_jobs_completed counter
+svc_jobs_completed 10
+# HELP svc_jobs_failed Jobs finished Failed.
+# TYPE svc_jobs_failed counter
+svc_jobs_failed 19
+# HELP svc_jobs_cancelled Jobs finished Cancelled.
+# TYPE svc_jobs_cancelled counter
+svc_jobs_cancelled 21
+# HELP svc_tasks_executed Tasks executed on the fleet.
+# TYPE svc_tasks_executed counter
+svc_tasks_executed 116
+# HELP svc_task_retries Task re-dispatches.
+# TYPE svc_task_retries counter
+svc_task_retries 22
+# HELP svc_faults_injected Job-scoped injected faults.
+# TYPE svc_faults_injected counter
+svc_faults_injected 23
+# HELP svc_remote_fallbacks Terms computed locally after lease failures.
+# TYPE svc_remote_fallbacks counter
+svc_remote_fallbacks 24
+# HELP svc_sessions_opened Client sessions opened.
+# TYPE svc_sessions_opened counter
+svc_sessions_opened 25
+# HELP svc_sessions_closed Client sessions closed.
+# TYPE svc_sessions_closed counter
+svc_sessions_closed 26
+# HELP svc_sessions_idle_closed Sessions closed by the idle timeout.
+# TYPE svc_sessions_idle_closed counter
+svc_sessions_idle_closed 27
+# HELP svc_protocol_errors Connection-fatal protocol errors.
+# TYPE svc_protocol_errors counter
+svc_protocol_errors 28
+# HELP svc_frames_received Frames received on client sessions.
+# TYPE svc_frames_received counter
+svc_frames_received 60
+# HELP svc_frames_sent Frames sent on client sessions.
+# TYPE svc_frames_sent counter
+svc_frames_sent 61
+# HELP svc_pings Ping keepalives served.
+# TYPE svc_pings counter
+svc_pings 7
+# HELP svc_fleet_joins Workers/lanes that joined the fleet.
+# TYPE svc_fleet_joins counter
+svc_fleet_joins 6
+# HELP svc_fleet_leaves Graceful fleet departures.
+# TYPE svc_fleet_leaves counter
+svc_fleet_leaves 31
+# HELP svc_fleet_crashes Abrupt fleet deaths handled.
+# TYPE svc_fleet_crashes counter
+svc_fleet_crashes 32
+# HELP svc_fleet_duplicates Late or repeated Results dropped by retired-seq dedup.
+# TYPE svc_fleet_duplicates counter
+svc_fleet_duplicates 33
+# HELP svc_tenant_terms_done Terms delivered for a live job.
+# TYPE svc_tenant_terms_done gauge
+svc_tenant_terms_done{job="3",tag="tenant-a",state="running"} 5
+# HELP svc_task_seconds Per-task latency.
+# TYPE svc_task_seconds histogram
+svc_task_seconds_bucket{le="0.001"} 5
+svc_task_seconds_bucket{le="0.01"} 8
+svc_task_seconds_bucket{le="+Inf"} 9
+svc_task_seconds_sum 0.05
+svc_task_seconds_count 9
+# HELP svc_job_seconds Per-job latency.
+# TYPE svc_job_seconds histogram
+svc_job_seconds_bucket{le="1"} 7
+svc_job_seconds_bucket{le="+Inf"} 9
+svc_job_seconds_sum 6.5
+svc_job_seconds_count 9
+)");
+
+  fault::FaultCounters f;
+  f.crashes_injected = 1;
+  f.hangs_injected = 2;
+  f.corruptions_injected = 3;
+  f.host_crashes_injected = 4;
+  f.net_drops_injected = 5;
+  f.net_slowdowns_injected = 6;
+  f.crash_events = 7;
+  f.timeouts = 8;
+  f.retries = 9;
+  f.abandoned = 10;
+  f.degraded = true;
+  obs::JsonWriter faults;
+  fault::fault_counters_to_json(faults, f);
+  EXPECT_EQ(faults.str(),
+      R"({"crashes_injected":1,"hangs_injected":2,"corruptions_injected":3,)"
+      R"("host_crashes_injected":4,"net_drops_injected":5,"net_slowdowns_injected":6,)"
+      R"("crash_events":7,"timeouts":8,"retries":9,"abandoned":10,"degraded":true})");
+
+  fleet::FleetCounters c;
+  c.joins = 11;
+  c.leaves = 12;
+  c.crashes = 13;
+  c.duplicates = 14;
+  obs::JsonWriter fleet_json;
+  fleet::fleet_counters_to_json(fleet_json, c);
+  EXPECT_EQ(fleet_json.str(), R"({"joins":11,"leaves":12,"crashes":13,"duplicates":14})");
 }
 
 TEST(SvcServer, GetStatsOverTheWireSeesTenantsAndProgress) {
