@@ -26,15 +26,36 @@ transport::TransportSystem make_system(int lx, int ly,
                                     options);
 }
 
+// TransportSystem construction: the five stencil weights, the CSR Jacobian
+// written from them, the boundary couplings and the diagonal offsets.
+// G(2;0,6) is the level-6 combination's widest grid.
 void BM_JacobianAssembly(benchmark::State& state) {
-  const int l = static_cast<int>(state.range(0));
+  const int lx = static_cast<int>(state.range(0)), ly = static_cast<int>(state.range(1));
   for (auto _ : state) {
-    auto system = make_system(l, l);
+    auto system = make_system(lx, ly);
     benchmark::DoNotOptimize(system.jacobian().nnz());
   }
-  state.SetLabel("grid G(2;" + std::to_string(l) + "," + std::to_string(l) + ")");
+  state.SetLabel(grid::Grid2D(2, lx, ly).name());
 }
-BENCHMARK(BM_JacobianAssembly)->Arg(2)->Arg(3)->Arg(4);
+BENCHMARK(BM_JacobianAssembly)->Args({2, 2})->Args({3, 3})->Args({0, 6})->Args({4, 4});
+
+// F(t, u) = J u + g(t) at a repeated t, as ROS2 calls it: J applied from its
+// stencil, plus the stored boundary terms.
+void BM_Rhs(benchmark::State& state) {
+  const int lx = static_cast<int>(state.range(0)), ly = static_cast<int>(state.range(1));
+  auto system = make_system(lx, ly);
+  linalg::Vec u(system.dimension()), f;
+  for (std::size_t i = 0; i < u.size(); ++i) u[i] = 0.25 + 1e-3 * static_cast<double>(i % 97);
+  for (auto _ : state) {
+    system.rhs(0.125, u, f);
+    benchmark::DoNotOptimize(f.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(system.jacobian().nnz()));
+  state.SetLabel(grid::Grid2D(2, lx, ly).name());
+}
+BENCHMARK(BM_Rhs)->Args({3, 3})->Args({0, 6});
 
 void BM_Spmv(benchmark::State& state) {
   auto system = make_system(static_cast<int>(state.range(0)), static_cast<int>(state.range(0)));
@@ -200,6 +221,24 @@ void BM_Prolongate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Prolongate)->Arg(3)->Arg(5);
+
+// One level-6 combination term: G(2;lx,6-lx) folded onto the finest grid
+// G(2;6,6).  lx = 0, 3, 6 give (rx, ry) = (64, 1), (8, 8), (1, 64).
+void BM_ProlongateAdd(benchmark::State& state) {
+  const int lx = static_cast<int>(state.range(0));
+  grid::Field coarse(grid::Grid2D(2, lx, 6 - lx));
+  coarse.sample([](double x, double y) { return x * y + 0.5 * x; });
+  grid::Field fine(grid::finest_grid(2, 6), 0.0);
+  for (auto _ : state) {
+    grid::prolongate_add(-1.0, coarse, fine);
+    benchmark::DoNotOptimize(fine.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(fine.size()));
+  state.SetLabel(coarse.grid().name());
+}
+BENCHMARK(BM_ProlongateAdd)->Arg(0)->Arg(3)->Arg(6);
 
 }  // namespace
 

@@ -16,6 +16,7 @@
 #include "cli.hpp"
 #include "core/remote_worker.hpp"
 #include "net/remote.hpp"
+#include "obs/counter_ledger.hpp"
 #include "obs/report.hpp"
 #include "obs/span.hpp"
 #include "svc/job_server.hpp"
@@ -165,16 +166,15 @@ int main(int argc, char** argv) {
     report.config().kv("max_running", static_cast<std::uint64_t>(max_running));
     report.config().kv("max_queued", static_cast<std::uint64_t>(max_queued));
     report.config().end_object();
+    // The engine and session counters as StatsReport's JSON writes them: its
+    // "engine" and "sessions" objects, one member per counter row.
     report.derived().begin_object();
-    report.derived().kv("jobs_submitted", ec.submitted).kv("jobs_accepted", ec.accepted);
-    report.derived().kv("jobs_rejected", ec.rejected).kv("jobs_completed", ec.completed);
-    report.derived().kv("jobs_failed", ec.failed).kv("jobs_cancelled", ec.cancelled);
-    report.derived().kv("tasks_executed", ec.tasks_executed);
-    report.derived().kv("task_retries", ec.task_retries);
-    report.derived().kv("faults_injected", ec.faults_injected);
-    report.derived().kv("sessions_opened", sc.sessions_opened);
-    report.derived().kv("idle_closed", sc.idle_closed);
-    report.derived().kv("protocol_errors", sc.protocol_errors);
+    report.derived().key("engine").begin_object();
+    obs::counters_json(report.derived(), ec, svc::kEngineCounterRows);
+    report.derived().end_object();
+    report.derived().key("sessions").begin_object();
+    obs::counters_json(report.derived(), sc, svc::kJobServerCounterRows);
+    report.derived().end_object();
     report.derived().end_object();
     if (!report.write(report_path)) return 1;
     std::printf("report written to %s\n", report_path.c_str());

@@ -554,6 +554,11 @@ JobResultData SolveEngine::result(std::uint64_t id) {
     data.combined_nodes = std::move(job->combined->data());
   }
   delivered_.emplace(id, Delivered{status_locked(*job), data.root, data.level});
+  delivery_order_.push_back(id);
+  if (delivery_order_.size() > kMaxDeliveredRecords) {
+    delivered_.erase(delivery_order_.front());
+    delivery_order_.pop_front();
+  }
   jobs_.erase(it);
   return data;
 }

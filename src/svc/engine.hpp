@@ -24,7 +24,9 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -46,6 +48,10 @@ namespace mg::svc {
 
 /// Spec validation caps (a hostile SubmitJob must not allocate the moon).
 inline constexpr int kMaxRoot = 6, kMaxLevel = 12;
+/// Status records of fetched jobs kept, the newest by fetch; an older
+/// fetched id reads as unknown, so a long-running server's memory does not
+/// grow with the jobs it has served.
+inline constexpr std::size_t kMaxDeliveredRecords = 1024;
 
 struct EngineConfig {
   AdmissionConfig admission;
@@ -121,7 +127,8 @@ class SolveEngine {
   /// the first fetch moves it out and frees the job, keeping only its final
   /// status record, and later fetches come back ready with no nodes and an
   /// "already delivered" error.  status(), cancel() and wait_terminal() keep
-  /// reading the status record.  Thread-safe.
+  /// reading the status record until kMaxDeliveredRecords newer fetches
+  /// evict it; then the id is unknown.  Thread-safe.
   JobResultData result(std::uint64_t id);
 
   /// Requests cancellation: pending tasks are dropped now, in-flight ones
@@ -190,6 +197,7 @@ class SolveEngine {
   mutable std::mutex jobs_mutex_;
   std::map<std::uint64_t, std::shared_ptr<Job>> jobs_;
   std::map<std::uint64_t, Delivered> delivered_;
+  std::deque<std::uint64_t> delivery_order_;  ///< delivered_'s ids, oldest fetch first
   std::uint64_t next_job_id_ = 1;
   std::uint64_t terminal_jobs_ = 0;
 

@@ -74,26 +74,21 @@ void TransportSystem::assemble() {
     wC = -2.0 * dxx - 2.0 * dyy - axp / hx - axm / hx - ayp / hy - aym / hy;
   }
 
-  linalg::CsrBuilder builder(nx * ny, nx * ny);
+  stencil_ = {nx, ny, wS, wW, wC, wE, wN};
+  jacobian_ = stencil_.matrix();
+  // A neighbour on the boundary carries Dirichlet data, not an unknown.  Per
+  // row the couplings keep the order W, E, S, N, in which rhs adds a corner
+  // node's two terms.
   boundary_couplings_.clear();
   for (std::size_t j = 1; j <= ny; ++j) {
     for (std::size_t i = 1; i <= nx; ++i) {
       const std::size_t row = grid_.interior_index(i, j);
-      builder.add(row, row, wC);
-      auto couple = [&](std::size_t in, std::size_t jn, double w) {
-        if (grid_.is_boundary(in, jn)) {
-          boundary_couplings_.push_back({row, w, grid_.x(in), grid_.y(jn)});
-        } else {
-          builder.add(row, grid_.interior_index(in, jn), w);
-        }
-      };
-      couple(i - 1, j, wW);
-      couple(i + 1, j, wE);
-      couple(i, j - 1, wS);
-      couple(i, j + 1, wN);
+      if (i == 1) boundary_couplings_.push_back({row, wW, grid_.x(i - 1), grid_.y(j)});
+      if (i == nx) boundary_couplings_.push_back({row, wE, grid_.x(i + 1), grid_.y(j)});
+      if (j == 1) boundary_couplings_.push_back({row, wS, grid_.x(i), grid_.y(j - 1)});
+      if (j == ny) boundary_couplings_.push_back({row, wN, grid_.x(i), grid_.y(j + 1)});
     }
   }
-  jacobian_ = builder.build();
 
   // The stage matrix (I - gamma*h*J) has exactly the Jacobian's pattern (the
   // diagonal is always present: wC is added for every row), so its values
@@ -123,7 +118,7 @@ void TransportSystem::rhs(double t, const ros::Vec& u, ros::Vec& f) {
     koren_rhs(grid_, problem_, nodal_scratch_, f);
     return;
   }
-  jacobian_.multiply(u, f);
+  stencil_.multiply(u, f);
   if (t != boundary_t_) {
     for (auto& bc : boundary_couplings_) bc.term = bc.coefficient * problem_.exact(bc.bx, bc.by, t);
     boundary_t_ = t;

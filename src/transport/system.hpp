@@ -3,14 +3,15 @@
 //
 // Unknowns are the interior nodes in lexicographic order.  The problem is
 // linear, F(t, u) = J u + g(t), where J is the (constant) 5-point stencil
-// operator and g(t) carries the time-dependent Dirichlet boundary data.  The
-// stage matrix (I - gamma*h*J) shares the Jacobian's sparsity at every step,
-// so prepare_stage only refreshes values in place when gamma*h changes and
-// reuses the factorisation outright when it does not — bit-identical to the
-// paper's "A matrix must be built up ... again and again", which the tests
-// rebuild as their reference (DESIGN.md §9).  The banded stage solver factors
-// along the grid's short axis (linalg::GridBandedLU), so G(l,m) and its
-// mirror G(m,l) cost the same.
+// operator and g(t) carries the time-dependent Dirichlet boundary data.  rhs
+// applies J from its five weights (linalg::FivePointStencil); the CSR form
+// of J feeds the stage matrix.  The stage matrix (I - gamma*h*J) shares the
+// Jacobian's sparsity at every step, so prepare_stage only refreshes values
+// in place when gamma*h changes and reuses the factorisation outright when it
+// does not — bit-identical to the paper's "A matrix must be built up ...
+// again and again", which the tests rebuild as their reference (DESIGN.md
+// §9).  The banded stage solver factors along the grid's short axis
+// (linalg::GridBandedLU), so G(l,m) and its mirror G(m,l) cost the same.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +24,7 @@
 #include "linalg/banded.hpp"
 #include "linalg/bicgstab.hpp"
 #include "linalg/csr.hpp"
+#include "linalg/stencil.hpp"
 #include "rosenbrock/ode_system.hpp"
 #include "transport/problem.hpp"
 
@@ -62,6 +64,8 @@ class TransportSystem final : public ros::OdeSystem {
 
   const grid::Grid2D& grid() const { return grid_; }
   const linalg::CsrMatrix& jacobian() const { return jacobian_; }
+  /// J's five weights; jacobian() is stencil().matrix().
+  const linalg::FivePointStencil& stencil() const { return stencil_; }
   const StageCacheStats& stage_cache_stats() const { return cache_stats_; }
 
   /// Packs a nodal field's interior values into an unknown vector.
@@ -84,6 +88,7 @@ class TransportSystem final : public ros::OdeSystem {
   grid::Grid2D grid_;
   TransportProblem problem_;
   SystemOptions options_;
+  linalg::FivePointStencil stencil_;
   linalg::CsrMatrix jacobian_;
   std::vector<BoundaryCoupling> boundary_couplings_;
   // Time of the stored boundary terms.  ROS2's stage 2 evaluates rhs at

@@ -190,6 +190,60 @@ TEST(Prolongation, RejectsRootMismatch) {
   EXPECT_THROW(prolongate(coarse, Grid2D(3, 1, 1)), ContractViolation);
 }
 
+/// Bilinear interpolation of `coarse` at fine node (i, j) as a plain per-node
+/// loop computes it: the coarse cell is clamped to the last one, so the last
+/// fine row and column take weight 1 there.
+double reference_node(const Field& coarse, std::size_t rx, std::size_t ry, std::size_t i,
+                      std::size_t j) {
+  const Grid2D& cg = coarse.grid();
+  const std::size_t ic = std::min(i / rx, cg.nodes_x() - 2);
+  const std::size_t jc = std::min(j / ry, cg.nodes_y() - 2);
+  const double t = (static_cast<double>(i) - static_cast<double>(ic * rx)) / static_cast<double>(rx);
+  const double ty =
+      (static_cast<double>(j) - static_cast<double>(jc * ry)) / static_cast<double>(ry);
+  return (1.0 - t) * (1.0 - ty) * coarse.at(ic, jc) + t * (1.0 - ty) * coarse.at(ic + 1, jc) +
+         (1.0 - t) * ty * coarse.at(ic, jc + 1) + t * ty * coarse.at(ic + 1, jc + 1);
+}
+
+TEST(Prolongation, RowGatherIsBitwiseEqualToThePlainPerNodeLoop) {
+  // prolongate and prolongate_add gather each coarse row once and evaluate
+  // whole fine rows; every node, the clamped last row and column included,
+  // must get the plain loop's bits.
+  std::mt19937_64 rng(2026);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  const int steps[] = {0, 1, 6};  // ratios 1, 2 and 64
+  for (const int root : {1, 2}) {
+    for (const int dx : steps) {
+      for (const int dy : steps) {
+        const Grid2D cg(root, 1, 0), fg(root, 1 + dx, dy);
+        SCOPED_TRACE(cg.name() + " -> " + fg.name());
+        const std::size_t rx = std::size_t{1} << dx, ry = std::size_t{1} << dy;
+        Field coarse(cg);
+        for (double& v : coarse.data()) v = dist(rng);
+        Field fine(fg);
+        for (double& v : fine.data()) v = dist(rng);
+        const double alpha = -0.37;
+        Field expected = fine, expected_add = fine;
+        for (std::size_t j = 0; j < fg.nodes_y(); ++j) {
+          for (std::size_t i = 0; i < fg.nodes_x(); ++i) {
+            const double v = reference_node(coarse, rx, ry, i, j);
+            expected.at(i, j) = v;
+            expected_add.at(i, j) += alpha * v;
+          }
+        }
+        const Field got = prolongate(coarse, fg);
+        prolongate_add(alpha, coarse, fine);
+        EXPECT_EQ(std::memcmp(got.data().data(), expected.data().data(),
+                              got.size() * sizeof(double)),
+                  0);
+        EXPECT_EQ(std::memcmp(fine.data().data(), expected_add.data().data(),
+                              fine.size() * sizeof(double)),
+                  0);
+      }
+    }
+  }
+}
+
 // ---- combination ---------------------------------------------------------------
 
 TEST(Combination, FamilyEnumerationMatchesPaperLoop) {

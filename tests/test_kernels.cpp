@@ -6,6 +6,10 @@
 // this suite is the proof that the remaining loops compute the same bits.
 // A kernel change that moves one rounding anywhere fails here.
 //
+// The StencilKernel tests hold the transport operator's stencil kernel to
+// CsrMatrix::multiply, and TransportSystem::rhs to that multiply plus the
+// boundary terms, byte for byte; they record no constant.
+//
 // Three banded solve hashes (`solution`, `rebuilt`, `refreshed`) were
 // re-recorded when the back sweep changed to farthest column first with a
 // multiply by the stored reciprocal pivot (DESIGN.md §9): the order takes
@@ -33,8 +37,10 @@
 #include "linalg/bicgstab.hpp"
 #include "linalg/csr.hpp"
 #include "linalg/precond.hpp"
+#include "linalg/stencil.hpp"
 #include "linalg/vector_ops.hpp"
 #include "support/rng.hpp"
+#include "transport/system.hpp"
 
 namespace {
 
@@ -301,6 +307,75 @@ TEST(GoldenBits, BicgstabPerPreconditioner) {
     Fnv1a h;
     h.add(x);
     EXPECT_EQ(h.value(), golden[k]) << precond->name() << ": got " << hex(h.value());
+  }
+}
+
+// ---- the five-point stencil kernel ---------------------------------------------
+
+// The stencil applies itself without reading its CSR form; every row must get
+// CsrMatrix::multiply's bits, on blocks one unknown wide or tall too.  A zero
+// weight stays a term, and with x = -0.0 every product is -0.0, yet each row
+// sums to +0.0 because multiply starts it from 0.0.
+TEST(StencilKernel, MultiplyIsBitwiseEqualToCsrMultiply) {
+  Xoshiro256 rng(61);
+  for (const std::size_t nx : {1u, 2u, 3u, 5u, 17u}) {
+    for (const std::size_t ny : {1u, 2u, 3u, 7u}) {
+      SCOPED_TRACE("nx " + std::to_string(nx) + ", ny " + std::to_string(ny));
+      FivePointStencil s{nx, ny, rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0),
+                         rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)};
+      if (nx == 3) s.east = 0.0;
+      const CsrMatrix a = s.matrix();
+      ASSERT_EQ(a.rows(), nx * ny);
+      Vec signed_zeros(nx * ny, -0.0);
+      for (const Vec& x : {random_vec(nx * ny, rng), signed_zeros}) {
+        Vec expected, y;
+        a.multiply(x, expected);
+        s.multiply(x, y);
+        EXPECT_TRUE(same_bytes(y, expected));
+      }
+    }
+  }
+}
+
+// rhs = J u + g(t): J applied from the stencil, then each boundary neighbour's
+// weight times the exact solution there, added per row in the order W, E, S,
+// N.  The reference spells that out with CsrMatrix::multiply, at a new t and
+// at a repeated one (where rhs reuses its stored terms).
+TEST(StencilKernel, RhsIsCsrMultiplyPlusTheBoundaryTerms) {
+  using mg::grid::Grid2D;
+  namespace transport = mg::transport;
+  Xoshiro256 rng(67);
+  const transport::TransportProblem problem;
+  for (const auto scheme : {transport::AdvectionScheme::Central2,
+                            transport::AdvectionScheme::Upwind1}) {
+    for (const Grid2D& g : {Grid2D(2, 2, 2), Grid2D(2, 3, 1), Grid2D(2, 1, 3), Grid2D(1, 0, 0),
+                            Grid2D(1, 2, 0)}) {
+      SCOPED_TRACE(g.name() + " " + std::to_string(static_cast<int>(scheme)));
+      transport::SystemOptions options;
+      options.scheme = scheme;
+      transport::TransportSystem system(g, problem, options);
+      const FivePointStencil& s = system.stencil();
+      const Vec u = random_vec(system.dimension(), rng);
+      for (const double t : {0.1, 0.1, 0.35}) {
+        Vec expected;
+        system.jacobian().multiply(u, expected);
+        for (std::size_t j = 1; j <= g.interior_y(); ++j) {
+          for (std::size_t i = 1; i <= g.interior_x(); ++i) {
+            double& f = expected[g.interior_index(i, j)];
+            auto boundary = [&](std::size_t in, std::size_t jn, double w) {
+              if (g.is_boundary(in, jn)) f += w * problem.exact(g.x(in), g.y(jn), t);
+            };
+            boundary(i - 1, j, s.west);
+            boundary(i + 1, j, s.east);
+            boundary(i, j - 1, s.south);
+            boundary(i, j + 1, s.north);
+          }
+        }
+        Vec f;
+        system.rhs(t, u, f);
+        EXPECT_TRUE(same_bytes(f, expected)) << "t " << t;
+      }
+    }
   }
 }
 

@@ -384,6 +384,40 @@ TEST(SvcEngine, ResultIsDeliveredOnceAndTheStatusRecordStays) {
   EXPECT_NE(second.error.find("already delivered"), std::string::npos) << second.error;
 }
 
+TEST(SvcEngine, KeepsOnlyTheNewestDeliveredRecords) {
+  // Every fetched job leaves a status record, and only the newest
+  // kMaxDeliveredRecords stay: one more fetch evicts the oldest, whose id
+  // then reads as unknown everywhere.
+  svc::EngineConfig config;
+  config.lanes = 2;
+  svc::SolveEngine engine(config);
+  svc::JobSpec spec;
+  spec.root = 1;
+  spec.level = 0;
+  std::vector<std::uint64_t> ids;
+  for (std::size_t k = 0; k <= svc::kMaxDeliveredRecords; ++k) {
+    const svc::JobTicket ticket = engine.submit(spec);
+    ASSERT_TRUE(ticket.accepted) << ticket.reason;
+    ASSERT_TRUE(engine.wait_terminal(ticket.job_id, 60s));
+    if (k == svc::kMaxDeliveredRecords) {
+      EXPECT_TRUE(engine.status(ids.front()).known);
+    }
+    ASSERT_EQ(engine.result(ticket.job_id).state, svc::JobState::Done);
+    ids.push_back(ticket.job_id);
+  }
+  EXPECT_FALSE(engine.status(ids.front()).known);
+  EXPECT_FALSE(engine.result(ids.front()).known);
+  EXPECT_FALSE(engine.cancel(ids.front()).known);
+  EXPECT_FALSE(engine.wait_terminal(ids.front(), 0ms));
+
+  const svc::JobStatusInfo kept = engine.status(ids[1]);
+  EXPECT_TRUE(kept.known);
+  EXPECT_EQ(kept.state, svc::JobState::Done);
+  const svc::JobResultData again = engine.result(ids.back());
+  EXPECT_TRUE(again.known);
+  EXPECT_NE(again.error.find("already delivered"), std::string::npos) << again.error;
+}
+
 TEST(SvcEngine, RejectsInvalidSpecsAndUnknownIds) {
   svc::SolveEngine engine;
   svc::JobSpec bad;

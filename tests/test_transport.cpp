@@ -7,8 +7,13 @@
 #include <cstring>
 #include <map>
 #include <random>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "linalg/banded.hpp"
+#include "linalg/csr.hpp"
+#include "linalg/stencil.hpp"
 #include "support/check.hpp"
 #include "transport/problem.hpp"
 #include "transport/seq_solver.hpp"
@@ -93,6 +98,50 @@ TEST(System, JacobianHasFivePointPattern) {
   }
   EXPECT_EQ(max_nnz_in_row, 5u);
   EXPECT_EQ(min_nnz_in_row, 3u);
+}
+
+TEST(System, JacobianEqualsTheBuilderAssembly) {
+  // The Jacobian is written straight from the stencil; it must equal the
+  // generic CsrBuilder assembly (centre, then each interior neighbour W, E,
+  // S, N) in every array, on square, wide and tall grids and on grids one
+  // unknown wide or tall.
+  for (const auto scheme : {AdvectionScheme::Central2, AdvectionScheme::Upwind1}) {
+    for (const grid::Grid2D& g : {grid::Grid2D(2, 2, 2), grid::Grid2D(2, 3, 1),
+                                  grid::Grid2D(2, 1, 3), grid::Grid2D(1, 0, 0),
+                                  grid::Grid2D(1, 2, 0), grid::Grid2D(1, 0, 2)}) {
+      SCOPED_TRACE(g.name() + " " + std::to_string(static_cast<int>(scheme)));
+      SystemOptions options;
+      options.scheme = scheme;
+      TransportSystem system(g, TransportProblem{}, options);
+      const linalg::FivePointStencil& s = system.stencil();
+      linalg::CsrBuilder builder(g.interior_count(), g.interior_count());
+      for (std::size_t j = 1; j <= g.interior_y(); ++j) {
+        for (std::size_t i = 1; i <= g.interior_x(); ++i) {
+          const std::size_t row = g.interior_index(i, j);
+          builder.add(row, row, s.centre);
+          auto couple = [&](std::size_t in, std::size_t jn, double w) {
+            if (!g.is_boundary(in, jn)) builder.add(row, g.interior_index(in, jn), w);
+          };
+          couple(i - 1, j, s.west);
+          couple(i + 1, j, s.east);
+          couple(i, j - 1, s.south);
+          couple(i, j + 1, s.north);
+        }
+      }
+      const linalg::CsrMatrix expected = builder.build();
+      const linalg::CsrMatrix& a = system.jacobian();
+      EXPECT_EQ(a.row_ptr(), expected.row_ptr());
+      EXPECT_EQ(a.col_idx(), expected.col_idx());
+      ASSERT_EQ(a.nnz(), expected.nnz());
+      EXPECT_EQ(std::memcmp(a.values().data(), expected.values().data(),
+                            a.nnz() * sizeof(double)),
+                0);
+    }
+  }
+  // Central2's five weights differ, so a weight in the wrong slot shows.
+  const linalg::FivePointStencil s = TransportSystem(grid::Grid2D(2, 1, 1), {}).stencil();
+  const std::vector<double> w = {s.south, s.west, s.centre, s.east, s.north};
+  EXPECT_EQ(std::set<double>(w.begin(), w.end()).size(), 5u);
 }
 
 TEST(System, RhsIsAffineInU) {
